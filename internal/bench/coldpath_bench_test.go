@@ -111,11 +111,11 @@ func BenchmarkGraphBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkRenumber times web discovery (reaching defs + union-find)
-// with a reused scratch, covering the occupancy-mask fast paths. The
-// functions are already in web form after the first pass, which is
-// exactly the driver's steady state: every spill round renumbers
-// already-renumbered code.
+// BenchmarkRenumber times web discovery (liveness, may-be-defined
+// bitsets and the union-find) with a reused scratch. The functions are
+// already in web form after the first pass, which is exactly the
+// driver's steady state: every spill round renumbers already-renumbered
+// code.
 func BenchmarkRenumber(b *testing.B) {
 	m := target.UsageModel(16)
 	funcs := workload.Generate(workload.Large(), m)

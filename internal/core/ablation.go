@@ -85,10 +85,10 @@ func Variants() []AblationVariant {
 }
 
 // chainCPG builds, into c, the degenerate precedence graph of the
-// NoCPG ablation: a single chain in Chaitin select order (reverse of
-// the removal stack), every node also pointing at Bottom.
-func chainCPG(c *CPG, stack []ig.NodeID) {
-	c.reset()
+// NoCPG ablation over a graph of n nodes: a single chain in Chaitin
+// select order (reverse of the removal stack), ending at Bottom.
+func chainCPG(c *CPG, n int, stack []ig.NodeID) {
+	c.reset(n)
 	if len(stack) == 0 {
 		return
 	}

@@ -69,7 +69,7 @@ func (a *Allocator) Allocate(ctx *regalloc.Context) (*regalloc.Result, error) {
 	sp = tel.Begin()
 	cpg := &cs.cpg
 	if a.ablation.NoCPG {
-		chainCPG(cpg, stack)
+		chainCPG(cpg, g.NumNodes(), stack)
 	} else if err := buildCPGInto(cpg, g, stack, potential, k); err != nil {
 		return nil, err
 	}

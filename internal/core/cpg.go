@@ -27,86 +27,67 @@ func cpgIdx(n ig.NodeID) int { return int(n) + 2 }
 // CPG is the Coloring Precedence Graph (§5.2): the partial order on
 // register-selection obtained by relaxing the simplification stack's
 // total order without giving up the colorability the stack guarantees.
-// Successor and predecessor lists are slices indexed by node id + 2
-// (dense, like everything downstream of the renumbered graph), grown
-// on demand.
+// Edges live in successor rows: one bitset per slot (node id + 2, so
+// Bottom and Top take slots 0 and 1) over the same slot space, sized
+// for the graph the CPG was last built for. Predecessors are derived
+// from the rows when asked for.
 type CPG struct {
-	succs [][]ig.NodeID
-	preds [][]ig.NodeID
-
-	// Positional back-pointers pairing the two views of each edge:
-	// succPos[a][j] is the index of a's entry in preds[b] for the edge
-	// a→b = succs[a][j], and predPos mirrors it. They make removeEdge a
-	// pair of O(1) swap-removes — without them the removal had to
-	// re-find a by scanning preds[b], and preds[Bottom] holds nearly
-	// every node, so each transitive-reduction prune paid a full pass
-	// over that row. Nothing downstream reads row order (selection
-	// counts rows and walks nodes in ascending id; Succs/Preds/Dump
-	// sort), so swap-remove is observationally free.
-	succPos [][]int32
-	predPos [][]int32
-
-	// Epoch-marked visited buffer for reachability queries, indexed
-	// like succs/preds, plus reusable DFS scratch space.
-	visitMark  []uint32
-	visitEpoch uint32
-	work       []ig.NodeID
-	scratch    []ig.NodeID
+	slots int      // number of slots: real nodes plus the two pseudo-nodes
+	words int      // words per row
+	rows  []uint64 // successor rows, slot-major
 
 	// Construction-only scratch, reused across rebuilds of this CPG
-	// (buildCPGInto): stack membership as a bitset shaped like the
-	// graph's adjacency rows (so degree restriction is a word-AND and
-	// popcount against OrigRow), WIG degrees, CPG membership,
-	// readiness, and the per-pop remaining-neighbor list.
+	// (buildCPGInto): the descendant set of every popped node, laid out
+	// like rows; stack membership as a bitset shaped like the graph's
+	// adjacency rows (so degree restriction is a word-AND and popcount
+	// against OrigRow); WIG degrees, CPG membership, readiness, and the
+	// per-pop remaining-neighbor list.
+	desc        []uint64
 	presentBits []uint64
 	wigDeg      []int
 	inCPG       []bool
 	ready       []bool
 	remaining   []ig.NodeID
+
+	nodes []uint64 // one row: nodeRow's result
 }
 
-// reset empties the graph for a rebuild while keeping every backing
-// array. Edge rows are truncated in place, the visit marks return to a
-// fresh epoch-zero state, and the next build starts from the exact
-// observable state of a zero-valued CPG.
-func (c *CPG) reset() {
-	for i := range c.succs {
-		c.succs[i] = c.succs[i][:0]
-		c.preds[i] = c.preds[i][:0]
-		c.succPos[i] = c.succPos[i][:0]
-		c.predPos[i] = c.predPos[i][:0]
-	}
-	clear(c.visitMark)
-	c.visitEpoch = 0
+// reset empties the graph and sizes it for nodes real nodes, keeping
+// the backing arrays.
+func (c *CPG) reset(nodes int) {
+	c.slots = nodes + 2
+	c.words = (c.slots + 63) / 64
+	c.rows = scratch.Slice(c.rows, c.slots*c.words)
 }
 
-// ensure grows the edge storage to cover slot i.
-func (c *CPG) ensure(i int) {
-	for i >= len(c.succs) {
-		c.succs = append(c.succs, nil)
-		c.preds = append(c.preds, nil)
-		c.succPos = append(c.succPos, nil)
-		c.predPos = append(c.predPos, nil)
-	}
-	for i >= len(c.visitMark) {
-		c.visitMark = append(c.visitMark, 0)
-	}
-}
+// row returns the successor row of slot i.
+func (c *CPG) row(i int) []uint64 { return c.rows[i*c.words : (i+1)*c.words] }
 
-// succsOf returns n's successor list (nil when n has none).
-func (c *CPG) succsOf(n ig.NodeID) []ig.NodeID {
-	if i := cpgIdx(n); i < len(c.succs) {
-		return c.succs[i]
+// succRow returns n's successor row, nil when n has no slot.
+func (c *CPG) succRow(n ig.NodeID) []uint64 {
+	if i := cpgIdx(n); i >= 0 && i < c.slots {
+		return c.row(i)
 	}
 	return nil
 }
 
-// predsOf returns n's predecessor list (nil when n has none).
-func (c *CPG) predsOf(n ig.NodeID) []ig.NodeID {
-	if i := cpgIdx(n); i < len(c.preds) {
-		return c.preds[i]
+// nodeRow returns, as a row over the slot space, every real node the
+// CPG mentions: those with a successor or a predecessor. The row is
+// c's own scratch, valid until the next call.
+func (c *CPG) nodeRow() []uint64 {
+	c.nodes = scratch.Slice(c.nodes, c.words)
+	for i := 0; i < c.slots; i++ {
+		empty := true
+		for wi, w := range c.row(i) {
+			c.nodes[wi] |= w
+			empty = empty && w == 0
+		}
+		if !empty {
+			c.nodes[i>>6] |= 1 << (uint(i) & 63)
+		}
 	}
-	return nil
+	c.nodes[0] &^= 1<<uint(cpgIdx(Bottom)) | 1<<uint(cpgIdx(Top))
+	return c.nodes
 }
 
 // BuildCPG runs the paper's nine-step construction.
@@ -129,8 +110,8 @@ func BuildCPG(g *ig.Graph, stack []ig.NodeID, potentialSpill []bool, k int) (*CP
 // previously used) CPG: the graph is reset and rebuilt in its existing
 // storage, and all construction scratch lives on the CPG itself.
 func buildCPGInto(c *CPG, g *ig.Graph, stack []ig.NodeID, potentialSpill []bool, k int) error {
-	c.reset()
-	c.ensure(cpgIdx(ig.NodeID(g.NumNodes() - 1)))
+	c.reset(g.NumNodes())
+	c.desc = scratch.Slice(c.desc, len(c.rows))
 
 	c.presentBits = scratch.Slice(c.presentBits, g.WordsPerRow())
 	present := c.presentBits
@@ -162,21 +143,19 @@ func buildCPGInto(c *CPG, g *ig.Graph, stack []ig.NodeID, potentialSpill []bool,
 	inCPG, ready := c.inCPG, c.ready
 
 	// Step 4: initial low-degree nodes (ready) and potential-spill
-	// nodes (not ready) hang off Bottom. addEdgeNew is safe here and
-	// throughout the replay: every slot was ensured above, and each edge
-	// the construction requests is provably new (one Bottom edge per
-	// stack node, one pop per node, deduplicated neighbor lists).
+	// nodes (not ready) hang off Bottom.
 	for _, n := range stack {
 		switch {
 		case wigDeg[n] < k:
 			inCPG[n] = true
-			c.addEdgeNew(n, Bottom)
+			c.addEdge(n, Bottom)
 			ready[n] = true
 		case int(n) < len(potentialSpill) && potentialSpill[n]:
 			inCPG[n] = true
-			c.addEdgeNew(n, Bottom)
+			c.addEdge(n, Bottom)
 		}
 	}
+	c.desc[0] = 1 << uint(cpgIdx(Bottom))
 
 	// Steps 5–9: replay the removal sequence.
 	remaining := c.remaining
@@ -196,48 +175,44 @@ func buildCPGInto(c *CPG, g *ig.Graph, stack []ig.NodeID, potentialSpill []bool,
 			}
 		}
 
+		// n's row is final: edges only ever change in rows of nodes
+		// still on the stack, and every successor of n is Bottom or was
+		// popped earlier, with its descendant set already final. So
+		// desc(n) = {n} ∪ ⋃ desc(s) over n's successors.
+		ni := cpgIdx(n)
+		d := c.desc[ni*c.words : (ni+1)*c.words]
+		for wi, w := range c.row(ni) {
+			for ; w != 0; w &= w - 1 {
+				si := wi<<6 + bits.TrailingZeros64(w)
+				for j, x := range c.desc[si*c.words : (si+1)*c.words] {
+					d[j] |= x
+				}
+			}
+		}
+		d[ni>>6] |= 1 << (uint(ni) & 63)
+
 		// Step 6: materialize remaining neighbors.
 		for _, nb := range remaining {
 			inCPG[nb] = true
 		}
-		// Step 7: non-ready remaining neighbors must precede n. This
-		// is addEdgeReduced specialized to the replay's ordering: every
-		// edge inserted so far points at an earlier-popped node and n
-		// gains its first in-edges right here, so no path nb⇝n can
-		// exist yet and the transitive-skip test is vacuous. What n
-		// reaches is likewise fixed for the whole pop (n gains only
-		// in-edges, and the removals happen at unpopped nodes n cannot
-		// reach), so a single DFS from n serves every neighbor instead
-		// of the two DFS walks addEdgeReduced pays per edge.
+		// Step 7: non-ready remaining neighbors must precede n, keeping
+		// the graph transitively reduced. n has no in-edge before this
+		// pop, so no path nb⇝n exists yet and every edge nb→n is new;
+		// the edges it makes transitive are nb's edges into desc(n).
 		sawNonReady := false
-		descMarked := false
 		for _, nb := range remaining {
 			if ready[nb] {
 				continue
 			}
 			sawNonReady = true
-			c.addEdgeNew(nb, n)
-			succs := c.succsOf(nb)
-			if len(succs) == 1 {
-				continue
+			r := c.row(cpgIdx(nb))
+			for j, x := range d {
+				r[j] &^= x
 			}
-			if !descMarked {
-				c.markFrom(n)
-				descMarked = true
-			}
-			// Snapshot-then-find, not index-based removal: repeated
-			// swap-removes permute the survivors differently depending
-			// on iteration direction, and downstream selection order
-			// (hence the golden digests) observes row order.
-			c.scratch = append(c.scratch[:0], succs...)
-			for _, x := range c.scratch {
-				if x != n && c.marked(x) {
-					c.removeEdge(nb, x)
-				}
-			}
+			r[ni>>6] |= 1 << (uint(ni) & 63)
 		}
 		if !sawNonReady {
-			c.addEdgeNew(Top, n)
+			c.addEdge(Top, n)
 		}
 		// Step 8: removal may make neighbors removable.
 		for _, nb := range remaining {
@@ -250,200 +225,50 @@ func buildCPGInto(c *CPG, g *ig.Graph, stack []ig.NodeID, potentialSpill []bool,
 	return nil
 }
 
+// addEdge adds a→b; both must have slots.
 func (c *CPG) addEdge(a, b ig.NodeID) {
-	ai, bi := cpgIdx(a), cpgIdx(b)
-	if ai > bi {
-		c.ensure(ai)
-	} else {
-		c.ensure(bi)
-	}
-	for _, s := range c.succs[ai] {
-		if s == b {
-			return
-		}
-	}
-	c.addEdgeAt(ai, bi, a, b)
+	bi := cpgIdx(b)
+	c.row(cpgIdx(a))[bi>>6] |= 1 << (uint(bi) & 63)
 }
 
-// addEdgeNew is addEdge for callers that guarantee both slots exist
-// and the edge is absent, skipping the growth and duplicate checks.
-// buildCPGInto satisfies both by construction, and the checks were a
-// measurable share of its replay loop.
-func (c *CPG) addEdgeNew(a, b ig.NodeID) {
-	c.addEdgeAt(cpgIdx(a), cpgIdx(b), a, b)
-}
-
-func (c *CPG) addEdgeAt(ai, bi int, a, b ig.NodeID) {
-	c.succPos[ai] = append(c.succPos[ai], int32(len(c.preds[bi])))
-	c.predPos[bi] = append(c.predPos[bi], int32(len(c.succs[ai])))
-	c.succs[ai] = append(c.succs[ai], b)
-	c.preds[bi] = append(c.preds[bi], a)
-}
-
-// removeEdge deletes a→b. Cost: one scan of a's successor row (small —
-// bounded by what transitive reduction leaves) plus two swap-removes;
-// b's predecessor row, which may be huge (Bottom's holds almost every
-// node), is never scanned thanks to the positional back-pointers.
-func (c *CPG) removeEdge(a, b ig.NodeID) {
-	ai := cpgIdx(a)
-	sl := c.succs[ai]
-	j := -1
-	for idx, s := range sl {
-		if s == b {
-			j = idx
-			break
-		}
-	}
-	if j < 0 {
-		return
-	}
-	c.removeEdgeAt(ai, j)
-}
-
-// removeEdgeAt deletes the edge at index j of slot ai's successor row,
-// for callers that already know the position.
-func (c *CPG) removeEdgeAt(ai, j int) {
-	sl := c.succs[ai]
-	bi := cpgIdx(sl[j])
-	pi := int(c.succPos[ai][j])
-
-	last := len(sl) - 1
-	if j != last {
-		moved := sl[last] // edge a→moved slides into slot j
-		c.predPos[cpgIdx(moved)][c.succPos[ai][last]] = int32(j)
-		sl[j] = moved
-		c.succPos[ai][j] = c.succPos[ai][last]
-	}
-	c.succs[ai] = sl[:last]
-	c.succPos[ai] = c.succPos[ai][:last]
-
-	pl := c.preds[bi]
-	last = len(pl) - 1
-	if pi != last {
-		moved := pl[last] // edge moved→b slides into slot pi
-		c.succPos[cpgIdx(moved)][c.predPos[bi][last]] = int32(pi)
-		pl[pi] = moved
-		c.predPos[bi][pi] = c.predPos[bi][last]
-	}
-	c.preds[bi] = pl[:last]
-	c.predPos[bi] = c.predPos[bi][:last]
-}
-
-// addEdgeReduced adds u→n keeping the graph transitively reduced: the
-// edge is skipped if a path u⇝n already exists, and existing edges
-// u→x that the new edge makes transitive (n⇝x) are removed. One DFS
-// from n marks everything n reaches; testing each successor against
-// the marks replaces the per-successor DFS the naive form needs (the
-// CPG is a DAG, so edge removals at u cannot change what n reaches).
-func (c *CPG) addEdgeReduced(u, n ig.NodeID) {
-	if c.reachable(u, n) {
-		return
-	}
-	c.addEdge(u, n)
-	succs := c.succsOf(u)
-	if len(succs) == 1 {
-		return
-	}
-	c.markFrom(n)
-	c.scratch = append(c.scratch[:0], succs...)
-	for _, x := range c.scratch {
-		if x != n && c.marked(x) {
-			c.removeEdge(u, x)
-		}
-	}
-}
-
-// mark records n as visited in the current epoch, reporting whether it
-// was newly marked.
-func (c *CPG) mark(n ig.NodeID) bool {
-	i := cpgIdx(n)
-	for i >= len(c.visitMark) {
-		c.visitMark = append(c.visitMark, 0)
-	}
-	if c.visitMark[i] == c.visitEpoch {
-		return false
-	}
-	c.visitMark[i] = c.visitEpoch
-	return true
-}
-
-// marked reports whether n was visited in the current epoch.
-func (c *CPG) marked(n ig.NodeID) bool {
-	i := cpgIdx(n)
-	return i < len(c.visitMark) && c.visitMark[i] == c.visitEpoch
-}
-
-// markFrom starts a fresh epoch and marks every node reachable from a
-// (including a itself).
-func (c *CPG) markFrom(a ig.NodeID) {
-	c.visitEpoch++
-	c.mark(a)
-	c.work = append(c.work[:0], a)
-	for len(c.work) > 0 {
-		x := c.work[len(c.work)-1]
-		c.work = c.work[:len(c.work)-1]
-		for _, s := range c.succsOf(x) {
-			if c.mark(s) {
-				c.work = append(c.work, s)
-			}
-		}
-	}
-}
-
-// reachable reports whether a path a⇝b exists.
-func (c *CPG) reachable(a, b ig.NodeID) bool {
-	if a == b {
-		return true
-	}
-	c.visitEpoch++
-	c.mark(a)
-	c.work = append(c.work[:0], a)
-	for len(c.work) > 0 {
-		x := c.work[len(c.work)-1]
-		c.work = c.work[:len(c.work)-1]
-		for _, s := range c.succsOf(x) {
-			if s == b {
-				return true
-			}
-			if c.mark(s) {
-				c.work = append(c.work, s)
-			}
-		}
-	}
-	return false
-}
-
-// Succs returns the successors of n (sorted copy).
+// Succs returns the successors of n, sorted.
 func (c *CPG) Succs(n ig.NodeID) []ig.NodeID {
-	out := append([]ig.NodeID(nil), c.succsOf(n)...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slotNodes(c.succRow(n))
 }
 
-// Preds returns the predecessors of n (sorted copy).
+// Preds returns the predecessors of n, sorted.
 func (c *CPG) Preds(n ig.NodeID) []ig.NodeID {
-	out := append([]ig.NodeID(nil), c.predsOf(n)...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	var out []ig.NodeID
+	for i := 0; i < c.slots; i++ {
+		if c.HasEdge(ig.NodeID(i-2), n) {
+			out = append(out, ig.NodeID(i-2))
+		}
+	}
 	return out
 }
 
 // HasEdge reports whether the edge a→b is present.
 func (c *CPG) HasEdge(a, b ig.NodeID) bool {
-	for _, s := range c.succsOf(a) {
-		if s == b {
-			return true
-		}
-	}
-	return false
+	bi := cpgIdx(b)
+	r := c.succRow(a)
+	return r != nil && bi >= 0 && bi < c.slots && r[bi>>6]&(1<<(uint(bi)&63)) != 0
 }
 
 // Nodes returns every real (non-pseudo) node mentioned by the CPG,
 // sorted.
 func (c *CPG) Nodes() []ig.NodeID {
+	if c.slots == 0 {
+		return nil
+	}
+	return slotNodes(c.nodeRow())
+}
+
+// slotNodes lists the nodes whose slots are set in row, ascending.
+func slotNodes(row []uint64) []ig.NodeID {
 	var out []ig.NodeID
-	for i := cpgIdx(0); i < len(c.succs); i++ {
-		if len(c.succs[i]) > 0 || len(c.preds[i]) > 0 {
-			out = append(out, ig.NodeID(i-2))
+	for wi, w := range row {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, ig.NodeID(wi<<6+bits.TrailingZeros64(w)-2))
 		}
 	}
 	return out

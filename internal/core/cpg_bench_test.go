@@ -11,9 +11,8 @@ import (
 
 // BenchmarkBuildCPG measures the steady-state CPG rebuild (the
 // buildCPGInto path every spill round pays). The "large" shape at low k
-// is the removeEdge stress: most nodes hang off Bottom, so each
-// transitive-reduction prune of an n→Bottom edge used to scan the
-// near-full preds[Bottom] row.
+// is the transitive-reduction stress: most nodes hang off Bottom, so
+// most step-7 edges prune an n→Bottom edge.
 func BenchmarkBuildCPG(b *testing.B) {
 	for _, sz := range []struct {
 		name        string

@@ -76,6 +76,7 @@ func TestCPGPotentialSpillNotReady(t *testing.T) {
 
 func TestCPGTransitiveReduction(t *testing.T) {
 	c := &CPG{}
+	c.reset(5)
 	c.addEdgeReduced(1, 2)
 	c.addEdgeReduced(2, 3)
 	// 1→3 is implied by 1→2→3 and must be skipped.
@@ -97,6 +98,7 @@ func TestCPGTransitiveReduction(t *testing.T) {
 
 func TestCPGReachable(t *testing.T) {
 	c := &CPG{}
+	c.reset(4)
 	c.addEdge(1, 2)
 	c.addEdge(2, 3)
 	if !c.reachable(1, 3) || c.reachable(3, 1) || !c.reachable(2, 2) {

@@ -235,24 +235,26 @@ func (s *selector) run() (*regalloc.Result, error) {
 	numWebs := g.NumWebs()
 
 	sp := tel.Begin()
-	// Step 1: Q starts as the successors of Top. The CPG's rows are
-	// walked in place (ascending, like Nodes(), and counting needs no
-	// sorted order); empty rows — including leftovers from a larger
-	// previous round — describe no node and are skipped.
-	for i := cpgIdx(0); i < len(s.cpg.succs); i++ {
-		if len(s.cpg.succs[i]) == 0 && len(s.cpg.preds[i]) == 0 {
-			continue
-		}
-		n := ig.NodeID(i - 2)
-		cnt := 0
-		for _, p := range s.cpg.preds[i] {
-			if p != Top {
-				cnt++
+	// Step 1: Q starts as the nodes whose only predecessor is Top.
+	// Predecessors are counted off the real nodes' successor rows
+	// (Top's row holds no counted edge, Bottom's none at all); then
+	// every node the CPG mentions is visited in ascending order.
+	cpg := s.cpg
+	for i := cpgIdx(0); i < cpg.slots; i++ {
+		for wi, w := range cpg.row(i) {
+			for ; w != 0; w &= w - 1 {
+				if j := wi<<6 + bits.TrailingZeros64(w); j >= cpgIdx(0) {
+					s.predCount[j-2]++
+				}
 			}
 		}
-		s.predCount[n] = cnt
-		if cnt == 0 {
-			s.pushReady(n)
+	}
+	for wi, w := range cpg.nodeRow() {
+		for ; w != 0; w &= w - 1 {
+			n := ig.NodeID(wi<<6 + bits.TrailingZeros64(w) - 2)
+			if s.predCount[n] == 0 {
+				s.pushReady(n)
+			}
 		}
 	}
 
@@ -666,15 +668,18 @@ func (s *selector) processNode(n ig.NodeID, res *regalloc.Result) {
 		s.invalidateAround(n)
 	}
 
-	// Step 5: release successors. The raw (unsorted) list is fine:
-	// each successor is touched once and the decrements commute.
-	for _, succ := range s.cpg.succsOf(n) {
-		if succ == Bottom {
-			continue
-		}
-		s.predCount[succ]--
-		if s.predCount[succ] == 0 && !s.processed[succ] {
-			s.pushReady(succ)
+	// Step 5: release successors (Bottom's slot is skipped).
+	for wi, w := range s.cpg.succRow(n) {
+		for ; w != 0; w &= w - 1 {
+			j := wi<<6 + bits.TrailingZeros64(w)
+			if j < cpgIdx(0) {
+				continue
+			}
+			succ := ig.NodeID(j - 2)
+			s.predCount[succ]--
+			if s.predCount[succ] == 0 && !s.processed[succ] {
+				s.pushReady(succ)
+			}
 		}
 	}
 }

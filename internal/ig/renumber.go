@@ -8,43 +8,36 @@ import (
 	"math/bits"
 
 	"prefcolor/internal/ir"
+	"prefcolor/internal/liveness"
 	"prefcolor/internal/scratch"
 )
 
-// RenumberScratch recycles the dense per-site and per-register tables
-// Renumber builds, so the driver's round loop stops reallocating them.
-// The zero value is ready. The *RenumberInfo returned by RenumberInto
-// is owned by the scratch: it (and its Origins rows) are valid only
-// until the next RenumberInto on the same scratch. Not safe for
-// concurrent use.
+// RenumberScratch recycles the liveness rows, per-block register
+// bitsets and union-find Renumber builds, so the driver's round loop
+// stops reallocating them. The zero value is ready. The *RenumberInfo
+// returned by RenumberInto is owned by the scratch: it (and its Origins
+// rows) are valid only until the next RenumberInto on the same scratch.
+// Not safe for concurrent use.
 type RenumberScratch struct {
-	siteReg   []ir.Reg
-	siteAt    [][]int32
-	paramSite []int32
-	undefSite []int32
-	singleton []siteSet // singleton[s] == {s}: immutable, reused across runs
-	gens      [][]siteSet
-	in        [][]siteSet
-	out       [][]siteSet
-	cur       []siteSet
+	live liveness.Scratch
+
+	// Flat per-block rows of nw words over the virtual register space:
+	// the registers each block defines, those some definition may
+	// reach at block entry, and their intersection with live-in — the
+	// registers that get an entry node.
+	defBits []uint64
+	mayIn   []uint64
+	entry   []uint64
+	have    []uint64 // one row: registers with a current node in the block walked
+
+	entryBase []int32 // node of each block's first entry register
+	paramSite []int32 // per register: its parameter's node, -1 if none
+	undefSite []int32 // per register: the shared undefined-use node, -1 until needed
+	cur       []int32 // per register: the node current at the walk position
+	opNode    []int32 // node of every virtual operand, in walk order
 	webOf     []int32
 	uf        unionFind
 	info      RenumberInfo
-
-	// Per-block occupancy masks over the register index space: bit r
-	// of gensMask/inMask/outMask[b] is set exactly when the matching
-	// siteSet entry is non-nil. The dataflow loops walk set bits
-	// instead of all NumVirt entries, so blocks touching a handful of
-	// registers skip the empty 64-register spans word-at-a-time.
-	// Reaching-definition sets only ever grow, so the masks are
-	// monotone too.
-	gensMask [][]uint64
-	inMask   [][]uint64
-	outMask  [][]uint64
-
-	// Worklist scratch for the reaching-definitions fixpoint.
-	worklist   []int32
-	onWorklist []bool
 }
 
 // RenumberInfo records how Renumber mapped original virtual registers
@@ -64,17 +57,28 @@ type RenumberInfo struct {
 
 // Renumber rewrites f in place so that every virtual register is one
 // live range (a web): the maximal set of definitions and uses
-// connected through du-chains, computed from reaching definitions with
-// a union-find. This is the "renumber" phase of Chaitin's allocator.
+// connected through du-chains. This is the "renumber" phase of
+// Chaitin's allocator.
 //
 // The function must be φ-free (run ssa.Destruct first); Renumber
 // returns an error otherwise. Physical registers are left untouched.
 func Renumber(f *ir.Func) (*RenumberInfo, error) { return RenumberInto(f, nil) }
 
 // RenumberInto is Renumber reusing ws's tables; a nil ws behaves like
-// Renumber. The site enumeration, dataflow schedule, and web numbering
-// are identical either way, so the rewritten function and returned
-// info do not depend on reuse.
+// Renumber. The node layout and web numbering are identical either
+// way, so the rewritten function and returned info do not depend on
+// reuse.
+//
+// Webs come from one union-find instead of a reaching-definitions
+// fixpoint. Its nodes are the definition sites (parameters first, then
+// instructions in block order) plus one entry node per (block b,
+// register r) with r live into b and some definition of r able to
+// reach b. Walking each block, a use takes the node current at that
+// point — the block's last earlier definition of r, else r's entry
+// node — and at the block's exit the current nodes join the matching
+// entry nodes of every successor. A use no definition reaches takes
+// r's single shared "undefined" node. DESIGN.md §17 shows the
+// partition equals the reaching-definitions one.
 func RenumberInto(f *ir.Func, ws *RenumberScratch) (*RenumberInfo, error) {
 	if ws == nil {
 		ws = &RenumberScratch{}
@@ -87,230 +91,153 @@ func RenumberInto(f *ir.Func, ws *RenumberScratch) (*RenumberInfo, error) {
 		}
 	}
 
-	// Enumerate definition sites. Site 0..len(Params)-1 are the
-	// parameter pseudo-definitions at entry; further sites follow in
-	// block/instruction order. Synthetic sites for uses with no
-	// reaching definition are appended on demand. Every per-register
-	// table below is a dense slice indexed by VirtNum — virtual
-	// registers are contiguous, so hashing them is pure overhead.
-	nv := f.NumVirt
-	nb := len(f.Blocks)
-	siteReg := ws.siteReg[:0] // original register each site defines
-	ws.siteAt = scratch.Rows(ws.siteAt, nb)
-	siteAt := ws.siteAt // def site per instruction, -1 if none
+	nv, nb := f.NumVirt, len(f.Blocks)
+	nw := (nv + 63) / 64
+	row := func(table []uint64, b ir.BlockID) []uint64 { return table[int(b)*nw : (int(b)+1)*nw] }
+
+	ws.defBits = scratch.Slice(ws.defBits, nb*nw)
+	ws.mayIn = scratch.Slice(ws.mayIn, nb*nw)
+	defBits, mayIn := ws.defBits, ws.mayIn
 	paramSite := scratch.Fill(ws.paramSite, nv, int32(-1))
 	undefSite := scratch.Fill(ws.undefSite, nv, int32(-1))
 	ws.paramSite, ws.undefSite = paramSite, undefSite
+	// Parameters are the first nodes: definitions at b0's entry.
+	nodes := 0
 	for _, p := range f.Params {
 		if p.IsVirt() && paramSite[p.VirtNum()] < 0 {
-			paramSite[p.VirtNum()] = int32(len(siteReg))
-			siteReg = append(siteReg, p)
-		}
-	}
-	for _, b := range f.Blocks {
-		sa := scratch.Fill(siteAt[b.ID], len(b.Instrs), int32(-1))
-		for i := range b.Instrs {
-			if d := b.Instrs[i].Def(); d.IsVirt() {
-				sa[i] = int32(len(siteReg))
-				siteReg = append(siteReg, d)
+			r := p.VirtNum()
+			paramSite[r] = int32(nodes)
+			nodes++
+			if nb > 0 {
+				mayIn[r>>6] |= 1 << (uint(r) & 63)
 			}
 		}
-		siteAt[b.ID] = sa
+	}
+	// Definition sites follow, numbered in block/instruction order as
+	// the walk below meets them.
+	defBase := nodes
+	for _, b := range f.Blocks {
+		d := row(defBits, b.ID)
+		for i := range b.Instrs {
+			if r := b.Instrs[i].Def(); r.IsVirt() {
+				d[r.VirtNum()>>6] |= 1 << (uint(r.VirtNum()) & 63)
+				nodes++
+			}
+		}
+	}
+
+	// May-be-defined at entry: the forward union of the predecessors'
+	// may-be-defined-at-exit sets, to the least fixpoint.
+	for changed := true; changed; {
+		changed = false
+		for _, b := range f.Blocks {
+			in := row(mayIn, b.ID)
+			for _, p := range b.Preds {
+				pin, pdef := row(mayIn, p), row(defBits, p)
+				for w := range in {
+					if v := in[w] | pin[w] | pdef[w]; v != in[w] {
+						in[w] = v
+						changed = true
+					}
+				}
+			}
+		}
+	}
+
+	// Entry nodes: live-in ∩ may-be-defined, numbered per block in
+	// ascending register order. The solver's rows index registers by
+	// their encoding, which puts virtual 0 at a word boundary.
+	ws.live.Solve(f)
+	const virtWord = int(ir.FirstVirtual) / 64
+	ws.entry = scratch.Slice(ws.entry, nb*nw)
+	ws.entryBase = scratch.Slice(ws.entryBase, nb)
+	entry, entryBase := ws.entry, ws.entryBase
+	for _, b := range f.Blocks {
+		live := ws.live.LiveInRow(b.ID)[virtWord:]
+		e, m := row(entry, b.ID), row(mayIn, b.ID)
+		entryBase[b.ID] = int32(nodes)
+		for w := range e {
+			e[w] = live[w] & m[w]
+			nodes += bits.OnesCount64(e[w])
+		}
 	}
 
 	uf := &ws.uf
-	uf.reinit(len(siteReg))
-
-	// Reaching definitions, as per-register sets of site ids. Site
-	// sets are sorted, deduplicated slices treated as immutable, so
-	// the dataflow vectors can share them — and singleton sets can
-	// even be shared across runs, since singleton[s] is always {s}.
-	singleton := ws.singleton
-	single := func(s int32) siteSet {
-		for len(singleton) <= int(s) {
-			singleton = append(singleton, nil)
-		}
-		if singleton[s] == nil {
-			singleton[s] = siteSet{s}
-		}
-		return singleton[s]
-	}
-	defer func() { ws.singleton = singleton; ws.siteReg = siteReg }()
-	type regSites = []siteSet // indexed by VirtNum; nil = no reaching def
-
-	// Per-block gen (last def site per register), with occupancy masks.
-	nw := (nv + 63) / 64
-	ws.gens = scratch.Rows(ws.gens, nb)
-	ws.gensMask = scratch.Rows(ws.gensMask, nb)
-	ws.inMask = scratch.Rows(ws.inMask, nb)
-	ws.outMask = scratch.Rows(ws.outMask, nb)
-	gens := ws.gens
-	gensMask, inMask, outMask := ws.gensMask, ws.inMask, ws.outMask
-	for _, b := range f.Blocks {
-		g := scratch.Slice(gens[b.ID], nv)
-		gm := scratch.Slice(gensMask[b.ID], nw)
-		inMask[b.ID] = scratch.Slice(inMask[b.ID], nw)
-		outMask[b.ID] = scratch.Slice(outMask[b.ID], nw)
-		for i := range b.Instrs {
-			if d := b.Instrs[i].Def(); d.IsVirt() {
-				r := d.VirtNum()
-				g[r] = single(siteAt[b.ID][i])
-				gm[r>>6] |= 1 << (uint(r) & 63)
-			}
-		}
-		gens[b.ID] = g
-		gensMask[b.ID] = gm
-	}
-
-	// mergeIn accumulates in[b] = ∪ out[p] in place. The previous value
-	// of rs is never cleared first: out sets only grow, so the prior
-	// in[b] is always a subset of the fresh union and re-unioning on top
-	// of it yields the identical sets (and skips a full clearing walk
-	// per merge).
-	mergeIn := func(b *ir.Block, out []regSites, rs regSites) {
-		im := inMask[b.ID]
-		if b.ID == 0 {
-			for _, p := range f.Params {
-				if p.IsVirt() {
-					r := p.VirtNum()
-					rs[r] = single(paramSite[r])
-					im[r>>6] |= 1 << (uint(r) & 63)
-				}
-			}
-		} else if len(b.Preds) == 1 {
-			// Straight-line fast path: in[b] is exactly out[pred]. The
-			// masks are monotone, so every register rs already holds is
-			// covered by the predecessor's mask and gets overwritten
-			// with the (equal-or-larger) predecessor set.
-			p := b.Preds[0]
-			po := out[p]
-			for wi, w := range outMask[p] {
-				base := wi << 6
-				for t := w; t != 0; t &= t - 1 {
-					r := base + bits.TrailingZeros64(t)
-					rs[r] = po[r]
-				}
-				im[wi] |= w
-			}
-			return
-		}
-		for _, p := range b.Preds {
-			po := out[p]
-			for wi, w := range outMask[p] {
-				base := wi << 6
-				for t := w; t != 0; t &= t - 1 {
-					r := base + bits.TrailingZeros64(t)
-					rs[r] = unionSites(rs[r], po[r])
-				}
-				im[wi] |= w
-			}
-		}
-	}
-
-	ws.in = scratch.Rows(ws.in, nb)
-	ws.out = scratch.Rows(ws.out, nb)
-	in, out := ws.in, ws.out
-	for i := range f.Blocks {
-		in[i] = scratch.Slice(in[i], nv)
-		out[i] = scratch.Slice(out[i], nv)
-	}
-	// Iterate to the fixpoint with a FIFO worklist: a block re-merges
-	// only after a predecessor's out actually changed, so stabilized
-	// regions drop out of the schedule instead of being re-unioned on
-	// every sweep. The union dataflow is monotone with a unique least
-	// fixpoint, so the final in/out sets are identical to the
-	// full-sweep schedule's.
-	wl := ws.worklist[:0]
-	onWL := scratch.Slice(ws.onWorklist, nb)
-	for _, b := range f.Blocks {
-		wl = append(wl, int32(b.ID))
-		onWL[b.ID] = true
-	}
-	for head := 0; head < len(wl); head++ {
-		bid := wl[head]
-		onWL[bid] = false
-		b := f.Blocks[bid]
-		rs := in[bid]
-		mergeIn(b, out, rs)
-		blockChanged := false
-		bg, bo := gens[bid], out[bid]
-		im, gm, om := inMask[bid], gensMask[bid], outMask[bid]
-		for wi := range im {
-			w := im[wi] | gm[wi]
-			om[wi] = w
-			base := wi << 6
-			for t := w; t != 0; t &= t - 1 {
-				r := base + bits.TrailingZeros64(t)
-				sites := rs[r]
-				if g := bg[r]; g != nil {
-					sites = g
-				}
-				if !sitesEqual(bo[r], sites) {
-					bo[r] = sites
-					blockChanged = true
-				}
-			}
-		}
-		if blockChanged {
-			for _, s := range b.Succs {
-				if !onWL[s] {
-					onWL[s] = true
-					wl = append(wl, int32(s))
-				}
-			}
-		}
-	}
-	ws.worklist, ws.onWorklist = wl[:0], onWL
-
-	// Walk each block, unioning every use with all of its reaching
-	// definitions.
-	reachingAt := func(cur regSites, u ir.Reg) int32 {
-		sites := cur[u.VirtNum()]
-		if len(sites) == 0 {
-			s := undefSite[u.VirtNum()]
-			if s < 0 {
-				s = int32(len(siteReg))
-				siteReg = append(siteReg, u)
-				undefSite[u.VirtNum()] = s
-				uf.grow(len(siteReg))
-			}
-			return s
-		}
-		first := sites[0]
-		for _, s := range sites[1:] {
-			uf.union(int(first), int(s))
-		}
-		return first
-	}
+	uf.reinit(nodes)
 	ws.cur = scratch.Slice(ws.cur, nv)
-	cur := ws.cur
+	ws.have = scratch.Slice(ws.have, nw)
+	cur, have := ws.cur, ws.have
+	ops := ws.opNode[:0]
+	def := int32(defBase)
 	for _, b := range f.Blocks {
-		copy(cur, in[b.ID])
+		e := row(entry, b.ID)
+		copy(have, e)
+		node := entryBase[b.ID]
+		for wi, w := range e {
+			for ; w != 0; w &= w - 1 {
+				r := wi<<6 + bits.TrailingZeros64(w)
+				cur[r] = node
+				if b.ID == 0 && paramSite[r] >= 0 {
+					uf.union(int(node), int(paramSite[r]))
+				}
+				node++
+			}
+		}
 		for i := range b.Instrs {
 			instr := &b.Instrs[i]
 			for _, u := range instr.Uses {
-				if u.IsVirt() {
-					reachingAt(cur, u)
+				if !u.IsVirt() {
+					continue
 				}
+				r := u.VirtNum()
+				if have[r>>6]&(1<<(uint(r)&63)) != 0 {
+					ops = append(ops, cur[r])
+					continue
+				}
+				if undefSite[r] < 0 {
+					undefSite[r] = int32(len(uf.parent))
+					uf.grow(len(uf.parent) + 1)
+				}
+				ops = append(ops, undefSite[r])
 			}
 			if d := instr.Def(); d.IsVirt() {
-				cur[d.VirtNum()] = single(siteAt[b.ID][i])
+				r := d.VirtNum()
+				cur[r] = def
+				have[r>>6] |= 1 << (uint(r) & 63)
+				ops = append(ops, def)
+				def++
+			}
+		}
+		// A register in a successor's entry set is live out of b. If b
+		// neither defines it nor has an entry node for it, no
+		// definition reaches this edge, so only current nodes join.
+		for _, s := range b.Succs {
+			node := entryBase[s]
+			for wi, w := range row(entry, s) {
+				hw := have[wi]
+				for ; w != 0; w &= w - 1 {
+					bit := bits.TrailingZeros64(w)
+					if hw&(1<<uint(bit)) != 0 {
+						uf.union(int(node), int(cur[wi<<6+bit]))
+					}
+					node++
+				}
 			}
 		}
 	}
+	ws.opNode = ops
 
-	// Assign web numbers to union-find roots, in deterministic
-	// (site-order) sequence, and rewrite operands in a second walk.
-	// siteReg is final now: the second walk resolves the same uses, so
-	// every undef site already exists.
-	ws.webOf = scratch.Fill(ws.webOf, len(siteReg), int32(-1))
+	// Assign web numbers to union-find roots in walk order —
+	// parameters first, so their webs get the smallest numbers — and
+	// rewrite the operands.
+	ws.webOf = scratch.Fill(ws.webOf, len(uf.parent), int32(-1))
 	webOf := ws.webOf
 	info := &ws.info
 	recycled := info.Origins // previous run's rows, recycled by index
 	info.NumWebs = 0
 	info.Origins = recycled[:0]
-	webFor := func(site int32) ir.Reg {
-		root := uf.find(int(site))
+	webFor := func(node int32, orig ir.Reg) ir.Reg {
+		root := uf.find(int(node))
 		w := webOf[root]
 		if w < 0 {
 			w = int32(info.NumWebs)
@@ -322,7 +249,6 @@ func RenumberInto(f *ir.Func, ws *RenumberScratch) (*RenumberInfo, error) {
 			info.NumWebs++
 			info.Origins = append(info.Origins, row)
 		}
-		orig := siteReg[site]
 		found := false
 		for _, r := range info.Origins[w] {
 			if r == orig {
@@ -336,29 +262,26 @@ func RenumberInto(f *ir.Func, ws *RenumberScratch) (*RenumberInfo, error) {
 		return ir.Virt(int(w))
 	}
 
-	// Parameters first, so their webs get the smallest numbers.
 	newParams := make([]ir.Reg, len(f.Params))
 	for i, p := range f.Params {
 		if p.IsVirt() {
-			newParams[i] = webFor(paramSite[p.VirtNum()])
+			newParams[i] = webFor(paramSite[p.VirtNum()], p)
 		} else {
 			newParams[i] = p
 		}
 	}
-
 	for _, b := range f.Blocks {
-		copy(cur, in[b.ID])
 		for i := range b.Instrs {
 			instr := &b.Instrs[i]
 			for ui, u := range instr.Uses {
 				if u.IsVirt() {
-					instr.Uses[ui] = webFor(reachingAt(cur, u))
+					instr.Uses[ui] = webFor(ops[0], u)
+					ops = ops[1:]
 				}
 			}
 			if d := instr.Def(); d.IsVirt() {
-				site := siteAt[b.ID][i]
-				instr.Defs[0] = webFor(site)
-				cur[d.VirtNum()] = single(site)
+				instr.Defs[0] = webFor(ops[0], d)
+				ops = ops[1:]
 			}
 		}
 	}
@@ -366,75 +289,6 @@ func RenumberInto(f *ir.Func, ws *RenumberScratch) (*RenumberInfo, error) {
 	f.Params = newParams
 	f.NumVirt = info.NumWebs
 	return info, nil
-}
-
-// siteSet is a sorted, deduplicated list of definition-site ids,
-// treated as immutable once built so maps may share instances.
-type siteSet []int32
-
-// unionSites merges two site sets, returning an existing set when one
-// contains the other.
-func unionSites(a, b siteSet) siteSet {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	// Fast path: identical or containment.
-	if sitesSubset(b, a) {
-		return a
-	}
-	if sitesSubset(a, b) {
-		return b
-	}
-	out := make(siteSet, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-func sitesSubset(a, b siteSet) bool { // a ⊆ b
-	if len(a) > len(b) {
-		return false
-	}
-	j := 0
-	for _, x := range a {
-		for j < len(b) && b[j] < x {
-			j++
-		}
-		if j >= len(b) || b[j] != x {
-			return false
-		}
-	}
-	return true
-}
-
-func sitesEqual(a, b siteSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // unionFind is a standard disjoint-set structure with path compression

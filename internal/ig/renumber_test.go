@@ -237,3 +237,37 @@ func TestUnionFind(t *testing.T) {
 		t.Error("grow broke")
 	}
 }
+
+// entryLoopSrc loops back into the entry block: the parameters' webs
+// must absorb the definitions that flow around the back edge, giving
+// three webs (v0, v1, v2), not separate webs for the parameters and
+// the loop-carried redefinitions.
+const entryLoopSrc = `
+func f(v0, v1) {
+b0:
+  v2 = add v0, v1
+  v0 = addimm v2, 3
+  v1 = addimm v1, -1
+  branch v1, b0, b1
+b1:
+  ret v2
+}
+`
+
+func TestRenumberLoopIntoEntry(t *testing.T) {
+	f := ir.MustParse(entryLoopSrc)
+	info, err := Renumber(f)
+	if err != nil {
+		t.Fatalf("Renumber: %v", err)
+	}
+	if info.NumWebs != 3 {
+		t.Fatalf("NumWebs = %d, want 3:\n%s", info.NumWebs, f)
+	}
+	b0 := f.Blocks[0].Instrs
+	if b0[0].Uses[0] != f.Params[0] || b0[1].Defs[0] != f.Params[0] {
+		t.Errorf("v0's parameter and loop-carried def split:\n%s", f)
+	}
+	if b0[0].Uses[1] != f.Params[1] || b0[2].Defs[0] != f.Params[1] {
+		t.Errorf("v1's parameter and loop-carried def split:\n%s", f)
+	}
+}

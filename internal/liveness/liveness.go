@@ -41,6 +41,7 @@ type Scratch struct {
 	inBits   []uint64
 	outBits  []uint64
 	tmp      []uint64 // one row: the out set being merged
+	words    int      // row width of the tables above, set by Solve
 }
 
 // Compute runs the backward dataflow to a fixed point and returns the
@@ -56,15 +57,29 @@ func ComputeInto(f *ir.Func, ws *Scratch) *Info {
 	if ws == nil {
 		ws = &Scratch{}
 	}
+	ws.Solve(f)
 	n := len(f.Blocks)
 	info := &ws.info
 	info.f = f
 	info.liveIn = growSets(info.liveIn, n)
 	info.liveOut = growSets(info.liveOut, n)
 
+	// Materialize the RegSet views the Info API exposes, once.
+	for _, b := range f.Blocks {
+		fillSet(info.liveIn[b.ID], ws.LiveInRow(b.ID))
+		fillSet(info.liveOut[b.ID], ws.row(ws.outBits, b.ID))
+	}
+	return info
+}
+
+// Solve runs ComputeInto's bitset fixpoint and stops there, before the
+// RegSet maps are built, for callers that only need LiveInRow.
+func (ws *Scratch) Solve(f *ir.Func) {
+	n := len(f.Blocks)
 	// One bit per encodable register: NoReg and the physical range
 	// below FirstVirtual, then f's virtuals.
 	words := (int(ir.FirstVirtual) + f.NumVirt + 63) / 64
+	ws.words = words
 	ws.genBits = scratch.Slice(ws.genBits, n*words)
 	ws.killBits = scratch.Slice(ws.killBits, n*words)
 	ws.phiBits = scratch.Slice(ws.phiBits, n*words)
@@ -77,8 +92,8 @@ func ComputeInto(f *ir.Func, ws *Scratch) *Info {
 	// head (consulted once per edge per iteration below). NoReg never
 	// enters a set, matching RegSet.Add.
 	for _, b := range f.Blocks {
-		g := ws.genBits[int(b.ID)*words : (int(b.ID)+1)*words]
-		k := ws.killBits[int(b.ID)*words : (int(b.ID)+1)*words]
+		g := ws.row(ws.genBits, b.ID)
+		k := ws.row(ws.killBits, b.ID)
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if in.Op == ir.Phi {
@@ -96,7 +111,7 @@ func ComputeInto(f *ir.Func, ws *Scratch) *Info {
 				setBit(k, d)
 			}
 		}
-		pd := ws.phiBits[int(b.ID)*words : (int(b.ID)+1)*words]
+		pd := ws.row(ws.phiBits, b.ID)
 		for i := range b.Instrs {
 			if b.Instrs[i].Op != ir.Phi {
 				break
@@ -115,8 +130,8 @@ func ComputeInto(f *ir.Func, ws *Scratch) *Info {
 			for _, sid := range b.Succs {
 				s := f.Blocks[sid]
 				// live-in of successor minus its φ defs...
-				sIn := ws.inBits[int(sid)*words : (int(sid)+1)*words]
-				pd := ws.phiBits[int(sid)*words : (int(sid)+1)*words]
+				sIn := ws.row(ws.inBits, sid)
+				pd := ws.row(ws.phiBits, sid)
 				for w := range out {
 					out[w] |= sIn[w] &^ pd[w]
 				}
@@ -138,10 +153,10 @@ func ComputeInto(f *ir.Func, ws *Scratch) *Info {
 			}
 			// in = gen | (out &^ kill), written straight into the
 			// block's row with change detection fused in.
-			g := ws.genBits[int(b.ID)*words : (int(b.ID)+1)*words]
-			k := ws.killBits[int(b.ID)*words : (int(b.ID)+1)*words]
-			bin := ws.inBits[int(b.ID)*words : (int(b.ID)+1)*words]
-			bout := ws.outBits[int(b.ID)*words : (int(b.ID)+1)*words]
+			g := ws.row(ws.genBits, b.ID)
+			k := ws.row(ws.killBits, b.ID)
+			bin := ws.row(ws.inBits, b.ID)
+			bout := ws.row(ws.outBits, b.ID)
 			for w := range out {
 				if bout[w] != out[w] {
 					bout[w] = out[w]
@@ -154,13 +169,16 @@ func ComputeInto(f *ir.Func, ws *Scratch) *Info {
 			}
 		}
 	}
+}
 
-	// Materialize the RegSet views the Info API exposes, once.
-	for _, b := range f.Blocks {
-		fillSet(info.liveIn[b.ID], ws.inBits[int(b.ID)*words:(int(b.ID)+1)*words])
-		fillSet(info.liveOut[b.ID], ws.outBits[int(b.ID)*words:(int(b.ID)+1)*words])
-	}
-	return info
+// LiveInRow returns block b's live-in row from the last Solve or
+// ComputeInto on ws: bit int(r) is set exactly when r is live into b.
+// The row is ws's own storage, valid until the next solve.
+func (ws *Scratch) LiveInRow(b ir.BlockID) []uint64 { return ws.row(ws.inBits, b) }
+
+// row slices block b's row out of one of the flat per-block tables.
+func (ws *Scratch) row(table []uint64, b ir.BlockID) []uint64 {
+	return table[int(b)*ws.words : (int(b)+1)*ws.words]
 }
 
 // setBit marks r in the row; NoReg is ignored, like RegSet.Add.

@@ -488,10 +488,21 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 					}
 					continue
 				}
-				payload, _ := io.ReadAll(resp.Body)
+				payload, err := io.ReadAll(resp.Body)
 				resp.Body.Close()
 				elapsed := time.Since(t0)
 				ms := float64(elapsed.Microseconds()) / 1000
+				if err != nil {
+					// As with client.Do above, a body the run deadline
+					// cut off is the run ending, not an error.
+					if runCtx.Err() == nil {
+						mu.Lock()
+						rep.Errors++
+						mu.Unlock()
+						observe(i, 0, "", "", false, ms)
+					}
+					continue
+				}
 				replica := resp.Header.Get(server.ReplicaHeader)
 
 				mu.Lock()

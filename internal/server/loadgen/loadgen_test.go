@@ -253,3 +253,68 @@ func TestRunColdBinary(t *testing.T) {
 		t.Errorf("digest mismatches: %d", rep.DigestMismatches)
 	}
 }
+
+// stallingServer answers every request 200 with the start of a JSON
+// body, then holds the rest back until the client goes away. Every
+// exchange is still mid-body when a run's deadline passes.
+func stallingServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		io.WriteString(w, `{"digest":`)
+		w.(http.Flusher).Flush()
+		select {
+		case <-r.Context().Done():
+		case <-time.After(10 * time.Second):
+		}
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestRunBodyCutByDeadline: a 200 whose body the run deadline cuts off
+// is the run ending, like a request the deadline cancels before its
+// response arrives — not a hard error.
+func TestRunBodyCutByDeadline(t *testing.T) {
+	ts := stallingServer(t)
+	rep, err := Run(context.Background(), Options{
+		BaseURL:     ts.URL,
+		Corpus:      []Item{{Name: "f", Source: "func f() {\nb0:\n  ret\n}\n"}},
+		Concurrency: 2,
+		Duration:    150 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Requests == 0 {
+		t.Fatal("no request was sent")
+	}
+	if rep.Errors != 0 || rep.OK != 0 {
+		t.Errorf("errors = %d, ok = %d; want 0 and 0 for bodies cut off by the deadline", rep.Errors, rep.OK)
+	}
+}
+
+// TestRunCountsTruncatedBody: a body that breaks off while the run is
+// still going is a hard error.
+func TestRunCountsTruncatedBody(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", "100")
+		w.WriteHeader(http.StatusOK)
+		io.WriteString(w, `{"digest":`)
+	}))
+	defer ts.Close()
+	rep, err := Run(context.Background(), Options{
+		BaseURL:     ts.URL,
+		Corpus:      []Item{{Name: "f", Source: "func f() {\nb0:\n  ret\n}\n"}},
+		Concurrency: 1,
+		Duration:    30 * time.Second,
+		MaxRequests: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errors != 3 {
+		t.Errorf("errors = %d, want 3 (one per truncated body)", rep.Errors)
+	}
+}

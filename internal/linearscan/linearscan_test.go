@@ -1,11 +1,20 @@
 package linearscan_test
 
 import (
+	"context"
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"prefcolor/internal/bench"
 	"prefcolor/internal/core"
+	"prefcolor/internal/ir"
 	"prefcolor/internal/linearscan"
+	"prefcolor/internal/metamorph"
 	"prefcolor/internal/perfmodel"
 	"prefcolor/internal/regalloc"
 	"prefcolor/internal/target"
@@ -26,79 +35,71 @@ func machines() []*target.Machine {
 	}
 }
 
-// TestWorkloadSweep runs the full benchmark suite (and the oversized
-// large profile) through the RunChecked oracle on every machine
-// model: every allocation must be valid, spill temporaries must never
-// re-spill, and the rewrite must produce well-formed phys-only code.
+// validated runs f through Run with per-round CheckResult and the
+// final CheckAllocation oracle on.
+func validated(t *testing.T, f *ir.Func, m *target.Machine, ws *linearscan.Workspace) (*ir.Func, *regalloc.Stats) {
+	t.Helper()
+	out, stats, err := linearscan.Run(f, m, linearscan.RunOptions{Validate: true, Workspace: ws})
+	if err != nil {
+		t.Fatalf("%s %s: %v", m.Name, f.Name, err)
+	}
+	if stats.Rounds < 1 {
+		t.Fatalf("%s %s: no rounds recorded", m.Name, f.Name)
+	}
+	return out, stats
+}
+
+// TestWorkloadSweep runs the paper's profiles and the oversized large
+// one on every machine model under validation: every round must pass
+// CheckResult, spill temporaries must never re-spill, and the final
+// output must pass the whole oracle (phys-only code, pairs, limits,
+// calling convention, spill slots, interpreter equivalence).
 func TestWorkloadSweep(t *testing.T) {
 	profiles := append(workload.Benchmarks(), workload.Large())
 	for _, m := range machines() {
+		ws := linearscan.NewFastWorkspace()
 		for _, p := range profiles {
-			funcs := workload.Generate(p, m)
-			for i, f := range funcs {
-				if _, _, err := regalloc.RunChecked(f, m, linearscan.New(), regalloc.Options{}); err != nil {
-					t.Fatalf("%s/%s func %d: %v", m.Name, p.Name, i, err)
-				}
+			for _, f := range workload.Generate(p, m) {
+				validated(t, f, m, ws)
 			}
 		}
 	}
 }
 
-// TestSpillOptions exercises the driver's optional spill strategies —
-// rematerialization and block-local spill code — under the low-
-// pressure model where they actually trigger.
-func TestSpillOptions(t *testing.T) {
-	m := target.UsageModel(8)
-	for _, opts := range []regalloc.Options{
-		{Rematerialize: true},
-		{BlockLocalSpills: true},
-		{Rematerialize: true, BlockLocalSpills: true},
-	} {
-		for _, f := range workload.Generate(workload.Large(), m) {
-			if _, _, err := regalloc.RunChecked(f, m, linearscan.New(), opts); err != nil {
-				t.Fatalf("opts %+v: %v", opts, err)
-			}
-		}
-	}
-}
-
-// TestFuzzSweep drives seeded random raw programs (the metamorphic
-// harness's generator and machine trio) through the oracle.
+// TestFuzzSweep drives the metamorphic harness's seeded random
+// programs through Run under validation.
 func TestFuzzSweep(t *testing.T) {
-	ms := []*target.Machine{
-		target.UsageModel(8),
-		target.S390Like(8),
-		target.X86Like(8).WithIA64AddImmLimit(),
-	}
 	for seed := int64(1); seed <= 64; seed++ {
-		for _, m := range ms {
-			f := workload.GenerateRawFunc(workload.Fuzz(), m, seed)
-			if _, _, err := regalloc.RunChecked(f, m, linearscan.New(), regalloc.Options{}); err != nil {
-				t.Fatalf("seed %d %s: %v", seed, m.Name, err)
-			}
+		for _, m := range metamorph.Machines() {
+			validated(t, workload.GenerateRawFunc(workload.Fuzz(), m, seed), m, nil)
 		}
 	}
 }
 
-// TestDeterministic pins digest stability: two runs over clones of
-// the same input produce identical rewritten code, with and without a
-// reused workspace.
+// TestDeterministic pins digest stability: a fresh run, a run on a
+// reused fast-path workspace, and a registry run on a reused driver
+// workspace produce identical rewritten code.
 func TestDeterministic(t *testing.T) {
 	m := target.UsageModel(16)
-	ws := regalloc.NewWorkspace()
+	ws := linearscan.NewFastWorkspace()
+	rws := regalloc.NewWorkspace()
 	for _, f := range workload.Generate(workload.Benchmarks()[0], m) {
-		out1, st1, err := regalloc.RunChecked(f, m, linearscan.New(), regalloc.Options{})
+		out, st, err := linearscan.Run(f, m, linearscan.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		out2, st2, err := regalloc.RunChecked(f, m, linearscan.New(), regalloc.Options{Workspace: ws})
-		if err != nil {
+		want := bench.FuncDigest(f.Name, st, out)
+		if out, st, err = linearscan.Run(f, m, linearscan.RunOptions{Workspace: ws}); err != nil {
 			t.Fatal(err)
 		}
-		d1 := bench.FuncDigest(f.Name, st1, out1)
-		d2 := bench.FuncDigest(f.Name, st2, out2)
-		if d1 != d2 {
-			t.Fatalf("%s: digest diverges with workspace reuse: %s vs %s", f.Name, d1, d2)
+		if got := bench.FuncDigest(f.Name, st, out); got != want {
+			t.Fatalf("%s: digest diverges with workspace reuse: %s vs %s", f.Name, got, want)
+		}
+		if out, st, err = regalloc.Run(f, m, linearscan.New(), regalloc.Options{Workspace: rws}); err != nil {
+			t.Fatal(err)
+		}
+		if got := bench.FuncDigest(f.Name, st, out); got != want {
+			t.Fatalf("%s: digest diverges on a reused driver workspace: %s vs %s", f.Name, got, want)
 		}
 	}
 }
@@ -124,21 +125,94 @@ func TestRegistered(t *testing.T) {
 	}
 }
 
+// TestRegistryRunsServingPath pins that the registered allocator —
+// what the harness, the metamorphic matrix, cmd/compare and the facade
+// run — is the code the daemon's fast tier serves: RunChecked through
+// the registry and a bare Run give the same digest on every large
+// function.
+func TestRegistryRunsServingPath(t *testing.T) {
+	m := target.UsageModel(16)
+	funcs := workload.Generate(workload.Large(), m)
+	for _, f := range funcs {
+		alloc, err := regalloc.ByName("linearscan")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, st, err := regalloc.RunChecked(f, m, alloc, regalloc.Options{})
+		if err != nil {
+			t.Fatalf("%s: RunChecked: %v", f.Name, err)
+		}
+		got := bench.FuncDigest(f.Name, st, out)
+		if out, st, err = linearscan.Run(f, m, linearscan.RunOptions{}); err != nil {
+			t.Fatalf("%s: Run: %v", f.Name, err)
+		}
+		if want := bench.FuncDigest(f.Name, st, out); got != want {
+			t.Errorf("%s: registry digest %s, serving path %s", f.Name, got, want)
+		}
+	}
+	if len(funcs) != 40 {
+		t.Fatalf("large workload has %d functions, want 40", len(funcs))
+	}
+}
+
+// TestSpillOptions pins that the driver's optional spill strategies,
+// which Run does not implement, are refused through regalloc.Run and
+// RunChecked rather than silently ignored.
+func TestSpillOptions(t *testing.T) {
+	m := target.UsageModel(8)
+	f := workload.Generate(workload.Large(), m)[0]
+	for _, opts := range []regalloc.Options{
+		{Rematerialize: true},
+		{BlockLocalSpills: true},
+		{Rematerialize: true, BlockLocalSpills: true},
+	} {
+		if _, _, err := regalloc.Run(f, m, linearscan.New(), opts); err == nil {
+			t.Errorf("Run with %+v: no error", opts)
+		}
+		if _, _, err := regalloc.RunChecked(f, m, linearscan.New(), opts); err == nil {
+			t.Errorf("RunChecked with %+v: no error", opts)
+		}
+	}
+}
+
+// TestExpiredContext pins that an already-done context stops the
+// registered allocator before any work: the context error wins over
+// the φ rejection Run would report, and the driver workspace's
+// allocator slot stays empty.
+func TestExpiredContext(t *testing.T) {
+	f := ir.MustParse(`
+func f(v0) {
+b0:
+  jump b1
+b1:
+  v1 = phi v0
+  ret v1
+}
+`)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ws := regalloc.NewWorkspace()
+	_, _, err := regalloc.Run(f, target.UsageModel(8), linearscan.New(), regalloc.Options{Context: ctx, Workspace: ws})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if ws.AllocatorScratch() != nil {
+		t.Fatal("workspace scratch populated: work ran after the context expired")
+	}
+}
+
 // TestQualitySane bounds the fast tier's quality loss on the large
-// workload: the hull approximation costs spills and moves, but the
-// estimated cycles must stay within a small multiple of pref-full —
-// a tripled estimate would mean the intervals or the spill heuristic
+// workload: register-granularity hulls cost spills and moves, but the
+// estimated cycles must stay within a small multiple of pref-full — a
+// tripled estimate would mean the intervals or the spill heuristic
 // regressed to nonsense.
 func TestQualitySane(t *testing.T) {
 	m := target.UsageModel(16)
 	var fast, full float64
 	for _, f := range workload.Generate(workload.Large(), m) {
-		out, _, err := regalloc.RunChecked(f, m, linearscan.New(), regalloc.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		out, _ := validated(t, f, m, nil)
 		fast += perfmodel.Estimate(out, m).Cycles
-		out, _, err = regalloc.RunChecked(f, m, core.New(), regalloc.Options{})
+		out, _, err := regalloc.RunChecked(f, m, core.New(), regalloc.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,22 +224,94 @@ func TestQualitySane(t *testing.T) {
 	t.Logf("estimated cycles: linearscan %.0f, pref-full %.0f (ratio %.2f)", fast, full, fast/full)
 }
 
-// benchAllocator measures end-to-end driver latency per large-
-// workload function for one allocator configuration.
-func benchAllocator(b *testing.B, name string) {
+// TestGoldenDigests pins the fast tier's answers: per machine, one
+// sha256 over the bench.FuncDigest of every allocation, for the
+// paper's profiles plus the large one on machines() and for fuzz seeds
+// 1–64 on the metamorphic matrix's machines. A line that moves means
+// the daemon now serves different code. UPDATE_GOLDEN=1 rewrites
+// testdata/digests.golden.
+func TestGoldenDigests(t *testing.T) {
+	var sb strings.Builder
+	line := func(label string, m *target.Machine, funcs []*ir.Func) {
+		h := sha256.New()
+		for _, f := range funcs {
+			out, stats, err := linearscan.Run(f, m, linearscan.RunOptions{})
+			if err != nil {
+				t.Fatalf("%s %s %s: %v", label, m.Name, f.Name, err)
+			}
+			fmt.Fprintln(h, bench.FuncDigest(f.Name, stats, out))
+		}
+		fmt.Fprintf(&sb, "%s %s %d %x\n", label, m.Name, len(funcs), h.Sum(nil))
+	}
+	profiles := append(workload.Benchmarks(), workload.Large())
+	for _, m := range machines() {
+		var funcs []*ir.Func
+		for _, p := range profiles {
+			funcs = append(funcs, workload.Generate(p, m)...)
+		}
+		line("profiles", m, funcs)
+	}
+	for _, m := range metamorph.Machines() {
+		var funcs []*ir.Func
+		for seed := int64(1); seed <= 64; seed++ {
+			funcs = append(funcs, workload.GenerateRawFunc(workload.Fuzz(), m, seed))
+		}
+		line("fuzz", m, funcs)
+	}
+
+	path := filepath.Join("testdata", "digests.golden")
+	got := sb.String()
+	if os.Getenv("UPDATE_GOLDEN") == "1" {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("fast-path digests differ from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
+}
+
+// benchFast measures Run per large-workload sweep — the latency the
+// daemon's fast tier pays.
+func benchFast(b *testing.B, opts linearscan.RunOptions) {
 	m := target.UsageModel(16)
 	funcs := workload.Generate(workload.Large(), m)
-	ws := regalloc.NewWorkspace()
+	opts.Workspace = linearscan.NewFastWorkspace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, f := range funcs {
-			alloc, _ := bench.NewAllocator(name)
-			if _, _, err := regalloc.Run(f, m, alloc, regalloc.Options{Workspace: ws}); err != nil {
+			if _, _, err := linearscan.Run(f, m, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 }
 
-func BenchmarkLinearScanLarge(b *testing.B) { benchAllocator(b, "linearscan") }
-func BenchmarkPrefFullLarge(b *testing.B)   { benchAllocator(b, "pref-full") }
+func BenchmarkLinearScanFastLarge(b *testing.B) { benchFast(b, linearscan.RunOptions{}) }
+
+// BenchmarkLinearScanFastValidated is Run with validation on — what
+// the checks cost, and what regalloc.Run pays by default.
+func BenchmarkLinearScanFastValidated(b *testing.B) {
+	benchFast(b, linearscan.RunOptions{Validate: true})
+}
+
+// BenchmarkPrefFullLarge is the pref-full sweep the fast tier stands
+// in for.
+func BenchmarkPrefFullLarge(b *testing.B) {
+	m := target.UsageModel(16)
+	funcs := workload.Generate(workload.Large(), m)
+	ws := regalloc.NewWorkspace()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range funcs {
+			if _, _, err := regalloc.Run(f, m, core.New(), regalloc.Options{Workspace: ws}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

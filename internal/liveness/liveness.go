@@ -67,13 +67,13 @@ func ComputeInto(f *ir.Func, ws *Scratch) *Info {
 	// Materialize the RegSet views the Info API exposes, once.
 	for _, b := range f.Blocks {
 		fillSet(info.liveIn[b.ID], ws.LiveInRow(b.ID))
-		fillSet(info.liveOut[b.ID], ws.row(ws.outBits, b.ID))
+		fillSet(info.liveOut[b.ID], ws.LiveOutRow(b.ID))
 	}
 	return info
 }
 
 // Solve runs ComputeInto's bitset fixpoint and stops there, before the
-// RegSet maps are built, for callers that only need LiveInRow.
+// RegSet maps are built, for callers that only need the rows.
 func (ws *Scratch) Solve(f *ir.Func) {
 	n := len(f.Blocks)
 	// One bit per encodable register: NoReg and the physical range
@@ -175,6 +175,9 @@ func (ws *Scratch) Solve(f *ir.Func) {
 // ComputeInto on ws: bit int(r) is set exactly when r is live into b.
 // The row is ws's own storage, valid until the next solve.
 func (ws *Scratch) LiveInRow(b ir.BlockID) []uint64 { return ws.row(ws.inBits, b) }
+
+// LiveOutRow is LiveInRow for the registers live out of b.
+func (ws *Scratch) LiveOutRow(b ir.BlockID) []uint64 { return ws.row(ws.outBits, b) }
 
 // row slices block b's row out of one of the flat per-block tables.
 func (ws *Scratch) row(table []uint64, b ir.BlockID) []uint64 {

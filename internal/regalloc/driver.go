@@ -27,7 +27,8 @@ type Options struct {
 	// MaxRounds bounds the spill-and-retry loop; 0 means 16.
 	MaxRounds int
 
-	// SkipValidate turns off the per-round CheckResult pass.
+	// SkipValidate turns off the per-round CheckResult pass, and a
+	// Driver's final CheckAllocation audit with it.
 	SkipValidate bool
 
 	// Rematerialize recomputes spilled constants at their uses
@@ -130,8 +131,15 @@ const callerSaveTag = "csave"
 // iterating spill rounds to completion, and returns the rewritten
 // function (virtual registers replaced by physical ones, coalesced
 // copies deleted, spill and caller-save code inserted) plus statistics.
-// The input function is not modified.
+// The input function is not modified. An allocator that implements
+// Driver runs its own loop instead, once the context is checked.
 func Run(input *ir.Func, machine *target.Machine, alloc Allocator, opts Options) (*ir.Func, *Stats, error) {
+	if d, ok := alloc.(Driver); ok {
+		if err := opts.interrupted(alloc.Name()); err != nil {
+			return nil, nil, err
+		}
+		return d.Drive(input, machine, opts)
+	}
 	if err := ValidateInput(input, machine); err != nil {
 		return nil, nil, err
 	}

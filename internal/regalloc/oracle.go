@@ -46,8 +46,13 @@ func (c *capturingAllocator) Allocate(ctx *Context) (*Result, error) {
 
 // RunChecked is Run followed by the full oracle audit. It returns the
 // driver's output unchanged; any check failure surfaces as an error
-// prefixed "oracle:".
+// prefixed "oracle:". A Driver audits itself: RunChecked runs it with
+// validation forced on.
 func RunChecked(input *ir.Func, m *target.Machine, alloc Allocator, opts Options) (*ir.Func, *Stats, error) {
+	if _, ok := alloc.(Driver); ok {
+		opts.SkipValidate = false
+		return Run(input, m, alloc, opts)
+	}
 	cap := &capturingAllocator{inner: alloc}
 	out, stats, err := Run(input, m, cap, opts)
 	if err != nil {

@@ -135,6 +135,16 @@ type Allocator interface {
 	Allocate(ctx *Context) (*Result, error)
 }
 
+// Driver is an optional Allocator extension for an algorithm with its
+// own round loop (the linear-scan fast tier). Run and RunChecked hand
+// such an allocator the whole allocation before renumbering, and its
+// Allocate is never called. Drive must honor MaxRounds, validate each
+// round and audit the final one with CheckAllocation unless
+// SkipValidate is set, and refuse any option it does not implement.
+type Driver interface {
+	Drive(input *ir.Func, m *target.Machine, opts Options) (*ir.Func, *Stats, error)
+}
+
 // CheckResult validates an allocation against the original
 // (pre-coalescing) interference graph:
 //

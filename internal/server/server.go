@@ -96,11 +96,6 @@ type Config struct {
 	// background. See tier.go.
 	Tier bool
 
-	// TierAllocator names the fast-tier algorithm; empty means
-	// "linearscan" (the graph-free fast path). Any registered
-	// allocator name selects a driver-based fast tier instead.
-	TierAllocator string
-
 	// UpgradeQueueSize bounds the background upgrade queue; 0 means
 	// 256. A full queue sheds upgrades (the fast entry remains).
 	UpgradeQueueSize int
@@ -138,9 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 256
-	}
-	if c.TierAllocator == "" {
-		c.TierAllocator = "linearscan"
 	}
 	if c.UpgradeQueueSize <= 0 {
 		c.UpgradeQueueSize = 256

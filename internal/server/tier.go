@@ -7,11 +7,9 @@ import (
 	"time"
 
 	"prefcolor/internal/bench"
-	"prefcolor/internal/ir"
 	"prefcolor/internal/linearscan"
 	"prefcolor/internal/opt"
 	"prefcolor/internal/perfmodel"
-	"prefcolor/internal/regalloc"
 	"prefcolor/internal/ssa"
 	"prefcolor/internal/target"
 )
@@ -53,12 +51,13 @@ func (s *Server) tierApplies(spec Spec) bool {
 }
 
 // computeFast is the fast-tier counterpart of compute: same decode and
-// optional SSA optimization, but allocation through the linear-scan
-// fast path (or, with a non-default Config.TierAllocator, the standard
-// driver under that allocator). Rematerialize and BlockLocalSpills are
-// driver spill refinements the fast path does not implement; they
-// reach the full-tier upgrade untouched, since the spec — options
-// included — keys the entry being upgraded.
+// optional SSA optimization, but allocation through linearscan.Run on
+// the tier's own workspace pool (a pooled driver workspace has one
+// allocator slot, which the upgrade worker's pref-full runs would
+// keep evicting). Rematerialize and BlockLocalSpills are driver spill
+// refinements the fast path does not implement; they reach the
+// full-tier upgrade untouched, since the spec — options included —
+// keys the entry being upgraded.
 func (s *Server) computeFast(ctx context.Context, in srcInput, spec Spec,
 	machine *target.Machine) (*entry, int, error) {
 
@@ -75,28 +74,12 @@ func (s *Server) computeFast(ctx context.Context, in srcInput, spec Spec,
 	if ctx.Err() != nil {
 		return nil, http.StatusGatewayTimeout, ctx.Err()
 	}
-	var out *ir.Func
-	var stats *regalloc.Stats
-	if s.cfg.TierAllocator == "linearscan" {
-		ws := s.fastWS.Get().(*linearscan.Workspace)
-		defer s.fastWS.Put(ws)
-		out, stats, err = linearscan.Run(f, machine, linearscan.RunOptions{
-			MaxRounds: spec.MaxRounds,
-			Workspace: ws,
-		})
-	} else {
-		var alloc regalloc.Allocator
-		if alloc, err = bench.NewAllocator(s.cfg.TierAllocator); err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		ws := s.workspaces.get()
-		defer s.workspaces.put(ws)
-		out, stats, err = regalloc.Run(f, machine, alloc, regalloc.Options{
-			Context:   ctx,
-			MaxRounds: spec.MaxRounds,
-			Workspace: ws,
-		})
-	}
+	ws := s.fastWS.Get().(*linearscan.Workspace)
+	defer s.fastWS.Put(ws)
+	out, stats, err := linearscan.Run(f, machine, linearscan.RunOptions{
+		MaxRounds: spec.MaxRounds,
+		Workspace: ws,
+	})
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, err
 	}

@@ -299,3 +299,72 @@ func TestTrustKeyHeader(t *testing.T) {
 		t.Fatalf("malformed key + broken body: status %d, want 400", resp2.StatusCode)
 	}
 }
+
+// entryLoopFunc loops back into its entry block. At k=2 the fast path
+// strands a spill temporary on it while pref-full succeeds.
+const entryLoopFunc = `func f(v0, v1) {
+b0:
+  v2 = add v0, v1
+  v0 = addimm v2, 3
+  v1 = addimm v1, -1
+  branch v1, b0, b1
+b1:
+  ret v2
+}
+`
+
+// TestTierFallsBackToFull pins the tier's fallback: when the fast path
+// fails, the request is answered by the full pipeline inline — a 200
+// stamped tier "full" with the direct pref-full digest — and nothing
+// is queued for upgrade.
+func TestTierFallsBackToFull(t *testing.T) {
+	s, ts := newTestServer(t, Config{Tier: true})
+	m := target.UsageModel(2)
+	f := ir.MustParse(entryLoopFunc)
+	if _, _, err := linearscan.Run(f, m, linearscan.RunOptions{}); err == nil {
+		t.Fatal("fast path succeeded; the test needs an input it fails on")
+	}
+	alloc, _ := bench.NewAllocator("pref-full")
+	out, stats, err := regalloc.RunChecked(f, m, alloc, regalloc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bench.FuncDigest(f.Name, stats, out)
+
+	resp, body := postJSON(t, ts.URL+"/v1/allocate", allocateRequest{Spec: Spec{K: 2}, Source: entryLoopFunc})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var r allocateResponse
+	if err := json.Unmarshal(body, &r); err != nil {
+		t.Fatal(err)
+	}
+	if r.Tier != "full" || resp.Header.Get(TierHeader) != "full" {
+		t.Fatalf("tier = %q, header %q, want full", r.Tier, resp.Header.Get(TierHeader))
+	}
+	if r.Digest != want {
+		t.Fatalf("digest = %s, want the direct pref-full %s", r.Digest, want)
+	}
+	s.upgrades.pmu.Lock()
+	pending := len(s.upgrades.pending)
+	s.upgrades.pmu.Unlock()
+	if d, _ := s.upgradeDepth(); d != 0 || pending != 0 {
+		t.Fatalf("upgrade queued after a full-tier answer: depth %d, pending %d", d, pending)
+	}
+}
+
+// TestLinearScanRejectsSpillOptions pins that an explicit linearscan
+// request with a spill option the fast path does not implement is
+// refused with 422 rather than served with the option ignored.
+func TestLinearScanRejectsSpillOptions(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, spec := range []Spec{
+		{Allocator: "linearscan", Rematerialize: true},
+		{Allocator: "linearscan", BlockLocalSpills: true},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/allocate", allocateRequest{Spec: spec, Source: smallFunc})
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("%+v: status %d, want 422: %s", spec, resp.StatusCode, body)
+		}
+	}
+}

@@ -104,6 +104,94 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
+// served runs f the way the daemon's fast tier does — Validate off,
+// on a reused workspace — and requires the digest of a fresh validated
+// run, so the code the tier serves is the code the oracle audited.
+func served(t *testing.T, f *ir.Func, m *target.Machine, ws *linearscan.Workspace) *ir.Func {
+	t.Helper()
+	out, stats, err := linearscan.Run(f, m, linearscan.RunOptions{Workspace: ws})
+	if err != nil {
+		t.Fatalf("%s %s: %v", m.Name, f.Name, err)
+	}
+	vout, vstats := validated(t, f, m, nil)
+	if got, want := bench.FuncDigest(f.Name, stats, out), bench.FuncDigest(f.Name, vstats, vout); got != want {
+		t.Fatalf("%s %s: served digest %s, validated %s", m.Name, f.Name, got, want)
+	}
+	return out
+}
+
+// TestFastWorkloadSweep runs every profile on every machine model in
+// the served configuration, one workspace per machine.
+func TestFastWorkloadSweep(t *testing.T) {
+	profiles := append(workload.Benchmarks(), workload.Large())
+	for _, m := range machines() {
+		ws := linearscan.NewFastWorkspace()
+		for _, p := range profiles {
+			for _, f := range workload.Generate(p, m) {
+				served(t, f, m, ws)
+			}
+		}
+	}
+}
+
+// TestFastFuzzSweep runs the seeded random programs in the served
+// configuration, one workspace across every seed and machine.
+func TestFastFuzzSweep(t *testing.T) {
+	ws := linearscan.NewFastWorkspace()
+	for seed := int64(1); seed <= 64; seed++ {
+		for _, m := range metamorph.Machines() {
+			served(t, workload.GenerateRawFunc(workload.Fuzz(), m, seed), m, ws)
+		}
+	}
+}
+
+// TestFastDeterministic carries one workspace across machines with
+// different register counts, and runs each function twice on it: every
+// run must match a fresh one, so no row width or scan state leaks from
+// one call into the next.
+func TestFastDeterministic(t *testing.T) {
+	ws := linearscan.NewFastWorkspace()
+	for _, m := range []*target.Machine{target.UsageModel(32), target.UsageModel(8), target.X86Like(16)} {
+		for _, f := range workload.Generate(workload.Benchmarks()[0], m) {
+			out, st, err := linearscan.Run(f, m, linearscan.RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := bench.FuncDigest(f.Name, st, out)
+			for run := 0; run < 2; run++ {
+				if out, st, err = linearscan.Run(f, m, linearscan.RunOptions{Workspace: ws}); err != nil {
+					t.Fatal(err)
+				}
+				if got := bench.FuncDigest(f.Name, st, out); got != want {
+					t.Fatalf("%s %s run %d: digest diverges on the carried workspace: %s vs %s",
+						m.Name, f.Name, run, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestFastQualitySane holds the served configuration to TestQualitySane's
+// bound on every machine model, not only the 16-register usage model.
+func TestFastQualitySane(t *testing.T) {
+	for _, m := range machines() {
+		ws := linearscan.NewFastWorkspace()
+		var fast, full float64
+		for _, f := range workload.Generate(workload.Large(), m) {
+			fast += perfmodel.Estimate(served(t, f, m, ws), m).Cycles
+			out, _, err := regalloc.RunChecked(f, m, core.New(), regalloc.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			full += perfmodel.Estimate(out, m).Cycles
+		}
+		if fast > 3*full {
+			t.Fatalf("%s: linearscan estimated cycles %.0f vs pref-full %.0f: more than 3x worse", m.Name, fast, full)
+		}
+		t.Logf("%s: linearscan %.0f, pref-full %.0f (ratio %.2f)", m.Name, fast, full, fast/full)
+	}
+}
+
 // TestRegistered pins the registry wiring: the daemon and harness
 // resolve the allocator by name.
 func TestRegistered(t *testing.T) {

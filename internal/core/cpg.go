@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"prefcolor/internal/bitset"
 	"prefcolor/internal/ig"
 	"prefcolor/internal/scratch"
 )
@@ -56,7 +57,7 @@ type CPG struct {
 // the backing arrays.
 func (c *CPG) reset(nodes int) {
 	c.slots = nodes + 2
-	c.words = (c.slots + 63) / 64
+	c.words = bitset.Words(c.slots)
 	c.rows = scratch.Slice(c.rows, c.slots*c.words)
 }
 
@@ -83,10 +84,11 @@ func (c *CPG) nodeRow() []uint64 {
 			empty = empty && w == 0
 		}
 		if !empty {
-			c.nodes[i>>6] |= 1 << (uint(i) & 63)
+			bitset.Set(c.nodes, i)
 		}
 	}
-	c.nodes[0] &^= 1<<uint(cpgIdx(Bottom)) | 1<<uint(cpgIdx(Top))
+	bitset.Clear(c.nodes, cpgIdx(Bottom))
+	bitset.Clear(c.nodes, cpgIdx(Top))
 	return c.nodes
 }
 
@@ -119,10 +121,10 @@ func buildCPGInto(c *CPG, g *ig.Graph, stack []ig.NodeID, potentialSpill []bool,
 		if g.IsPhys(n) {
 			return fmt.Errorf("core.BuildCPG: physical node %d on the stack", n)
 		}
-		if present[int(n)>>6]&(1<<(uint(n)&63)) != 0 {
+		if bitset.Has(present, int(n)) {
 			return fmt.Errorf("core.BuildCPG: node %d on the stack twice", n)
 		}
-		present[int(n)>>6] |= 1 << (uint(n) & 63)
+		bitset.Set(present, int(n))
 	}
 
 	// WIG degrees: original adjacency restricted to stack (web) nodes —
@@ -155,13 +157,13 @@ func buildCPGInto(c *CPG, g *ig.Graph, stack []ig.NodeID, potentialSpill []bool,
 			c.addEdge(n, Bottom)
 		}
 	}
-	c.desc[0] = 1 << uint(cpgIdx(Bottom))
+	bitset.Set(c.desc, cpgIdx(Bottom))
 
 	// Steps 5–9: replay the removal sequence.
 	remaining := c.remaining
 	defer func() { c.remaining = remaining }()
 	for _, n := range stack {
-		present[int(n)>>6] &^= 1 << (uint(n) & 63)
+		bitset.Clear(present, int(n))
 		if !inCPG[n] {
 			return fmt.Errorf("core.BuildCPG: node %d popped before appearing in the CPG (stack inconsistent with graph)", n)
 		}
@@ -181,15 +183,13 @@ func buildCPGInto(c *CPG, g *ig.Graph, stack []ig.NodeID, potentialSpill []bool,
 		// desc(n) = {n} ∪ ⋃ desc(s) over n's successors.
 		ni := cpgIdx(n)
 		d := c.desc[ni*c.words : (ni+1)*c.words]
-		for wi, w := range c.row(ni) {
-			for ; w != 0; w &= w - 1 {
-				si := wi<<6 + bits.TrailingZeros64(w)
-				for j, x := range c.desc[si*c.words : (si+1)*c.words] {
-					d[j] |= x
-				}
+		succs := c.row(ni)
+		for si := bitset.Next(succs, 0); si >= 0; si = bitset.Next(succs, si+1) {
+			for j, x := range c.desc[si*c.words : (si+1)*c.words] {
+				d[j] |= x
 			}
 		}
-		d[ni>>6] |= 1 << (uint(ni) & 63)
+		bitset.Set(d, ni)
 
 		// Step 6: materialize remaining neighbors.
 		for _, nb := range remaining {
@@ -209,7 +209,7 @@ func buildCPGInto(c *CPG, g *ig.Graph, stack []ig.NodeID, potentialSpill []bool,
 			for j, x := range d {
 				r[j] &^= x
 			}
-			r[ni>>6] |= 1 << (uint(ni) & 63)
+			bitset.Set(r, ni)
 		}
 		if !sawNonReady {
 			c.addEdge(Top, n)
@@ -227,8 +227,7 @@ func buildCPGInto(c *CPG, g *ig.Graph, stack []ig.NodeID, potentialSpill []bool,
 
 // addEdge adds a→b; both must have slots.
 func (c *CPG) addEdge(a, b ig.NodeID) {
-	bi := cpgIdx(b)
-	c.row(cpgIdx(a))[bi>>6] |= 1 << (uint(bi) & 63)
+	bitset.Set(c.row(cpgIdx(a)), cpgIdx(b))
 }
 
 // Succs returns the successors of n, sorted.
@@ -251,7 +250,7 @@ func (c *CPG) Preds(n ig.NodeID) []ig.NodeID {
 func (c *CPG) HasEdge(a, b ig.NodeID) bool {
 	bi := cpgIdx(b)
 	r := c.succRow(a)
-	return r != nil && bi >= 0 && bi < c.slots && r[bi>>6]&(1<<(uint(bi)&63)) != 0
+	return r != nil && bi >= 0 && bi < c.slots && bitset.Has(r, bi)
 }
 
 // Nodes returns every real (non-pseudo) node mentioned by the CPG,
@@ -266,10 +265,8 @@ func (c *CPG) Nodes() []ig.NodeID {
 // slotNodes lists the nodes whose slots are set in row, ascending.
 func slotNodes(row []uint64) []ig.NodeID {
 	var out []ig.NodeID
-	for wi, w := range row {
-		for ; w != 0; w &= w - 1 {
-			out = append(out, ig.NodeID(wi<<6+bits.TrailingZeros64(w)-2))
-		}
+	for i := bitset.Next(row, 0); i >= 0; i = bitset.Next(row, i+1) {
+		out = append(out, ig.NodeID(i-2))
 	}
 	return out
 }

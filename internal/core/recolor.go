@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"sort"
 
+	"prefcolor/internal/bitset"
 	"prefcolor/internal/ig"
 	"prefcolor/internal/scratch"
 )
@@ -191,15 +192,19 @@ func (s *selector) considerPlan(plan *planOverlay, bestDelta float64, haveBest b
 // recolorTo commits node n to color c, keeping the per-color
 // occupancy bitsets in sync.
 func (s *selector) recolorTo(n ig.NodeID, c int) {
-	words := s.ctx.Graph.WordsPerRow()
-	wi, m := int(n)>>6, uint64(1)<<(uint(n)&63)
 	if old := s.color[n]; old >= 0 && old < s.ctx.K() {
-		s.rcColorBits[old*words+wi] &^= m
+		bitset.Clear(s.colorRow(old), int(n))
 	}
 	s.color[n] = c
 	if c >= 0 && c < s.ctx.K() {
-		s.rcColorBits[c*words+wi] |= m
+		bitset.Set(s.colorRow(c), int(n))
 	}
+}
+
+// colorRow returns color c's occupancy row in rcColorBits.
+func (s *selector) colorRow(c int) []uint64 {
+	words := s.ctx.Graph.WordsPerRow()
+	return s.rcColorBits[c*words : (c+1)*words]
 }
 
 // maxCompPlan bounds the component-migration plan size.
@@ -217,11 +222,11 @@ func (s *selector) buildRecolorIndex() {
 
 	s.rcColorBits = scratch.Slice(s.rcColorBits, k*words)
 	for i := 0; i < g.NumPhys() && i < k; i++ {
-		s.rcColorBits[i*words+(i>>6)] |= 1 << (uint(i) & 63)
+		bitset.Set(s.colorRow(i), i)
 	}
 	for i := g.NumPhys(); i < n; i++ {
 		if c := s.color[i]; c >= 0 && c < k {
-			s.rcColorBits[c*words+(i>>6)] |= 1 << (uint(i) & 63)
+			bitset.Set(s.colorRow(c), i)
 		}
 	}
 
@@ -290,24 +295,19 @@ func (s *selector) componentPlan(members []ig.NodeID, c int, plan *planOverlay) 
 func (s *selector) colorFreeFor(n ig.NodeID, c int, plan *planOverlay) bool {
 	g := s.ctx.Graph
 	if c < 0 || c >= s.ctx.K() {
-		for wi, w := range g.OrigRow(n) {
-			base := ig.NodeID(wi << 6)
-			for w != 0 {
-				nb := base + ig.NodeID(bits.TrailingZeros64(w))
-				w &= w - 1
-				nbc, ok := plan.lookup(nb)
-				if !ok {
-					nbc = s.colorOf(nb)
-				}
-				if nbc == c {
-					return false
-				}
+		row := g.OrigRow(n)
+		for i := bitset.Next(row, 0); i >= 0; i = bitset.Next(row, i+1) {
+			nbc, ok := plan.lookup(ig.NodeID(i))
+			if !ok {
+				nbc = s.colorOf(ig.NodeID(i))
+			}
+			if nbc == c {
+				return false
 			}
 		}
 		return true
 	}
-	words := g.WordsPerRow()
-	cb := s.rcColorBits[c*words : c*words+words]
+	cb := s.colorRow(c)
 	for wi, w := range g.OrigRow(n) {
 		w &= cb[wi]
 		base := ig.NodeID(wi << 6)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 
+	"prefcolor/internal/bitset"
 	"prefcolor/internal/ig"
 	"prefcolor/internal/regalloc"
 	"prefcolor/internal/scratch"
@@ -142,7 +143,7 @@ func newSelectorIn(s *selector, ctx *regalloc.Context, rpg *RPG, cpg *CPG, mode 
 	s.spilled = scratch.Slice(s.spilled, n)
 	s.processed = scratch.Slice(s.processed, n)
 	s.predCount = scratch.Slice(s.predCount, n)
-	s.readyBits = scratch.Slice(s.readyBits, (n+63)/64)
+	s.readyBits = scratch.Slice(s.readyBits, bitset.Words(n))
 	s.readyCount = 0
 	s.heap = s.heap[:0]
 	s.compArena = s.compArena[:0]
@@ -241,20 +242,15 @@ func (s *selector) run() (*regalloc.Result, error) {
 	// every node the CPG mentions is visited in ascending order.
 	cpg := s.cpg
 	for i := cpgIdx(0); i < cpg.slots; i++ {
-		for wi, w := range cpg.row(i) {
-			for ; w != 0; w &= w - 1 {
-				if j := wi<<6 + bits.TrailingZeros64(w); j >= cpgIdx(0) {
-					s.predCount[j-2]++
-				}
-			}
+		row := cpg.row(i)
+		for j := bitset.Next(row, cpgIdx(0)); j >= 0; j = bitset.Next(row, j+1) {
+			s.predCount[j-2]++
 		}
 	}
-	for wi, w := range cpg.nodeRow() {
-		for ; w != 0; w &= w - 1 {
-			n := ig.NodeID(wi<<6 + bits.TrailingZeros64(w) - 2)
-			if s.predCount[n] == 0 {
-				s.pushReady(n)
-			}
+	nodes := cpg.nodeRow()
+	for i := bitset.Next(nodes, 0); i >= 0; i = bitset.Next(nodes, i+1) {
+		if n := ig.NodeID(i - 2); s.predCount[n] == 0 {
+			s.pushReady(n)
 		}
 	}
 
@@ -368,13 +364,12 @@ func (s *selector) invalidateAround(n ig.NodeID) {
 // recompute, so the recompute reads the post-coloring candidate set —
 // the same state the reference's next-pop rebuild reads.
 func (s *selector) noteColored(n ig.NodeID, c int) {
-	cw, cm := c>>6, uint64(1)<<(uint(c)&63)
 	kw := s.kwords
 	for wi, w := range s.ctx.Graph.OrigRow(n) {
 		base := int(wi << 6)
 		for w != 0 {
 			nb := base + bits.TrailingZeros64(w)
-			s.forbid[nb*kw+cw] |= cm
+			bitset.Set(s.forbid[nb*kw:nb*kw+kw], c)
 			s.invalidate(ig.NodeID(nb))
 			w &= w - 1
 		}
@@ -392,32 +387,18 @@ func (s *selector) noteColored(n ig.NodeID, c int) {
 // cost k counters per node on the hot path to serve it.
 func (s *selector) noteUncolored(n ig.NodeID, old int) {
 	g := s.ctx.Graph
-	ow, om := old>>6, uint64(1)<<(uint(old)&63)
 	kw := s.kwords
-	for wi, w := range g.OrigRow(n) {
-		base := int(wi << 6)
-		for w != 0 {
-			nb := base + bits.TrailingZeros64(w)
-			still := false
-			for wj, w2 := range g.OrigRow(ig.NodeID(nb)) {
-				base2 := int(wj << 6)
-				for w2 != 0 {
-					if s.color[base2+bits.TrailingZeros64(w2)] == old {
-						still = true
-						break
-					}
-					w2 &= w2 - 1
-				}
-				if still {
-					break
-				}
-			}
-			if !still {
-				s.forbid[nb*kw+ow] &^= om
-			}
-			s.invalidate(ig.NodeID(nb))
-			w &= w - 1
+	row := g.OrigRow(n)
+	for nb := bitset.Next(row, 0); nb >= 0; nb = bitset.Next(row, nb+1) {
+		still := false
+		nbRow := g.OrigRow(ig.NodeID(nb))
+		for j := bitset.Next(nbRow, 0); j >= 0 && !still; j = bitset.Next(nbRow, j+1) {
+			still = s.color[j] == old
 		}
+		if !still {
+			bitset.Clear(s.forbid[nb*kw:nb*kw+kw], old)
+		}
+		s.invalidate(ig.NodeID(nb))
 	}
 	for _, src := range s.prefSources[n] {
 		s.invalidate(src)
@@ -578,7 +559,7 @@ func (s *selector) availRegsInto(out []int, n ig.NodeID) []int {
 // for word (a phys node's color is its own id, and only colors below
 // k count).
 func (s *selector) initForbid(g *ig.Graph, k int) {
-	kw := (k + 63) / 64
+	kw := bitset.Words(k)
 	s.kwords = kw
 	n := g.NumNodes()
 	s.forbid = scratch.Slice(s.forbid, n*kw)
@@ -669,17 +650,12 @@ func (s *selector) processNode(n ig.NodeID, res *regalloc.Result) {
 	}
 
 	// Step 5: release successors (Bottom's slot is skipped).
-	for wi, w := range s.cpg.succRow(n) {
-		for ; w != 0; w &= w - 1 {
-			j := wi<<6 + bits.TrailingZeros64(w)
-			if j < cpgIdx(0) {
-				continue
-			}
-			succ := ig.NodeID(j - 2)
-			s.predCount[succ]--
-			if s.predCount[succ] == 0 && !s.processed[succ] {
-				s.pushReady(succ)
-			}
+	succs := s.cpg.succRow(n)
+	for j := bitset.Next(succs, cpgIdx(0)); j >= 0; j = bitset.Next(succs, j+1) {
+		succ := ig.NodeID(j - 2)
+		s.predCount[succ]--
+		if s.predCount[succ] == 0 && !s.processed[succ] {
+			s.pushReady(succ)
 		}
 	}
 }
@@ -797,17 +773,14 @@ func (s *selector) isSpillTemp(n ig.NodeID) bool {
 func (s *selector) evictForTemp(n ig.NodeID, res *regalloc.Result) bool {
 	g := s.ctx.Graph
 	best, bestCost := ig.NodeID(-1), math.Inf(1)
-	for wi, w := range g.OrigRow(n) {
-		base := ig.NodeID(wi << 6)
-		for w != 0 {
-			nb := base + ig.NodeID(bits.TrailingZeros64(w))
-			w &= w - 1
-			if g.IsPhys(nb) || s.color[nb] < 0 || s.spilled[nb] || s.isSpillTemp(nb) {
-				continue
-			}
-			if c := g.SpillCost(nb); c < bestCost {
-				best, bestCost = nb, c
-			}
+	row := g.OrigRow(n)
+	for i := bitset.Next(row, 0); i >= 0; i = bitset.Next(row, i+1) {
+		nb := ig.NodeID(i)
+		if g.IsPhys(nb) || s.color[nb] < 0 || s.spilled[nb] || s.isSpillTemp(nb) {
+			continue
+		}
+		if c := g.SpillCost(nb); c < bestCost {
+			best, bestCost = nb, c
 		}
 	}
 	if best < 0 {

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"math/bits"
-
+	"prefcolor/internal/bitset"
 	"prefcolor/internal/ig"
 )
 
@@ -71,7 +70,7 @@ func (s *selector) heapPop() {
 
 // isReady reports ready-set membership in O(1).
 func (s *selector) isReady(n ig.NodeID) bool {
-	return s.readyBits[int(n)>>6]&(1<<(uint(n)&63)) != 0
+	return bitset.Has(s.readyBits, int(n))
 }
 
 // pushReady admits n to the ready set. In incremental mode its
@@ -80,7 +79,7 @@ func (s *selector) isReady(n ig.NodeID) bool {
 // and the next chooseNode, so the value is exactly what the reference
 // computes there — and a heap entry is pushed under it.
 func (s *selector) pushReady(n ig.NodeID) {
-	s.readyBits[int(n)>>6] |= 1 << (uint(n) & 63)
+	bitset.Set(s.readyBits, int(n))
 	s.readyCount++
 	if !s.refSelect && !s.ab.FIFOPriority {
 		pri := s.priority(n)
@@ -92,17 +91,12 @@ func (s *selector) pushReady(n ig.NodeID) {
 // dropReady removes n from the ready set; its heap entries die lazily
 // on their next pop.
 func (s *selector) dropReady(n ig.NodeID) {
-	s.readyBits[int(n)>>6] &^= 1 << (uint(n) & 63)
+	bitset.Clear(s.readyBits, int(n))
 	s.readyCount--
 }
 
 // firstReady returns the lowest-id ready node (the FIFOPriority
 // ablation's pick), or -1 when none is ready.
 func (s *selector) firstReady() ig.NodeID {
-	for wi, w := range s.readyBits {
-		if w != 0 {
-			return ig.NodeID(wi<<6 + bits.TrailingZeros64(w))
-		}
-	}
-	return -1
+	return ig.NodeID(bitset.Next(s.readyBits, 0))
 }

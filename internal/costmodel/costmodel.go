@@ -59,7 +59,7 @@ func Analyze(f *ir.Func, m *target.Machine, loops *cfg.LoopInfo, live *liveness.
 	info := &Info{
 		SpillCosts: make([]float64, f.NumVirt),
 		OpCosts:    make([]float64, f.NumVirt),
-		CrossFreq:  make([]float64, f.NumVirt),
+		CrossFreq:  live.LiveAcrossCalls(loops.Freq),
 	}
 	for _, b := range f.Blocks {
 		freq := loops.Freq(b.ID)
@@ -92,11 +92,6 @@ func Analyze(f *ir.Func, m *target.Machine, loops *cfg.LoopInfo, live *liveness.
 				info.SpillCosts[u.VirtNum()] += LoadCost * freq
 				info.OpCosts[u.VirtNum()] += c * freq
 			}
-		}
-	}
-	for r, w := range live.LiveAcrossCalls(loops.Freq) {
-		if r.IsVirt() {
-			info.CrossFreq[r.VirtNum()] = w
 		}
 	}
 	return info

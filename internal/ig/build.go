@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"prefcolor/internal/bitset"
 	"prefcolor/internal/cfg"
 	"prefcolor/internal/ir"
 	"prefcolor/internal/liveness"
@@ -78,33 +79,42 @@ func BuildInto(ws *GraphScratch, f *ir.Func, m *target.Machine, loops *cfg.LoopI
 		volRow = make([]uint64, g.words)
 		clobberRow = make([]uint64, g.words)
 	}
-	setBit := func(row []uint64, n NodeID) { row[int(n)>>6] |= 1 << (uint(n) & 63) }
-	clearBit := func(row []uint64, n NodeID) { row[int(n)>>6] &^= 1 << (uint(n) & 63) }
-
 	// edgesToLive interferes node dn with every bit of src except dn
 	// itself and (for copies) the copy source: per word, the new
 	// neighbors are src &^ row, OR'd in at once, and only those new
-	// bits pay a per-bit mirror into the neighbor's row.
+	// bits pay a per-bit mirror into the neighbor's row. Setting dn's
+	// own bit and the excluded bit in its row for the duration of the
+	// word loop keeps both out of src &^ row.
 	edgesToLive := func(dn NodeID, src []uint64, excl NodeID) {
 		row := g.adj[dn]
-		dw, dm := int(dn)>>6, uint64(1)<<(uint(dn)&63)
+		bitset.Set(row, int(dn))
+		dropExcl := excl >= 0 && !bitset.Has(row, int(excl))
+		if dropExcl {
+			bitset.Set(row, int(excl))
+		}
 		for wi, w := range src {
 			add := w &^ row[wi]
-			if wi == dw {
-				add &^= dm
-			}
-			if excl >= 0 && wi == int(excl)>>6 {
-				add &^= 1 << (uint(excl) & 63)
-			}
 			if add == 0 {
 				continue
 			}
 			row[wi] |= add
 			base := NodeID(wi << 6)
 			for t := add; t != 0; t &= t - 1 {
-				nb := base + NodeID(bits.TrailingZeros64(t))
-				g.adj[nb][dw] |= dm
+				bitset.Set(g.adj[base+NodeID(bits.TrailingZeros64(t))], int(dn))
 			}
+		}
+		bitset.Clear(row, int(dn))
+		if dropExcl {
+			bitset.Clear(row, int(excl))
+		}
+	}
+
+	// liveNodes replaces liveRow's contents with the nodes of the
+	// registers in regs, a liveness row.
+	liveNodes := func(regs []uint64) {
+		clear(liveRow)
+		for r := bitset.Next(regs, 0); r >= 0; r = bitset.Next(regs, r+1) {
+			bitset.Set(liveRow, int(g.NodeOf(ir.Reg(r))))
 		}
 	}
 
@@ -112,28 +122,18 @@ func BuildInto(ws *GraphScratch, f *ir.Func, m *target.Machine, loops *cfg.LoopI
 	// any web lacking a dominating definition) simultaneously: they
 	// all interfere pairwise. Writing row |= live &^ self for every
 	// member builds the full symmetric clique.
-	for r := range live.LiveIn(0) {
-		setBit(liveRow, g.NodeOf(r))
-	}
-	for wi, w := range liveRow {
-		base := NodeID(wi << 6)
-		for t := w; t != 0; t &= t - 1 {
-			edgesToLive(base+NodeID(bits.TrailingZeros64(t)), liveRow, -1)
-		}
+	liveNodes(live.LiveInRow(0))
+	for n := bitset.Next(liveRow, 0); n >= 0; n = bitset.Next(liveRow, n+1) {
+		edgesToLive(NodeID(n), liveRow, -1)
 	}
 
 	for _, v := range m.VolatileRegs() {
-		setBit(volRow, NodeID(v))
+		bitset.Set(volRow, v)
 	}
 
 	for _, b := range f.Blocks {
 		freq := loops.Freq(b.ID)
-		for i := range liveRow {
-			liveRow[i] = 0
-		}
-		for r := range live.LiveOut(b.ID) {
-			setBit(liveRow, g.NodeOf(r))
-		}
+		liveNodes(live.LiveOutRow(b.ID))
 		for idx := len(b.Instrs) - 1; idx >= 0; idx-- {
 			in := &b.Instrs[idx]
 			// Defs interfere with everything live after the
@@ -152,13 +152,10 @@ func BuildInto(ws *GraphScratch, f *ir.Func, m *target.Machine, loops *cfg.LoopI
 			if in.Op == ir.Call {
 				copy(clobberRow, liveRow)
 				if def := in.Def(); def != ir.NoReg {
-					clearBit(clobberRow, g.NodeOf(def))
+					bitset.Clear(clobberRow, int(g.NodeOf(def)))
 				}
-				for wi, w := range volRow {
-					base := NodeID(wi << 6)
-					for t := w; t != 0; t &= t - 1 {
-						edgesToLive(base+NodeID(bits.TrailingZeros64(t)), clobberRow, -1)
-					}
+				for v := bitset.Next(volRow, 0); v >= 0; v = bitset.Next(volRow, v+1) {
+					edgesToLive(NodeID(v), clobberRow, -1)
 				}
 			}
 			if isCopy {
@@ -169,10 +166,10 @@ func BuildInto(ws *GraphScratch, f *ir.Func, m *target.Machine, loops *cfg.LoopI
 			}
 			// Step the live set backwards across the instruction.
 			for _, d := range in.Defs {
-				clearBit(liveRow, g.NodeOf(d))
+				bitset.Clear(liveRow, int(g.NodeOf(d)))
 			}
 			for _, u := range in.Uses {
-				setBit(liveRow, g.NodeOf(u))
+				bitset.Set(liveRow, int(g.NodeOf(u)))
 			}
 		}
 	}
@@ -180,7 +177,7 @@ func BuildInto(ws *GraphScratch, f *ir.Func, m *target.Machine, loops *cfg.LoopI
 	// Nothing is removed during construction, so active degree is
 	// exactly row population.
 	for i := 0; i < g.n; i++ {
-		g.degree[i] = popRow(g.adj[i])
+		g.degree[i] = bitset.Count(g.adj[i])
 	}
 
 	g.Freeze()

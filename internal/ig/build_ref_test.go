@@ -3,6 +3,7 @@ package ig
 import (
 	"testing"
 
+	"prefcolor/internal/bitset"
 	"prefcolor/internal/cfg"
 	"prefcolor/internal/ir"
 	"prefcolor/internal/liveness"
@@ -12,13 +13,17 @@ import (
 )
 
 // buildReference is the pre-word-kernel builder: per-element AddEdge
-// loops over map live sets, retained as the oracle the bulk-OR kernels
+// loops over the members of the liveness rows, retained as the oracle the bulk-OR kernels
 // must match bit for bit — adjacency, degrees, and move list included.
 func buildReference(f *ir.Func, m *target.Machine, loops *cfg.LoopInfo) *Graph {
 	g := NewGraph(m.NumRegs, f.NumVirt)
 	live := liveness.Compute(f)
 
-	entryLive := live.LiveIn(0).Sorted()
+	var entryLive []ir.Reg
+	entry := live.LiveInRow(0)
+	for r := bitset.Next(entry, 0); r >= 0; r = bitset.Next(entry, r+1) {
+		entryLive = append(entryLive, ir.Reg(r))
+	}
 	for i, a := range entryLive {
 		for _, b := range entryLive[i+1:] {
 			g.AddEdge(g.NodeOf(a), g.NodeOf(b))
@@ -31,10 +36,11 @@ func buildReference(f *ir.Func, m *target.Machine, loops *cfg.LoopInfo) *Graph {
 
 	for _, b := range f.Blocks {
 		freq := loops.Freq(b.ID)
-		live.ForEachInstrReverse(b, func(_ int, in *ir.Instr, liveAfter ir.RegSet) {
+		live.ForEachInstrReverse(b, func(_ int, in *ir.Instr, liveAfter []uint64) {
 			for _, d := range in.Defs {
 				dn := g.NodeOf(d)
-				for l := range liveAfter {
+				for i := bitset.Next(liveAfter, 0); i >= 0; i = bitset.Next(liveAfter, i+1) {
+					l := ir.Reg(i)
 					ln := g.NodeOf(l)
 					if ln == dn {
 						continue
@@ -47,7 +53,8 @@ func buildReference(f *ir.Func, m *target.Machine, loops *cfg.LoopInfo) *Graph {
 			}
 			if in.Op == ir.Call {
 				def := in.Def()
-				for l := range liveAfter {
+				for i := bitset.Next(liveAfter, 0); i >= 0; i = bitset.Next(liveAfter, i+1) {
+					l := ir.Reg(i)
 					if l == def {
 						continue
 					}

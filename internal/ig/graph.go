@@ -2,8 +2,8 @@ package ig
 
 import (
 	"fmt"
-	"math/bits"
 
+	"prefcolor/internal/bitset"
 	"prefcolor/internal/ir"
 	"prefcolor/internal/scratch"
 )
@@ -109,7 +109,7 @@ func NewGraphIn(ws *GraphScratch, nPhys, nWebs int) *Graph {
 // returns the backing so the caller can recycle it next build.
 func (g *Graph) reinit(backing []uint64, nPhys, nWebs int) []uint64 {
 	n := nPhys + nWebs
-	words := (n + 63) / 64
+	words := bitset.Words(n)
 	g.nPhys, g.n, g.words = nPhys, n, words
 	backing = scratch.Slice(backing, n*words)
 	g.adj = scratch.Slice(g.adj, n)
@@ -146,36 +146,10 @@ func (g *Graph) reinit(backing []uint64, nPhys, nWebs int) []uint64 {
 			}
 			row[wi] = w
 		}
-		row[a>>6] &^= 1 << (uint(a) & 63)
+		bitset.Clear(row, a)
 		g.degree[a] = nPhys - 1
 	}
 	return backing
-}
-
-// hasBit reports whether bit b is set in row (nil rows have no bits).
-func hasBit(row []uint64, b NodeID) bool {
-	w := int(b) >> 6
-	return w < len(row) && row[w]&(1<<(uint(b)&63)) != 0
-}
-
-// forEachBit calls fn for every set bit of row, in ascending order.
-func forEachBit(row []uint64, fn func(NodeID)) {
-	for wi, w := range row {
-		base := NodeID(wi << 6)
-		for w != 0 {
-			fn(base + NodeID(bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
-}
-
-// popRow counts the set bits of row.
-func popRow(row []uint64) int {
-	c := 0
-	for _, w := range row {
-		c += bits.OnesCount64(w)
-	}
-	return c
 }
 
 // row returns node n's adjacency row for writing, detaching it from
@@ -231,9 +205,9 @@ func (g *Graph) AddEdge(a, b NodeID) {
 	if a == b {
 		return
 	}
-	if !hasBit(g.adj[a], b) {
-		g.row(a)[int(b)>>6] |= 1 << (uint(b) & 63)
-		g.row(b)[int(a)>>6] |= 1 << (uint(a) & 63)
+	if !bitset.Has(g.adj[a], int(b)) {
+		bitset.Set(g.row(a), int(b))
+		bitset.Set(g.row(b), int(a))
 		if !g.removed[b] {
 			g.degree[a]++
 		}
@@ -267,12 +241,13 @@ func (g *Graph) Find(n NodeID) NodeID {
 // edge in the current graph.
 func (g *Graph) Interferes(a, b NodeID) bool {
 	a, b = g.Find(a), g.Find(b)
-	return hasBit(g.adj[a], b)
+	return bitset.Has(g.adj[a], int(b))
 }
 
 // OrigInterferes reports interference in the pre-coalescing graph.
 func (g *Graph) OrigInterferes(a, b NodeID) bool {
-	return hasBit(g.origAdj[a], b)
+	row := g.origAdj[a] // nil until Freeze
+	return row != nil && bitset.Has(row, int(b))
 }
 
 // Degree returns the number of active (not removed, not aliased)
@@ -309,32 +284,36 @@ func (g *Graph) Remove(n NodeID) {
 		panic("ig.Graph.Remove: node already removed")
 	}
 	g.removed[n] = true
-	forEachBit(g.adj[n], func(nb NodeID) {
-		if !g.removed[nb] && g.alias[nb] == nb {
+	row := g.adj[n]
+	for nb := bitset.Next(row, 0); nb >= 0; nb = bitset.Next(row, nb+1) {
+		if !g.removed[nb] && g.alias[nb] == NodeID(nb) {
 			g.degree[nb]--
 		}
-	})
+	}
 }
 
 // ForEachNeighbor calls fn for every current neighbor of the
 // representative n (including removed ones), in ascending node order;
 // fn's argument is itself a representative.
 func (g *Graph) ForEachNeighbor(n NodeID, fn func(nb NodeID)) {
-	forEachBit(g.adj[n], fn)
+	row := g.adj[n]
+	for nb := bitset.Next(row, 0); nb >= 0; nb = bitset.Next(row, nb+1) {
+		fn(NodeID(nb))
+	}
 }
 
 // Neighbors returns the current neighbors of n in ascending order.
 func (g *Graph) Neighbors(n NodeID) []NodeID {
-	out := make([]NodeID, 0, popRow(g.adj[n]))
-	forEachBit(g.adj[n], func(nb NodeID) { out = append(out, nb) })
+	out := make([]NodeID, 0, bitset.Count(g.adj[n]))
+	g.ForEachNeighbor(n, func(nb NodeID) { out = append(out, nb) })
 	return out
 }
 
 // OrigNeighbors returns the pre-coalescing neighbors of an original
 // node in ascending order.
 func (g *Graph) OrigNeighbors(n NodeID) []NodeID {
-	out := make([]NodeID, 0, popRow(g.origAdj[n]))
-	forEachBit(g.origAdj[n], func(nb NodeID) { out = append(out, nb) })
+	out := make([]NodeID, 0, bitset.Count(g.origAdj[n]))
+	g.ForEachOrigNeighbor(n, func(nb NodeID) { out = append(out, nb) })
 	return out
 }
 
@@ -342,7 +321,10 @@ func (g *Graph) OrigNeighbors(n NodeID) []NodeID {
 // original node in ascending order, without allocating — the hot
 // path for availability checks.
 func (g *Graph) ForEachOrigNeighbor(n NodeID, fn func(nb NodeID)) {
-	forEachBit(g.origAdj[n], fn)
+	row := g.origAdj[n]
+	for nb := bitset.Next(row, 0); nb >= 0; nb = bitset.Next(row, nb+1) {
+		fn(NodeID(nb))
+	}
 }
 
 // OrigRow exposes node n's pre-coalescing adjacency as a raw bitset
@@ -383,29 +365,26 @@ func (g *Graph) Coalesce(a, b NodeID) NodeID {
 	// rep is never a neighbor of loser (they don't interfere), so
 	// rep's row can be fetched once without the loop invalidating it.
 	repRow := g.row(rep)
-	repW, repM := int(rep)>>6, uint64(1)<<(uint(rep)&63)
-	loserW, loserM := int(loser)>>6, uint64(1)<<(uint(loser)&63)
-	forEachBit(g.adj[loser], func(nb NodeID) {
+	lr := g.row(loser)
+	for i := bitset.Next(lr, 0); i >= 0; i = bitset.Next(lr, i+1) {
+		nb := NodeID(i)
 		nbRow := g.row(nb)
-		nbRow[loserW] &^= loserM
-		if nbRow[repW]&repM != 0 {
+		bitset.Clear(nbRow, int(loser))
+		if bitset.Has(nbRow, int(rep)) {
 			// nb had both endpoints as distinct neighbors; it keeps
 			// only the representative.
 			if !g.removed[nb] && !g.IsPhys(nb) {
 				g.degree[nb]--
 			}
-			return
+			continue
 		}
-		nbRow[repW] |= repM
-		repRow[int(nb)>>6] |= 1 << (uint(nb) & 63)
+		bitset.Set(nbRow, int(rep))
+		bitset.Set(repRow, i)
 		if !g.removed[nb] && !g.IsPhys(rep) {
 			g.degree[rep]++
 		}
-	})
-	lr := g.row(loser)
-	for i := range lr {
-		lr[i] = 0
 	}
+	clear(lr)
 	g.degree[loser] = 0
 	g.alias[loser] = rep
 	g.members[rep] = append(g.members[rep], g.members[loser]...)

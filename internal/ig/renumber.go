@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"prefcolor/internal/bitset"
 	"prefcolor/internal/ir"
 	"prefcolor/internal/liveness"
 	"prefcolor/internal/scratch"
@@ -92,7 +93,7 @@ func RenumberInto(f *ir.Func, ws *RenumberScratch) (*RenumberInfo, error) {
 	}
 
 	nv, nb := f.NumVirt, len(f.Blocks)
-	nw := (nv + 63) / 64
+	nw := bitset.Words(nv)
 	row := func(table []uint64, b ir.BlockID) []uint64 { return table[int(b)*nw : (int(b)+1)*nw] }
 
 	ws.defBits = scratch.Slice(ws.defBits, nb*nw)
@@ -109,7 +110,7 @@ func RenumberInto(f *ir.Func, ws *RenumberScratch) (*RenumberInfo, error) {
 			paramSite[r] = int32(nodes)
 			nodes++
 			if nb > 0 {
-				mayIn[r>>6] |= 1 << (uint(r) & 63)
+				bitset.Set(mayIn, r)
 			}
 		}
 	}
@@ -120,7 +121,7 @@ func RenumberInto(f *ir.Func, ws *RenumberScratch) (*RenumberInfo, error) {
 		d := row(defBits, b.ID)
 		for i := range b.Instrs {
 			if r := b.Instrs[i].Def(); r.IsVirt() {
-				d[r.VirtNum()>>6] |= 1 << (uint(r.VirtNum()) & 63)
+				bitset.Set(d, r.VirtNum())
 				nodes++
 			}
 		}
@@ -147,17 +148,17 @@ func RenumberInto(f *ir.Func, ws *RenumberScratch) (*RenumberInfo, error) {
 	// Entry nodes: live-in ∩ may-be-defined, numbered per block in
 	// ascending register order. The solver's rows index registers by
 	// their encoding, which puts virtual 0 at a word boundary.
-	ws.live.Solve(f)
+	live := liveness.ComputeInto(f, &ws.live)
 	const virtWord = int(ir.FirstVirtual) / 64
 	ws.entry = scratch.Slice(ws.entry, nb*nw)
 	ws.entryBase = scratch.Slice(ws.entryBase, nb)
 	entry, entryBase := ws.entry, ws.entryBase
 	for _, b := range f.Blocks {
-		live := ws.live.LiveInRow(b.ID)[virtWord:]
+		liveIn := live.LiveInRow(b.ID)[virtWord:]
 		e, m := row(entry, b.ID), row(mayIn, b.ID)
 		entryBase[b.ID] = int32(nodes)
 		for w := range e {
-			e[w] = live[w] & m[w]
+			e[w] = liveIn[w] & m[w]
 			nodes += bits.OnesCount64(e[w])
 		}
 	}
@@ -190,7 +191,7 @@ func RenumberInto(f *ir.Func, ws *RenumberScratch) (*RenumberInfo, error) {
 					continue
 				}
 				r := u.VirtNum()
-				if have[r>>6]&(1<<(uint(r)&63)) != 0 {
+				if bitset.Has(have, r) {
 					ops = append(ops, cur[r])
 					continue
 				}
@@ -203,7 +204,7 @@ func RenumberInto(f *ir.Func, ws *RenumberScratch) (*RenumberInfo, error) {
 			if d := instr.Def(); d.IsVirt() {
 				r := d.VirtNum()
 				cur[r] = def
-				have[r>>6] |= 1 << (uint(r) & 63)
+				bitset.Set(have, r)
 				ops = append(ops, def)
 				def++
 			}
@@ -214,11 +215,9 @@ func RenumberInto(f *ir.Func, ws *RenumberScratch) (*RenumberInfo, error) {
 		for _, s := range b.Succs {
 			node := entryBase[s]
 			for wi, w := range row(entry, s) {
-				hw := have[wi]
 				for ; w != 0; w &= w - 1 {
-					bit := bits.TrailingZeros64(w)
-					if hw&(1<<uint(bit)) != 0 {
-						uf.union(int(node), int(cur[wi<<6+bit]))
+					if r := wi<<6 + bits.TrailingZeros64(w); bitset.Has(have, r) {
+						uf.union(int(node), int(cur[r]))
 					}
 					node++
 				}

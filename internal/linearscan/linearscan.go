@@ -26,8 +26,6 @@
 //     hulls, so the assignment stays valid.
 //   - No interference graph. Hull overlap and the forbid masks answer
 //     every conflict query the scan asks.
-//   - No RegSet maps. Liveness comes from liveness.Scratch.Solve's
-//     dense rows, the same fixpoint the driver's analysis runs.
 //   - No caller-save scan. The forbid masks keep volatile registers
 //     away from every value live across a call, so the rewrite never
 //     needs a save and regalloc.RewriteColored gets a nil liveness.
@@ -63,9 +61,9 @@ package linearscan
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sort"
 
+	"prefcolor/internal/bitset"
 	"prefcolor/internal/ir"
 	"prefcolor/internal/liveness"
 	"prefcolor/internal/regalloc"
@@ -197,10 +195,10 @@ func Run(input *ir.Func, m *target.Machine, opts RunOptions) (*ir.Func, *regallo
 		MovesBefore: f.CountOp(ir.Move),
 	}
 	k := m.NumRegs
-	ws.fw = (k + 64) / 64
+	ws.fw = bitset.Words(k + 1)
 	volMask := make([]uint64, ws.fw)
 	for _, v := range m.VolatileRegs() {
-		setBit(volMask, int(ir.Phys(v)))
+		bitset.Set(volMask, int(ir.Phys(v)))
 	}
 
 	ws.temp = buf.Slice(ws.temp, f.NumVirt)
@@ -208,8 +206,7 @@ func Run(input *ir.Func, m *target.Machine, opts RunOptions) (*ir.Func, *regallo
 		stats.Rounds = round
 		nw := f.NumVirt
 		ws.reset(nw, k)
-		ws.live.Solve(f)
-		ws.prepare(f, nw, volMask)
+		ws.prepare(f, liveness.ComputeInto(f, &ws.live), nw, volMask)
 		ws.sortOrder()
 		if err := ws.scan(k); err != nil {
 			return nil, nil, err
@@ -251,9 +248,6 @@ func Run(input *ir.Func, m *target.Machine, opts RunOptions) (*ir.Func, *regallo
 	return nil, nil, fmt.Errorf("linearscan: did not converge in %d rounds", maxRounds)
 }
 
-func setBit(row []uint64, n int) { row[n>>6] |= 1 << (uint(n) & 63) }
-func clrBit(row []uint64, n int) { row[n>>6] &^= 1 << (uint(n) & 63) }
-
 // reset sizes the per-round state for nw webs and k registers and
 // clears it.
 func (ws *Workspace) reset(nw, k int) {
@@ -280,11 +274,11 @@ func (ws *Workspace) reset(nw, k int) {
 // call clobbers against everything live across the call), and each
 // web's copy partners. Webs never touched (dead parameters) keep
 // start -1.
-func (ws *Workspace) prepare(f *ir.Func, nw int, volMask []uint64) {
+func (ws *Workspace) prepare(f *ir.Func, live *liveness.Info, nw int, volMask []uint64) {
 	fw := ws.fw
 	ws.forbid = buf.Slice(ws.forbid, nw*fw)
 	ws.livePhys = buf.Slice(ws.livePhys, fw)
-	ws.liveVirt = buf.Slice(ws.liveVirt, (nw+63)/64)
+	ws.liveVirt = buf.Slice(ws.liveVirt, bitset.Words(nw))
 	ws.partners = buf.Rows(ws.partners, nw)
 
 	forbidRow := func(w int) []uint64 { return ws.forbid[w*fw : (w+1)*fw] }
@@ -300,34 +294,20 @@ func (ws *Workspace) prepare(f *ir.Func, nw int, volMask []uint64) {
 			ws.end[w] = p
 		}
 	}
-	// eachLiveVirt visits the live virtual registers, skipping skip
-	// (-1 skips nothing).
-	eachLiveVirt := func(skip int, fn func(v int)) {
-		for wi, wbits := range ws.liveVirt {
-			for t := wbits; t != 0; t &= t - 1 {
-				if v := wi<<6 + bits.TrailingZeros64(t); v != skip {
-					fn(v)
-				}
-			}
-		}
-	}
+	lv := ws.liveVirt
 	touchLiveVirt := func(p int32) {
-		for wi, wbits := range ws.liveVirt {
-			for t := wbits; t != 0; t &= t - 1 {
-				touch(wi<<6+bits.TrailingZeros64(t), p)
-			}
+		for v := bitset.Next(lv, 0); v >= 0; v = bitset.Next(lv, v+1) {
+			touch(v, p)
 		}
 	}
 
 	// Function entry defines every value live into it simultaneously:
 	// each virtual member conflicts with each physical member.
-	entry := ws.live.LiveInRow(f.Entry().ID)
-	for wi, wbits := range entry[virtWord:] {
-		for t := wbits; t != 0; t &= t - 1 {
-			row := forbidRow(wi<<6 + bits.TrailingZeros64(t))
-			for j, m := range entry[:fw] {
-				row[j] |= m
-			}
+	entry := live.LiveInRow(f.Entry().ID)
+	for r := bitset.Next(entry, int(ir.FirstVirtual)); r >= 0; r = bitset.Next(entry, r+1) {
+		row := forbidRow(r - int(ir.FirstVirtual))
+		for j, m := range entry[:fw] {
+			row[j] |= m
 		}
 	}
 
@@ -337,8 +317,8 @@ func (ws *Workspace) prepare(f *ir.Func, nw int, volMask []uint64) {
 		endPos := startPos + int32(len(b.Instrs)) + 1
 		pos = endPos + 1
 
-		out := ws.live.LiveOutRow(b.ID)
-		copy(ws.liveVirt, out[virtWord:])
+		out := live.LiveOutRow(b.ID)
+		copy(lv, out[virtWord:])
 		copy(ws.livePhys, out[:fw])
 		touchLiveVirt(endPos)
 
@@ -352,24 +332,24 @@ func (ws *Workspace) prepare(f *ir.Func, nw int, volMask []uint64) {
 					// The copy-source exception skips adding that one
 					// bit at this def event only; a conflict some
 					// other def already established must survive, so
-					// mask the addition rather than clearing the row.
-					exclW, exclM := -1, uint64(0)
-					if isCopy && in.Uses[0].IsPhys() {
-						u := in.Uses[0]
-						exclW, exclM = int(u)>>6, 1<<(uint(u)&63)
-					}
+					// the bit is cleared again only if it was new.
+					drop := isCopy && in.Uses[0].IsPhys() && !bitset.Has(row, int(in.Uses[0]))
 					for j, m := range ws.livePhys {
-						if j == exclW {
-							m &^= exclM
-						}
 						row[j] |= m
+					}
+					if drop {
+						bitset.Clear(row, int(in.Uses[0]))
 					}
 				} else if d.IsPhys() {
 					excl := -1
 					if isCopy && in.Uses[0].IsVirt() {
 						excl = in.Uses[0].VirtNum()
 					}
-					eachLiveVirt(excl, func(v int) { setBit(forbidRow(v), int(d)) })
+					for v := bitset.Next(lv, 0); v >= 0; v = bitset.Next(lv, v+1) {
+						if v != excl {
+							bitset.Set(forbidRow(v), int(d))
+						}
+					}
 				}
 			}
 			if in.Op == ir.Call {
@@ -377,12 +357,14 @@ func (ws *Workspace) prepare(f *ir.Func, nw int, volMask []uint64) {
 				if d := in.Def(); d.IsVirt() {
 					defV = d.VirtNum()
 				}
-				eachLiveVirt(defV, func(v int) {
-					row := forbidRow(v)
-					for j, m := range volMask {
-						row[j] |= m
+				for v := bitset.Next(lv, 0); v >= 0; v = bitset.Next(lv, v+1) {
+					if v != defV {
+						row := forbidRow(v)
+						for j, m := range volMask {
+							row[j] |= m
+						}
 					}
-				})
+				}
 			}
 			if isCopy {
 				d, u := in.Defs[0], in.Uses[0]
@@ -397,18 +379,18 @@ func (ws *Workspace) prepare(f *ir.Func, nw int, volMask []uint64) {
 			}
 			for _, d := range in.Defs {
 				if d.IsVirt() {
-					clrBit(ws.liveVirt, d.VirtNum())
+					bitset.Clear(lv, d.VirtNum())
 					touch(d.VirtNum(), ipos)
 				} else if d.IsPhys() {
-					clrBit(ws.livePhys, int(d))
+					bitset.Clear(ws.livePhys, int(d))
 				}
 			}
 			for _, u := range in.Uses {
 				if u.IsVirt() {
-					setBit(ws.liveVirt, u.VirtNum())
+					bitset.Set(lv, u.VirtNum())
 					touch(u.VirtNum(), ipos)
 				} else if u.IsPhys() {
-					setBit(ws.livePhys, int(u))
+					bitset.Set(ws.livePhys, int(u))
 				}
 			}
 		}
@@ -436,8 +418,7 @@ func (ws *Workspace) sortOrder() {
 // allowed reports whether web w may sit in register r: no forbid-mask
 // conflict with the physical register.
 func (ws *Workspace) allowed(w, r int32) bool {
-	bit := int(r) + 1 // int(ir.Phys(r))
-	return ws.forbid[int(w)*ws.fw+bit>>6]&(1<<(uint(bit)&63)) == 0
+	return !bitset.Has(ws.forbid[int(w)*ws.fw:], int(r)+1) // bit int(ir.Phys(r))
 }
 
 // preferred returns the register of w's first copy partner (reverse

@@ -3,8 +3,18 @@ package liveness
 import (
 	"testing"
 
+	"prefcolor/internal/bitset"
 	"prefcolor/internal/ir"
 )
+
+// regs lists a liveness row's registers, for failure messages.
+func regs(row []uint64) []ir.Reg {
+	var out []ir.Reg
+	for r := bitset.Next(row, 0); r >= 0; r = bitset.Next(row, r+1) {
+		out = append(out, ir.Reg(r))
+	}
+	return out
+}
 
 func TestStraightLine(t *testing.T) {
 	f := ir.MustParse(`
@@ -16,15 +26,15 @@ b0:
 }
 `)
 	li := Compute(f)
-	in := li.LiveIn(0)
-	if !in.Has(ir.Virt(0)) || !in.Has(ir.Virt(1)) {
-		t.Errorf("live-in = %v, want v0 and v1", in)
+	in := li.LiveInRow(0)
+	if !bitset.Has(in, int(ir.Virt(0))) || !bitset.Has(in, int(ir.Virt(1))) {
+		t.Errorf("live-in = %v, want v0 and v1", regs(in))
 	}
-	if in.Has(ir.Virt(2)) || in.Has(ir.Virt(3)) {
-		t.Errorf("live-in = %v has locally-defined regs", in)
+	if bitset.Has(in, int(ir.Virt(2))) || bitset.Has(in, int(ir.Virt(3))) {
+		t.Errorf("live-in = %v has locally-defined regs", regs(in))
 	}
-	if len(li.LiveOut(0)) != 0 {
-		t.Errorf("live-out of exit block = %v, want empty", li.LiveOut(0))
+	if bitset.Count(li.LiveOutRow(0)) != 0 {
+		t.Errorf("live-out of exit block = %v, want empty", regs(li.LiveOutRow(0)))
 	}
 }
 
@@ -45,14 +55,14 @@ b2:
 }
 `)
 	li := Compute(f)
-	if !li.LiveOut(1).Has(ir.Virt(1)) {
-		t.Errorf("v1 not live out of loop body: %v", li.LiveOut(1))
+	if !bitset.Has(li.LiveOutRow(1), int(ir.Virt(1))) {
+		t.Errorf("v1 not live out of loop body: %v", regs(li.LiveOutRow(1)))
 	}
-	if !li.LiveIn(1).Has(ir.Virt(1)) || !li.LiveIn(1).Has(ir.Virt(0)) {
-		t.Errorf("live-in(b1) = %v, want v0, v1", li.LiveIn(1))
+	if !bitset.Has(li.LiveInRow(1), int(ir.Virt(1))) || !bitset.Has(li.LiveInRow(1), int(ir.Virt(0))) {
+		t.Errorf("live-in(b1) = %v, want v0, v1", regs(li.LiveInRow(1)))
 	}
-	if !li.LiveOut(0).Has(ir.Virt(1)) {
-		t.Errorf("live-out(b0) = %v, want v1", li.LiveOut(0))
+	if !bitset.Has(li.LiveOutRow(0), int(ir.Virt(1))) {
+		t.Errorf("live-out(b0) = %v, want v1", regs(li.LiveOutRow(0)))
 	}
 }
 
@@ -74,19 +84,19 @@ b3:
 `)
 	li := Compute(f)
 	// φ uses are live out of the matching predecessor only.
-	if !li.LiveOut(1).Has(ir.Virt(1)) || li.LiveOut(1).Has(ir.Virt(2)) {
-		t.Errorf("live-out(b1) = %v, want {v1}", li.LiveOut(1))
+	if !bitset.Has(li.LiveOutRow(1), int(ir.Virt(1))) || bitset.Has(li.LiveOutRow(1), int(ir.Virt(2))) {
+		t.Errorf("live-out(b1) = %v, want {v1}", regs(li.LiveOutRow(1)))
 	}
-	if !li.LiveOut(2).Has(ir.Virt(2)) || li.LiveOut(2).Has(ir.Virt(1)) {
-		t.Errorf("live-out(b2) = %v, want {v2}", li.LiveOut(2))
+	if !bitset.Has(li.LiveOutRow(2), int(ir.Virt(2))) || bitset.Has(li.LiveOutRow(2), int(ir.Virt(1))) {
+		t.Errorf("live-out(b2) = %v, want {v2}", regs(li.LiveOutRow(2)))
 	}
 	// φ def is not live-in to its own block.
-	if li.LiveIn(3).Has(ir.Virt(3)) {
-		t.Errorf("live-in(b3) = %v contains φ def", li.LiveIn(3))
+	if bitset.Has(li.LiveInRow(3), int(ir.Virt(3))) {
+		t.Errorf("live-in(b3) = %v contains φ def", regs(li.LiveInRow(3)))
 	}
 	// And the φ arguments are not live-in to b3 either.
-	if li.LiveIn(3).Has(ir.Virt(1)) || li.LiveIn(3).Has(ir.Virt(2)) {
-		t.Errorf("live-in(b3) = %v contains φ uses", li.LiveIn(3))
+	if bitset.Has(li.LiveInRow(3), int(ir.Virt(1))) || bitset.Has(li.LiveInRow(3), int(ir.Virt(2))) {
+		t.Errorf("live-in(b3) = %v contains φ uses", regs(li.LiveInRow(3)))
 	}
 }
 
@@ -101,8 +111,8 @@ b0:
 }
 `)
 	li := Compute(f)
-	if !li.LiveIn(0).Has(ir.Phys(0)) {
-		t.Errorf("live-in = %v, want r0 (param register read at entry)", li.LiveIn(0))
+	if !bitset.Has(li.LiveInRow(0), int(ir.Phys(0))) {
+		t.Errorf("live-in = %v, want r0 (param register read at entry)", regs(li.LiveInRow(0)))
 	}
 }
 
@@ -116,20 +126,20 @@ b0:
 }
 `)
 	li := Compute(f)
-	var liveAfterAdd, liveAfterLoad ir.RegSet
-	li.ForEachInstrReverse(f.Blocks[0], func(idx int, in *ir.Instr, live ir.RegSet) {
+	var liveAfterAdd, liveAfterLoad []uint64
+	li.ForEachInstrReverse(f.Blocks[0], func(idx int, in *ir.Instr, live []uint64) {
 		switch idx {
 		case 1:
-			liveAfterAdd = live.Clone()
+			liveAfterAdd = append([]uint64(nil), live...)
 		case 0:
-			liveAfterLoad = live.Clone()
+			liveAfterLoad = append([]uint64(nil), live...)
 		}
 	})
-	if !liveAfterAdd.Has(ir.Virt(2)) || liveAfterAdd.Has(ir.Virt(1)) {
-		t.Errorf("live after add = %v, want {v2}", liveAfterAdd)
+	if !bitset.Has(liveAfterAdd, int(ir.Virt(2))) || bitset.Has(liveAfterAdd, int(ir.Virt(1))) {
+		t.Errorf("live after add = %v, want {v2}", regs(liveAfterAdd))
 	}
-	if !liveAfterLoad.Has(ir.Virt(0)) || !liveAfterLoad.Has(ir.Virt(1)) {
-		t.Errorf("live after loadimm = %v, want v0 and v1", liveAfterLoad)
+	if !bitset.Has(liveAfterLoad, int(ir.Virt(0))) || !bitset.Has(liveAfterLoad, int(ir.Virt(1))) {
+		t.Errorf("live after loadimm = %v, want v0 and v1", regs(liveAfterLoad))
 	}
 }
 
@@ -145,13 +155,13 @@ b0:
 `)
 	li := Compute(f)
 	across := li.LiveAcrossCalls(func(ir.BlockID) float64 { return 1 })
-	if across[ir.Virt(1)] != 1 {
-		t.Errorf("v1 across-call weight = %v, want 1", across[ir.Virt(1)])
+	if across[1] != 1 {
+		t.Errorf("v1 across-call weight = %v, want 1", across[1])
 	}
-	if _, ok := across[ir.Virt(0)]; ok {
+	if across[0] != 0 {
 		t.Errorf("v0 dies at the call but counted as across: %v", across)
 	}
-	if _, ok := across[ir.Virt(2)]; ok {
+	if across[2] != 0 {
 		t.Errorf("v2 is defined by the call but counted as across: %v", across)
 	}
 }
@@ -176,33 +186,7 @@ b2:
 		}
 		return 1
 	})
-	if across[ir.Virt(1)] != 10 {
-		t.Errorf("v1 across-call weight = %v, want 10", across[ir.Virt(1)])
-	}
-}
-
-func TestRegSetOps(t *testing.T) {
-	s := ir.NewRegSet(ir.Virt(1), ir.Virt(2))
-	if !s.Has(ir.Virt(1)) || s.Has(ir.Virt(3)) {
-		t.Error("Has wrong")
-	}
-	s.Add(ir.NoReg)
-	if len(s) != 2 {
-		t.Error("NoReg was added")
-	}
-	c := s.Clone()
-	c.Remove(ir.Virt(1))
-	if !s.Has(ir.Virt(1)) {
-		t.Error("Clone aliases")
-	}
-	if s.Equal(c) {
-		t.Error("Equal wrong after removal")
-	}
-	grew := c.AddAll(s)
-	if !grew || !c.Equal(s) {
-		t.Error("AddAll wrong")
-	}
-	if got := ir.NewRegSet(ir.Virt(2), ir.Phys(0), ir.Virt(1)).String(); got != "{r0, v1, v2}" {
-		t.Errorf("String = %q", got)
+	if across[1] != 10 {
+		t.Errorf("v1 across-call weight = %v, want 10", across[1])
 	}
 }

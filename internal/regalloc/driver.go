@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"prefcolor/internal/bitset"
 	"prefcolor/internal/ig"
 	"prefcolor/internal/ir"
 	"prefcolor/internal/liveness"
@@ -657,49 +658,47 @@ func rewrite(ctx *Context, res *Result, stats *Stats) (*ir.Func, error) {
 // this by construction: its clobber masks forbid volatile registers
 // to every web live across a call.
 func RewriteColored(f *ir.Func, m *target.Machine, live *liveness.Info, colors []int, stats *Stats) (*ir.Func, error) {
-	// Caller-save insertion: find, per call, the webs assigned
-	// volatile registers that live across it.
+	// Caller-save insertion: per call, the webs assigned volatile
+	// registers that live across it are stored before the call and
+	// reloaded after it. The scan meets a block's calls last to first
+	// and each call's webs in ascending order.
 	type savePoint struct {
 		idx  int
 		webs []int
 	}
-	saves := map[ir.BlockID][]savePoint{}
+	var pts []savePoint
+	saveSlot := map[int]int64{}
 	for _, b := range f.Blocks {
 		if live == nil {
 			break
 		}
-		live.ForEachInstrReverse(b, func(i int, in *ir.Instr, liveAfter ir.RegSet) {
+		pts = pts[:0]
+		live.ForEachInstrReverse(b, func(i int, in *ir.Instr, liveAfter []uint64) {
 			if in.Op != ir.Call {
 				return
 			}
 			var webs []int
-			for r := range liveAfter {
-				if !r.IsVirt() || r == in.Def() {
-					continue
-				}
-				if m.IsVolatile(colors[r.VirtNum()]) {
-					webs = append(webs, r.VirtNum())
+			def := int(in.Def())
+			for r := bitset.Next(liveAfter, int(ir.FirstVirtual)); r >= 0; r = bitset.Next(liveAfter, r+1) {
+				if w := r - int(ir.FirstVirtual); r != def && m.IsVolatile(colors[w]) {
+					webs = append(webs, w)
 				}
 			}
 			if len(webs) > 0 {
-				sortInts(webs)
-				saves[b.ID] = append(saves[b.ID], savePoint{idx: i, webs: webs})
+				pts = append(pts, savePoint{idx: i, webs: webs})
 			}
 		})
-	}
-	saveSlot := map[int]int64{}
-	for _, b := range f.Blocks {
-		pts := saves[b.ID]
 		if len(pts) == 0 {
 			continue
 		}
-		byIdx := map[int][]int{}
-		for _, p := range pts {
-			byIdx[p.idx] = p.webs
-		}
+		next := len(pts) - 1 // the cursor: pts runs last call first
 		out := make([]ir.Instr, 0, len(b.Instrs))
 		for i := range b.Instrs {
-			webs := byIdx[i]
+			var webs []int
+			if next >= 0 && pts[next].idx == i {
+				webs = pts[next].webs
+				next--
+			}
 			for _, w := range webs {
 				s, ok := saveSlot[w]
 				if !ok {
@@ -769,12 +768,4 @@ func RewriteColored(f *ir.Func, m *target.Machine, live *liveness.Info, colors [
 		return nil, fmt.Errorf("regalloc: rewrite produced invalid IR: %w", err)
 	}
 	return f, nil
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -15,6 +15,7 @@ package priority
 import (
 	"sort"
 
+	"prefcolor/internal/bitset"
 	"prefcolor/internal/ig"
 	"prefcolor/internal/ir"
 	"prefcolor/internal/regalloc"
@@ -40,11 +41,9 @@ func (*Allocator) Allocate(ctx *regalloc.Context) (*regalloc.Result, error) {
 	// quotient.
 	size := make([]float64, ctx.F.NumVirt)
 	for _, b := range ctx.F.Blocks {
-		ctx.Live.ForEachInstrReverse(b, func(_ int, in *ir.Instr, liveAfter ir.RegSet) {
-			for r := range liveAfter {
-				if r.IsVirt() {
-					size[r.VirtNum()]++
-				}
+		ctx.Live.ForEachInstrReverse(b, func(_ int, in *ir.Instr, liveAfter []uint64) {
+			for r := bitset.Next(liveAfter, int(ir.FirstVirtual)); r >= 0; r = bitset.Next(liveAfter, r+1) {
+				size[r-int(ir.FirstVirtual)]++
 			}
 			for _, d := range in.Defs {
 				if d.IsVirt() {

@@ -16,6 +16,7 @@
 package ssa
 
 import (
+	"prefcolor/internal/bitset"
 	"prefcolor/internal/cfg"
 	"prefcolor/internal/ir"
 	"prefcolor/internal/liveness"
@@ -33,21 +34,21 @@ func Build(f *ir.Func) {
 		if !dom.Reachable(b.ID) {
 			continue
 		}
-		seen := ir.NewRegSet()
+		seen := map[ir.Reg]bool{}
 		for i := range b.Instrs {
 			for _, d := range b.Instrs[i].Defs {
-				if d.IsVirt() && !seen.Has(d) {
-					seen.Add(d)
+				if d.IsVirt() && !seen[d] {
+					seen[d] = true
 					defsites[d] = append(defsites[d], b.ID)
 				}
 			}
 		}
 	}
 	// Parameters are defined at entry.
-	entrySeen := ir.NewRegSet()
+	entrySeen := map[ir.Reg]bool{}
 	for _, p := range f.Params {
-		if p.IsVirt() && !entrySeen.Has(p) {
-			entrySeen.Add(p)
+		if p.IsVirt() && !entrySeen[p] {
+			entrySeen[p] = true
 			defsites[p] = append(defsites[p], 0)
 		}
 	}
@@ -65,7 +66,7 @@ func Build(f *ir.Func) {
 			b := work[len(work)-1]
 			work = work[:len(work)-1]
 			for _, y := range df[b] {
-				if placed[y] || !live.LiveIn(y).Has(v) {
+				if placed[y] || !bitset.Has(live.LiveInRow(y), int(v)) {
 					continue
 				}
 				placed[y] = true

@@ -45,9 +45,11 @@ func diffSelect(t *testing.T, f *ir.Func, m *target.Machine, alloc *core.Allocat
 
 // TestSelectorMatchesReference pins the tentpole equivalence: the
 // incremental selector (lazy max-heap ready set, maintained forbidden-
-// register masks) is bit-identical to the retained full-scan reference
-// across every workload profile, both preference modes, and every
-// ablation variant.
+// register masks, recolor passes that skip clean copy components and
+// cache current scores) is bit-identical to the retained full-scan
+// reference, which re-evaluates every unhonored move in every recolor
+// pass, across every workload profile, both preference modes, and
+// every ablation variant.
 func TestSelectorMatchesReference(t *testing.T) {
 	m := target.UsageModel(16)
 	profiles := append(workload.Benchmarks(), workload.Large())

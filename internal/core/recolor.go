@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 	"sort"
 
@@ -12,10 +13,12 @@ import (
 // recolorPasses bounds the greedy fixup iterations.
 const recolorPasses = 3
 
-// recolorCand is one unhonored-copy repair candidate.
+// recolorCand is one unhonored-copy repair candidate. evalAt is the
+// recolor clock at the start of its last evaluation.
 type recolorCand struct {
-	x, y ig.NodeID
-	w    float64
+	x, y   ig.NodeID
+	w      float64
+	evalAt uint32
 }
 
 // planOverlay is a proposed recoloring: a handful of (node, color)
@@ -69,9 +72,22 @@ func (p *planOverlay) len() int {
 // change is a net win; validity is checked against the original
 // interference graph, so the assignment stays correct by
 // construction.
+//
+// Passes after the first retry a move only when a recoloring since the
+// start of its last evaluation dirtied its copy component (see
+// noteRecolored; DESIGN §16 gives the read-set argument for why the
+// skip is exact). The reference selector runs every unhonored move in
+// every pass, with every score recomputed.
 func (s *selector) recolorFixup() {
 	g := s.ctx.Graph
 	s.buildRecolorIndex()
+	s.rcClock = 0
+	s.rcDirty = scratch.Slice(s.rcDirty, g.NumNodes())
+	s.rcScoreOK = scratch.Slice(s.rcScoreOK, g.NumNodes())
+	s.rcScore = scratch.Slice(s.rcScore, g.NumNodes())
+	s.rcPlanOff = scratch.Fill(s.rcPlanOff, g.NumNodes(), -1)
+	s.rcPlanAt = scratch.Slice(s.rcPlanAt, g.NumNodes())
+	s.rcPlanDelta = s.rcPlanDelta[:0]
 	moves := s.rcMoves[:0]
 	if s.rcSeen == nil {
 		s.rcSeen = map[[2]ig.NodeID]bool{}
@@ -87,18 +103,23 @@ func (s *selector) recolorFixup() {
 			continue
 		}
 		seen[key] = true
-		moves = append(moves, recolorCand{m.X, m.Y, m.Weight})
+		moves = append(moves, recolorCand{x: m.X, y: m.Y, w: m.Weight})
 	}
 	s.rcMoves = moves
 	sort.SliceStable(moves, func(i, j int) bool { return moves[i].w > moves[j].w })
 
 	for pass := 0; pass < recolorPasses; pass++ {
 		changed := false
-		for _, mv := range moves {
+		for i := range moves {
+			mv := &moves[i]
 			cx, cy := s.colorOf(mv.x), s.colorOf(mv.y)
 			if cx < 0 || cy < 0 || cx == cy {
 				continue
 			}
+			if pass > 0 && !s.refSelect && s.rcDirty[s.compOf(mv.x)] <= mv.evalAt {
+				continue
+			}
+			mv.evalAt = s.rcClock
 			if s.tryPlans(mv.x, mv.y) {
 				changed = true
 			}
@@ -151,11 +172,16 @@ func (s *selector) tryPlans(x, y ig.NodeID) bool {
 	// onto a single color (star- and chain-shaped copy groups need
 	// more than two nodes to move together).
 	if members := s.compMembers(x); len(members) > 2 && len(members) <= maxCompPlan {
-		for c := 0; c < k; c++ {
-			s.componentPlan(members, c, plan)
-			if plan.len() >= 2 {
-				bestDelta, haveBest = s.considerPlan(plan, bestDelta, haveBest)
+		bestC := -1
+		for c, d := range s.compPlanDeltas(x, members) {
+			if d > bestDelta+1e-9 {
+				bestDelta, haveBest, bestC = d, true, c
 			}
+		}
+		if bestC >= 0 {
+			s.componentPlan(members, bestC, plan)
+			s.rcBest.nodes = append(s.rcBest.nodes[:0], plan.nodes...)
+			s.rcBest.colors = append(s.rcBest.colors[:0], plan.colors...)
 		}
 	}
 	if !haveBest {
@@ -172,16 +198,7 @@ func (s *selector) tryPlans(x, y ig.NodeID) bool {
 // strictly beats bestDelta it is copied into s.rcBest. Returns the
 // updated running best.
 func (s *selector) considerPlan(plan *planOverlay, bestDelta float64, haveBest bool) (float64, bool) {
-	g := s.ctx.Graph
-	delta := 0.0
-	for i, n := range plan.nodes {
-		nc := plan.colors[i]
-		if g.IsPhys(n) || !s.colorFreeFor(n, nc, plan) {
-			return bestDelta, haveBest
-		}
-		delta += s.nodeScore(n, nc, plan) - s.nodeScore(n, s.colorOf(n), nil)
-	}
-	if delta > bestDelta+1e-9 {
+	if delta, ok := s.planDelta(plan); ok && delta > bestDelta+1e-9 {
 		s.rcBest.nodes = append(s.rcBest.nodes[:0], plan.nodes...)
 		s.rcBest.colors = append(s.rcBest.colors[:0], plan.colors...)
 		return delta, true
@@ -189,8 +206,55 @@ func (s *selector) considerPlan(plan *planOverlay, bestDelta float64, haveBest b
 	return bestDelta, haveBest
 }
 
+// planDelta is plan's score gain over the current assignment; ok is
+// false when some planned node may not wear its planned color.
+func (s *selector) planDelta(plan *planOverlay) (delta float64, ok bool) {
+	g := s.ctx.Graph
+	for i, n := range plan.nodes {
+		nc := plan.colors[i]
+		if g.IsPhys(n) || !s.colorFreeFor(n, nc, plan) {
+			return 0, false
+		}
+		delta += s.nodeScore(n, nc, plan) - s.currentScore(n)
+	}
+	return delta, true
+}
+
+// compPlanDeltas returns, per color c, the gain of moving x's copy
+// component onto c (componentPlan), or NaN — which never beats a
+// running best — when that plan has fewer than two nodes or is
+// invalid. The deltas read only the component's read set (see
+// noteRecolored), so outside the reference selector they are cached
+// per component and reused by its other moves until the component is
+// stamped.
+func (s *selector) compPlanDeltas(x ig.NodeID, members []ig.NodeID) []float64 {
+	k, root := s.ctx.K(), s.compOf(x)
+	off := int(s.rcPlanOff[root])
+	switch {
+	case off < 0:
+		off = len(s.rcPlanDelta)
+		s.rcPlanOff[root] = int32(off)
+		s.rcPlanDelta = append(s.rcPlanDelta, make([]float64, k)...)
+	case !s.refSelect && s.rcDirty[root] <= s.rcPlanAt[root]:
+		return s.rcPlanDelta[off : off+k]
+	}
+	s.rcPlanAt[root] = s.rcClock
+	deltas := s.rcPlanDelta[off : off+k]
+	plan := &s.rcPlan
+	for c := range deltas {
+		deltas[c] = math.NaN()
+		s.componentPlan(members, c, plan)
+		if plan.len() >= 2 {
+			if d, ok := s.planDelta(plan); ok {
+				deltas[c] = d
+			}
+		}
+	}
+	return deltas
+}
+
 // recolorTo commits node n to color c, keeping the per-color
-// occupancy bitsets in sync.
+// occupancy bitsets, the dirty stamps and the score cache in sync.
 func (s *selector) recolorTo(n ig.NodeID, c int) {
 	if old := s.color[n]; old >= 0 && old < s.ctx.K() {
 		bitset.Clear(s.colorRow(old), int(n))
@@ -199,6 +263,47 @@ func (s *selector) recolorTo(n ig.NodeID, c int) {
 	if c >= 0 && c < s.ctx.K() {
 		bitset.Set(s.colorRow(c), int(n))
 	}
+	if !s.refSelect {
+		s.noteRecolored(n)
+	}
+}
+
+// noteRecolored records that n's color changed. It stamps, with a
+// fresh clock value, every copy component whose moves read n's color:
+// n's own (plans move it and score it), those of n's original-graph
+// neighbors (colorFreeFor reads n's color for them), and those of the
+// nodes holding a preference aimed at n (nodeScore reads n's color for
+// them). The cached current scores that read n's color — n's own and
+// those of its preference sources — are dropped.
+func (s *selector) noteRecolored(n ig.NodeID) {
+	s.rcClock++
+	clock := s.rcClock
+	s.rcDirty[s.compOf(n)] = clock
+	s.rcScoreOK[n] = false
+	for wi, w := range s.ctx.Graph.OrigRow(n) {
+		base := ig.NodeID(wi << 6)
+		for w != 0 {
+			s.rcDirty[s.compOf(base+ig.NodeID(bits.TrailingZeros64(w)))] = clock
+			w &= w - 1
+		}
+	}
+	for _, src := range s.prefSources[n] {
+		s.rcDirty[s.compOf(src)] = clock
+		s.rcScoreOK[src] = false
+	}
+}
+
+// currentScore is nodeScore(n, colorOf(n), nil), cached per node
+// outside the reference selector; noteRecolored drops the entries a
+// recoloring changes.
+func (s *selector) currentScore(n ig.NodeID) float64 {
+	if s.refSelect {
+		return s.nodeScore(n, s.colorOf(n), nil)
+	}
+	if !s.rcScoreOK[n] {
+		s.rcScore[n], s.rcScoreOK[n] = s.nodeScore(n, s.colorOf(n), nil), true
+	}
+	return s.rcScore[n]
 }
 
 // colorRow returns color c's occupancy row in rcColorBits.

@@ -45,15 +45,30 @@ type selector struct {
 	// neighbor holds register c. It is maintained incrementally —
 	// noteColored sets one bit per neighbor as a node is colored,
 	// noteUncolored re-derives the freed bit on the rare eviction path
-	// — so availRegsInto reads a mask instead of rebuilding it from a
-	// full neighbor walk on every priority recompute.
+	// — so availRow reads a mask instead of rebuilding it from a full
+	// neighbor walk on every priority recompute.
 	forbid []uint64
 	kwords int
 
-	// refSelect routes chooseNode and availRegsInto through the
-	// retained reference implementations (full ready-set scan,
-	// per-query neighbor walk — select_ref.go), which the differential
-	// tests pin the incremental structures against bit for bit.
+	// Every register set selection handles is a kwords-word row laid
+	// out like the forbid rows: bit r is register r. allRegs holds the
+	// registers below k and volRegs the volatile ones among them.
+	// pairRows caches, per partner color c, the registers r below k
+	// with PairOK(r, c) (slot 2c, what honors SeqPlus) and with
+	// PairOK(c, r) (slot 2c+1, SeqMinus); pairReady marks the slots
+	// filled this round. regRows holds the per-call-path scratch rows
+	// named by the row* constants.
+	allRegs   []uint64
+	volRegs   []uint64
+	pairRows  []uint64
+	pairReady []bool
+	regRows   []uint64
+
+	// refSelect routes chooseNode and availRow through the retained
+	// reference implementations (full ready-set scan, per-query
+	// neighbor walk — select_ref.go), and recolorFixup through its
+	// full re-evaluation loop; the differential tests pin the
+	// incremental structures against them bit for bit.
 	refSelect bool
 
 	// comp groups copy-related nodes into components (transitive
@@ -76,30 +91,16 @@ type selector struct {
 	priOK       []bool
 	prefSources [][]ig.NodeID
 
-	// Reusable per-call buffers. Each availRegs-style query writes into
-	// a buffer dedicated to its call path, so results that must stay
-	// live across a nested query never share backing: availOut carries
-	// processNode's candidate set, priBuf the one priority() ranks
-	// with, and tAvail the partner set partnerStillPossible consults
-	// while availOut is still being screened. hrBuf holds honoringRegs
-	// results (always consumed before the next preference is
-	// classified), and candA/candB ping-pong as chooseReg's screening
-	// write targets — the invariant there is that the current candidate
-	// set never aliases the buffer being written.
-	availMask []bool
-	availOut  []int
-	priBuf    []int
-	tAvail    []int
-	hrBuf     []int
-	candA     []int
-	candB     []int
 	strengths []float64
 	honorable []rankedPref
 	deferred  []*Pref
 
 	// Recolor-fixup scratch (see recolor.go): candidate moves, the
-	// per-color occupancy bitsets, the copy-component CSR buckets, and
-	// the reusable plan overlays.
+	// per-color occupancy bitsets, the copy-component CSR buckets, the
+	// reusable plan overlays, the dirty stamps that let later passes
+	// skip components nothing touched, the cached current scores, and
+	// the cached component-plan deltas (arena offset and clock per
+	// component root).
 	rcMoves     []recolorCand
 	rcSeen      map[[2]ig.NodeID]bool
 	rcColorBits []uint64
@@ -108,7 +109,29 @@ type selector struct {
 	rcCompMem   []ig.NodeID
 	rcPlan      planOverlay
 	rcBest      planOverlay
+	rcClock     uint32
+	rcDirty     []uint32
+	rcScore     []float64
+	rcScoreOK   []bool
+	rcPlanOff   []int32
+	rcPlanAt    []uint32
+	rcPlanDelta []float64
 }
+
+// The regRows slots. Each call path writes its own row, so a set that
+// must stay live across a nested query never shares backing: tracing
+// may rank n (rowPri) while processNode's candidates (rowAvail,
+// rowCand) are live, and the deferred screen reads the partner's free
+// registers (rowPartner) while screening.
+const (
+	rowAvail   = iota // processNode's available registers
+	rowPri            // priority's available registers
+	rowHonor          // prefState's honoring set, consumed at once
+	rowCand           // chooseReg's surviving candidates
+	rowSub            // chooseReg's screening write target
+	rowPartner        // a deferred partner's free registers
+	numRegRows
+)
 
 // rankedPref pairs a preference with its current honoring strength for
 // chooseReg's strongest-first screening order.
@@ -148,6 +171,7 @@ func newSelectorIn(s *selector, ctx *regalloc.Context, rpg *RPG, cpg *CPG, mode 
 	s.heap = s.heap[:0]
 	s.compArena = s.compArena[:0]
 	s.initForbid(g, ctx.K())
+	s.initRegRows(g, ctx)
 
 	if cap(s.comp) < n {
 		s.comp = make([]int32, n)
@@ -254,7 +278,7 @@ func (s *selector) run() (*regalloc.Result, error) {
 		}
 	}
 
-	res := regalloc.NewResult()
+	res := &regalloc.Result{Colors: make(map[ig.NodeID]int, numWebs)}
 	for s.nProcessed < numWebs {
 		if tel.Enabled() {
 			tel.ObserveReady(s.readyCount)
@@ -406,12 +430,11 @@ func (s *selector) noteUncolored(n ig.NodeID, old int) {
 }
 
 // priority computes the step-2.3/3 strength differential for node n.
-// It works out of its own avail buffer (priBuf) because tracing may
-// ask for a priority while processNode's candidate sets are still
-// live in availOut.
+// It works out of its own row (rowPri) because tracing may ask for a
+// priority while processNode's candidate sets are still live.
 func (s *selector) priority(n ig.NodeID) float64 {
-	s.priBuf = s.availRegsInto(s.priBuf[:0], n)
-	avail := s.priBuf
+	avail := s.regRow(rowPri)
+	s.availRow(avail, n)
 	strengths := s.strengths[:0]
 	for _, pi := range s.rpg.Prefs(n) {
 		p := s.rpg.Pref(pi)
@@ -444,10 +467,12 @@ const (
 )
 
 // prefState classifies preference p for a node whose available
-// registers are avail, returning the best honoring strength when
-// honorable.
-func (s *selector) prefState(p *Pref, avail []int) (float64, prefStatus) {
-	g, m := s.ctx.Graph, s.ctx.Machine
+// registers are the row avail, returning the best honoring strength
+// when honorable. A register's strength depends only on its volatility,
+// so the best over the honoring set is the larger of the strengths of
+// the volatility classes the set meets.
+func (s *selector) prefState(p *Pref, avail []uint64) (float64, prefStatus) {
+	g := s.ctx.Graph
 	if p.To >= 0 {
 		if s.spilled[p.To] {
 			return 0, prefDead
@@ -459,98 +484,107 @@ func (s *selector) prefState(p *Pref, avail []int) (float64, prefStatus) {
 			return 0, prefDeferred
 		}
 	}
-	regs := s.honoringRegs(p, avail)
-	if len(regs) == 0 {
+	hr := s.regRow(rowHonor)
+	if !s.honorBits(hr, p, avail) {
 		return 0, prefDead
 	}
+	hasVol, hasNonVol := false, false
+	for i, w := range hr {
+		hasVol = hasVol || w&s.volRegs[i] != 0
+		hasNonVol = hasNonVol || w&^s.volRegs[i] != 0
+	}
 	best := math.Inf(-1)
-	for _, r := range regs {
-		best = math.Max(best, p.StrengthFor(m.IsVolatile(r)))
+	if hasVol {
+		best = math.Max(best, p.StrengthFor(true))
+	}
+	if hasNonVol {
+		best = math.Max(best, p.StrengthFor(false))
 	}
 	return best, prefHonorable
 }
 
-// honoringRegs filters avail down to the registers that honor p, in
-// the selector's hrBuf (valid until the next honoringRegs call).
-func (s *selector) honoringRegs(p *Pref, avail []int) []int {
-	s.hrBuf = s.honoringRegsInto(s.hrBuf[:0], p, avail)
-	return s.hrBuf
-}
-
-// honoringRegsInto appends to out the members of avail that honor p.
-// out must not alias avail.
-func (s *selector) honoringRegsInto(out []int, p *Pref, avail []int) []int {
-	m := s.ctx.Machine
+// honorBits writes to dst the members of avail that honor p under the
+// current partner colors, and reports whether there are any. dst must
+// not alias avail.
+func (s *selector) honorBits(dst []uint64, p *Pref, avail []uint64) bool {
+	k := s.ctx.K()
+	clear(dst)
+	var or uint64
 	switch p.Kind {
 	case Coalesce:
-		tc := s.color[p.To]
-		for _, r := range avail {
-			if r == tc {
-				out = append(out, r)
-			}
+		if tc := s.color[p.To]; tc >= 0 && tc < k && bitset.Has(avail, tc) {
+			bitset.Set(dst, tc)
+			return true
 		}
-	case SeqPlus:
-		tc := s.color[p.To]
-		for _, r := range avail {
-			if m.PairOK(r, tc) {
-				out = append(out, r)
-			}
-		}
-	case SeqMinus:
-		tc := s.color[p.To]
-		for _, r := range avail {
-			if m.PairOK(tc, r) {
-				out = append(out, r)
-			}
+	case SeqPlus, SeqMinus:
+		pr := s.pairRow(s.color[p.To], p.Kind == SeqMinus)
+		for i, w := range avail {
+			dst[i] = w & pr[i]
+			or |= dst[i]
 		}
 	case Prefers:
 		if p.Allowed != nil {
-			for _, r := range avail {
-				for _, a := range p.Allowed {
-					if r == a {
-						out = append(out, r)
-						break
-					}
+			for _, a := range p.Allowed {
+				if a >= 0 && a < k && bitset.Has(avail, a) {
+					bitset.Set(dst, a)
+					or = 1
 				}
 			}
-			return out
+			break
 		}
-		for _, r := range avail {
-			if (p.Class == ClassVolatile) == m.IsVolatile(r) {
-				out = append(out, r)
+		if p.Class == ClassVolatile {
+			for i, w := range avail {
+				dst[i] = w & s.volRegs[i]
+				or |= dst[i]
+			}
+		} else {
+			for i, w := range avail {
+				dst[i] = w &^ s.volRegs[i]
+				or |= dst[i]
 			}
 		}
 	}
-	return out
+	return or != 0
 }
 
-// availRegsInto appends step 4.1's candidate set to out: machine
-// registers not used by any colored node interfering with n in the
-// original graph. The incremental form just reads n's maintained
-// forbid mask — free registers are the clear bits, listed ascending
-// exactly as the reference's 0..k-1 sweep lists them.
-func (s *selector) availRegsInto(out []int, n ig.NodeID) []int {
+// pairRow returns the registers below k that pair with partner color
+// c: those r with PairOK(r, c) (r loads first, what honors SeqPlus), or
+// with PairOK(c, r) when second is set (r loads second, SeqMinus). The
+// row is filled from m.PairOK on first use in a round, so the pair rule
+// itself stays defined only in target.
+func (s *selector) pairRow(c int, second bool) []uint64 {
+	slot := 2 * c
+	if second {
+		slot++
+	}
+	kw := s.kwords
+	row := s.pairRows[slot*kw : slot*kw+kw]
+	if !s.pairReady[slot] {
+		s.pairReady[slot] = true
+		clear(row)
+		m := s.ctx.Machine
+		for r := 0; r < s.ctx.K(); r++ {
+			if second && m.PairOK(c, r) || !second && m.PairOK(r, c) {
+				bitset.Set(row, r)
+			}
+		}
+	}
+	return row
+}
+
+// availRow writes step 4.1's candidate set to dst: machine registers
+// not used by any colored node interfering with n in the original
+// graph. The incremental form complements n's maintained forbid mask
+// within the k registers.
+func (s *selector) availRow(dst []uint64, n ig.NodeID) {
 	if s.refSelect {
-		return s.availRegsIntoRef(out, n)
+		s.availRowRef(dst, n)
+		return
 	}
-	k, kw := s.ctx.K(), s.kwords
-	row := s.forbid[int(n)*kw : int(n)*kw+kw]
-	for wi, w := range row {
-		base := wi << 6
-		hi := k - base
-		if hi <= 0 {
-			break
-		}
-		free := ^w
-		if hi < 64 {
-			free &= 1<<uint(hi) - 1
-		}
-		for free != 0 {
-			out = append(out, base+bits.TrailingZeros64(free))
-			free &= free - 1
-		}
+	kw := s.kwords
+	for i, w := range s.forbid[int(n)*kw : int(n)*kw+kw] {
+		dst[i] = ^w & s.allRegs[i]
 	}
-	return out
 }
 
 // initForbid seeds every web's forbidden-register mask with its
@@ -578,11 +612,40 @@ func (s *selector) initForbid(g *ig.Graph, k int) {
 	}
 }
 
-// availRegs returns n's candidate set in the selector's primary avail
-// buffer, valid until the next availRegs call.
-func (s *selector) availRegs(n ig.NodeID) []int {
-	s.availOut = s.availRegsInto(s.availOut[:0], n)
-	return s.availOut
+// initRegRows sizes the register-set rows for the round's machine and
+// fills the fixed ones: allRegs, volRegs (from m.IsVolatile), and an
+// empty pair-row cache covering every color a node can wear — web
+// colors below k and physical node ids.
+func (s *selector) initRegRows(g *ig.Graph, ctx *regalloc.Context) {
+	k, kw := ctx.K(), s.kwords
+	s.allRegs = scratch.Slice(s.allRegs, kw)
+	s.volRegs = scratch.Slice(s.volRegs, kw)
+	for r := 0; r < k; r++ {
+		bitset.Set(s.allRegs, r)
+		if ctx.Machine.IsVolatile(r) {
+			bitset.Set(s.volRegs, r)
+		}
+	}
+	colors := max(k, g.NumPhys())
+	s.pairRows = scratch.Slice(s.pairRows, 2*colors*kw)
+	s.pairReady = scratch.Slice(s.pairReady, 2*colors)
+	s.regRows = scratch.Slice(s.regRows, numRegRows*kw)
+}
+
+// regRow returns scratch row slot i of regRows.
+func (s *selector) regRow(i int) []uint64 {
+	kw := s.kwords
+	return s.regRows[i*kw : i*kw+kw]
+}
+
+// rowRegs lists a register row ascending, for trace events; nil for an
+// empty or nil row.
+func rowRegs(row []uint64) []int {
+	var regs []int
+	for r := bitset.Next(row, 0); r >= 0; r = bitset.Next(row, r+1) {
+		regs = append(regs, r)
+	}
+	return regs
 }
 
 // processNode is step 4 plus the §5.4 active spill, followed by
@@ -594,24 +657,25 @@ func (s *selector) processNode(n ig.NodeID, res *regalloc.Result) {
 	s.nProcessed++
 
 	chosen, active := -1, false
-	var avail, cands []int
+	var avail, cands []uint64
 	switch {
 	case s.shouldActivelySpill(n):
 		active = true
 		s.spilled[n] = true
 		res.Spilled = append(res.Spilled, n)
 	default:
-		avail = s.availRegs(n)
-		if len(avail) == 0 && s.isSpillTemp(n) {
+		avail = s.regRow(rowAvail)
+		s.availRow(avail, n)
+		if bitset.Next(avail, 0) < 0 && s.isSpillTemp(n) {
 			// A spill temporary must not re-enter the spill set: its
 			// spill code is what created it, so the driver would spin
 			// (CheckResult rejects the cycle). Free a register at a
 			// neighbor's expense instead.
-			for len(avail) == 0 && s.evictForTemp(n, res) {
-				avail = s.availRegs(n)
+			for bitset.Next(avail, 0) < 0 && s.evictForTemp(n, res) {
+				s.availRow(avail, n)
 			}
 		}
-		if len(avail) == 0 {
+		if bitset.Next(avail, 0) < 0 {
 			s.spilled[n] = true
 			res.Spilled = append(res.Spilled, n)
 		} else {
@@ -638,7 +702,7 @@ func (s *selector) processNode(n ig.NodeID, res *regalloc.Result) {
 				Node:   int(n),
 				Reg:    s.ctx.Graph.RegOf(n).String(),
 				Pri:    s.tracePriority(n),
-				Avail:  avail, Cands: cands,
+				Avail:  rowRegs(avail), Cands: rowRegs(cands),
 				Chosen: chosen, Honored: honored,
 			})
 		}
@@ -823,9 +887,9 @@ func (s *selector) shouldActivelySpill(n ig.NodeID) bool {
 // chooseReg is steps 4.2–4.4: screen candidates by honorable
 // preferences from strongest to weakest, then keep registers that
 // leave deferred live-range-to-live-range preferences honorable, then
-// pick. It returns the chosen register and the candidate set that
+// pick. It returns the chosen register and the row of candidates that
 // survived screening (the trace's "cands").
-func (s *selector) chooseReg(n ig.NodeID, avail []int) (int, []int) {
+func (s *selector) chooseReg(n ig.NodeID, avail []uint64) (int, []uint64) {
 	honorable := s.honorable[:0]
 	deferred := s.deferred[:0]
 	for _, pi := range s.rpg.Prefs(n) {
@@ -848,19 +912,13 @@ func (s *selector) chooseReg(n ig.NodeID, avail []int) (int, []int) {
 		}
 	}
 
-	// The screening passes ping-pong between two write buffers so that
-	// cands — which starts as avail and becomes whichever buffer last
-	// accepted a filter — never aliases the buffer being written.
-	cands := avail
-	a, b := s.candA, s.candB
+	cands, sub := s.regRow(rowCand), s.regRow(rowSub)
+	copy(cands, avail)
 	// Step 4.2: strongest-first screening; a preference that would
 	// empty the candidate set is skipped.
 	for _, h := range honorable {
-		sub := s.honoringRegsInto(a[:0], h.p, cands)
-		a = sub
-		if len(sub) > 0 {
-			cands = sub
-			a, b = b, a
+		if s.honorBits(sub, h.p, cands) {
+			copy(cands, sub)
 		}
 	}
 	// Step 4.3: avoid registers that make deferred partner
@@ -869,25 +927,17 @@ func (s *selector) chooseReg(n ig.NodeID, avail []int) (int, []int) {
 		deferred = nil
 	}
 	for _, p := range deferred {
-		sub := a[:0]
-		for _, r := range cands {
-			if s.partnerStillPossible(p, r) {
-				sub = append(sub, r)
-			}
-		}
-		a = sub
-		if len(sub) > 0 {
-			cands = sub
-			a, b = b, a
+		if s.deferredBits(sub, p, cands) {
+			copy(cands, sub)
 		}
 	}
-	s.candA, s.candB = a, b
-	// Step 4.4: pick. Prefer a register the node's copy component
-	// already holds (transitive deferred coalescing); then, in
-	// coalesce-only mode, the paper's "non-volatile first" heuristic.
+	// Step 4.4: pick, walking candidates ascending. Prefer a register
+	// the node's copy component already holds (transitive deferred
+	// coalescing); then, in coalesce-only mode, the paper's
+	// "non-volatile first" heuristic.
 	if counts := s.compColors[s.compOf(n)]; counts != nil {
 		best, bestCount := -1, 0
-		for _, r := range cands {
+		for r := bitset.Next(cands, 0); r >= 0; r = bitset.Next(cands, r+1) {
 			if r < len(counts) && counts[r] > bestCount {
 				best, bestCount = r, counts[r]
 			}
@@ -897,52 +947,57 @@ func (s *selector) chooseReg(n ig.NodeID, avail []int) (int, []int) {
 		}
 	}
 	if s.mode == CoalesceOnly {
-		for _, r := range cands {
-			if !s.ctx.Machine.IsVolatile(r) {
-				return r, cands
+		for i, w := range cands {
+			if nonVol := w &^ s.volRegs[i]; nonVol != 0 {
+				return i<<6 + bits.TrailingZeros64(nonVol), cands
 			}
 		}
 	}
-	return cands[0], cands
+	return bitset.Next(cands, 0), cands
 }
 
-// partnerStillPossible reports whether giving n register r leaves the
-// deferred preference p (whose target is unallocated) honorable later.
-func (s *selector) partnerStillPossible(p *Pref, r int) bool {
-	g, m := s.ctx.Graph, s.ctx.Machine
-	t := p.To
-	// The partner's avail set gets its own buffer: the caller's
-	// candidate sets (availOut and the screening buffers) are still
-	// live while this query runs.
-	s.tAvail = s.availRegsInto(s.tAvail[:0], t)
-	tAvail := s.tAvail
-	interferes := g.OrigInterferes(p.From, t)
-	usable := func(reg int) bool {
-		if interferes && reg == r {
-			return false
-		}
-		for _, a := range tAvail {
-			if a == reg {
-				return true
-			}
-		}
-		return false
-	}
+// deferredBits writes to dst the members r of cands for which giving
+// p's holder register r leaves the deferred preference p (whose target
+// is unallocated) honorable later — some register the partner can
+// still take honors p against r — and reports whether there are any.
+// The partner's free row is computed once, not per candidate. dst must
+// not alias cands.
+func (s *selector) deferredBits(dst []uint64, p *Pref, cands []uint64) bool {
+	free := s.regRow(rowPartner)
+	s.availRow(free, p.To)
+	interferes := s.ctx.Graph.OrigInterferes(p.From, p.To)
+	clear(dst)
+	var or uint64
 	switch p.Kind {
 	case Coalesce:
-		return usable(r)
-	case SeqPlus:
-		for reg := 0; reg < s.ctx.K(); reg++ {
-			if m.PairOK(r, reg) && usable(reg) {
-				return true
-			}
+		if interferes {
+			return false
 		}
-	case SeqMinus:
-		for reg := 0; reg < s.ctx.K(); reg++ {
-			if m.PairOK(reg, r) && usable(reg) {
-				return true
+		for i, w := range cands {
+			dst[i] = w & free[i]
+			or |= dst[i]
+		}
+	case SeqPlus, SeqMinus:
+		// The partner loads second under SeqPlus and first under
+		// SeqMinus. When the two interfere, the partner cannot also
+		// take r itself.
+		for r := bitset.Next(cands, 0); r >= 0; r = bitset.Next(cands, r+1) {
+			pr := s.pairRow(r, p.Kind == SeqPlus)
+			drop := interferes && bitset.Has(free, r)
+			if drop {
+				bitset.Clear(free, r)
+			}
+			for i, w := range pr {
+				if w&free[i] != 0 {
+					bitset.Set(dst, r)
+					or = 1
+					break
+				}
+			}
+			if drop {
+				bitset.Set(free, r)
 			}
 		}
 	}
-	return false
+	return or != 0
 }

@@ -3,12 +3,14 @@ package core
 import (
 	"math"
 
+	"prefcolor/internal/bitset"
 	"prefcolor/internal/ig"
 )
 
 // The reference selection oracle: the pre-incremental chooseNode and
-// availRegsInto, kept verbatim (membership now reads the ready bitset
-// instead of the old queue []bool, which held identical contents).
+// available-register walk (membership now reads the ready bitset
+// instead of the old queue []bool, which held identical contents, and
+// the walk now writes a register row instead of a list).
 // WithReferenceSelector routes the allocator through these, and the
 // differential tests pin the heap/forbid-mask implementations against
 // them bit for bit — the same role TestBuildMatchesReference plays for
@@ -41,25 +43,18 @@ func (s *selector) chooseNodeRef() ig.NodeID {
 	return best
 }
 
-// availRegsIntoRef rebuilds n's candidate set from a full neighbor
-// walk: mark every color a colored original-graph neighbor holds, then
-// list the unmarked registers ascending.
-func (s *selector) availRegsIntoRef(out []int, n ig.NodeID) []int {
-	g, k := s.ctx.Graph, s.ctx.K()
-	if cap(s.availMask) < k {
-		s.availMask = make([]bool, k)
-	}
-	used := s.availMask[:k]
-	clear(used)
-	g.ForEachOrigNeighbor(n, func(nb ig.NodeID) {
+// availRowRef rebuilds n's candidate set from a full neighbor walk:
+// mark every color a colored original-graph neighbor holds, then keep
+// the unmarked registers below k.
+func (s *selector) availRowRef(dst []uint64, n ig.NodeID) {
+	k := s.ctx.K()
+	clear(dst)
+	s.ctx.Graph.ForEachOrigNeighbor(n, func(nb ig.NodeID) {
 		if c := s.color[nb]; c >= 0 && c < k {
-			used[c] = true
+			bitset.Set(dst, c)
 		}
 	})
-	for r := 0; r < k; r++ {
-		if !used[r] {
-			out = append(out, r)
-		}
+	for i, w := range dst {
+		dst[i] = ^w & s.allRegs[i]
 	}
-	return out
 }

@@ -25,24 +25,31 @@ func ValidateInput(input *ir.Func, machine *target.Machine) error {
 	if err := ir.Validate(input); err != nil {
 		return fmt.Errorf("regalloc: %s: invalid input: %w", input.Name, err)
 	}
-	var bad error
-	check := func(where string, r ir.Reg) {
-		if bad == nil && r.IsPhys() && r.PhysNum() >= machine.NumRegs {
-			bad = fmt.Errorf("regalloc: %s: %s names %v but machine %q has %d registers",
-				input.Name, where, r, machine.Name, machine.NumRegs)
-		}
+	outside := func(r ir.Reg) bool { return r.IsPhys() && r.PhysNum() >= machine.NumRegs }
+	fail := func(where string, r ir.Reg) error {
+		return fmt.Errorf("regalloc: %s: %s names %v but machine %q has %d registers",
+			input.Name, where, r, machine.Name, machine.NumRegs)
 	}
 	for _, p := range input.Params {
-		check("parameter", p)
+		if outside(p) {
+			return fail("parameter", p)
+		}
 	}
-	input.ForEachInstr(func(b *ir.Block, i int, in *ir.Instr) {
-		where := fmt.Sprintf("b%d[%d]", b.ID, i)
-		for _, d := range in.Defs {
-			check(where, d)
+	// The location string is built only for the register that fails.
+	for _, b := range input.Blocks {
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			for _, d := range in.Defs {
+				if outside(d) {
+					return fail(fmt.Sprintf("b%d[%d]", b.ID, i), d)
+				}
+			}
+			for _, u := range in.Uses {
+				if outside(u) {
+					return fail(fmt.Sprintf("b%d[%d]", b.ID, i), u)
+				}
+			}
 		}
-		for _, u := range in.Uses {
-			check(where, u)
-		}
-	})
-	return bad
+	}
+	return nil
 }

@@ -98,3 +98,52 @@ b0:
 		}
 	})
 }
+
+// TestValidateInputRegisterRange pins the exact diagnostic for a
+// physical register outside the machine's file, named by a parameter
+// and by an instruction (the location is block id and instruction
+// index). In-range registers pass.
+func TestValidateInputRegisterRange(t *testing.T) {
+	m := target.UsageModel(8)
+	cases := []struct {
+		name, src, want string
+	}{
+		{"parameter", `
+func p(v0, r9) {
+b0:
+  v1 = add v0, r9
+  ret v1
+}
+`, `regalloc: p: parameter names r9 but machine "usage8" has 8 registers`},
+		{"instruction", `
+func q(v0) {
+b0:
+  jump b1
+b1:
+  v1 = add v0, v0
+  v2 = add v1, r12
+  r10 = move v2
+  ret v2
+}
+`, `regalloc: q: b1[1] names r12 but machine "usage8" has 8 registers`},
+		{"in-range", `
+func ok(v0) {
+b0:
+  v1 = add v0, r7
+  ret v1
+}
+`, ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := regalloc.ValidateInput(ir.MustParse(c.src), m)
+			got := ""
+			if err != nil {
+				got = err.Error()
+			}
+			if got != c.want {
+				t.Errorf("ValidateInput = %q, want %q", got, c.want)
+			}
+		})
+	}
+}

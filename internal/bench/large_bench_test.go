@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"prefcolor/internal/core"
+	"prefcolor/internal/ir"
 	"prefcolor/internal/regalloc"
 	"prefcolor/internal/target"
 	"prefcolor/internal/workload"
@@ -133,4 +135,35 @@ func BenchmarkAllocateLargePooled(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkAllocateSuitePooled times pref-full over the compile-suite
+// corpus — the nine paper profiles at k = 16, 24 and 32 — on one
+// workspace reused across every Run, reporting ms per function. It is
+// the go test target for CPU profiles of that workload.
+func BenchmarkAllocateSuitePooled(b *testing.B) {
+	type item struct {
+		f *ir.Func
+		m *target.Machine
+	}
+	var items []item
+	for _, k := range []int{16, 24, 32} {
+		m := target.UsageModel(k)
+		for _, p := range workload.Benchmarks() {
+			for _, f := range workload.Generate(p, m) {
+				items = append(items, item{f, m})
+			}
+		}
+	}
+	ws := regalloc.NewWorkspace()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, it := range items {
+			if _, _, err := regalloc.Run(it.f, it.m, core.New(), regalloc.Options{Workspace: ws}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N*len(items)), "ms/func")
 }

@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"prefcolor/internal/core"
@@ -44,12 +47,13 @@ func diffSelect(t *testing.T, f *ir.Func, m *target.Machine, alloc *core.Allocat
 }
 
 // TestSelectorMatchesReference pins the tentpole equivalence: the
-// incremental selector (lazy max-heap ready set, maintained forbidden-
-// register masks, recolor passes that skip clean copy components and
-// cache current scores) is bit-identical to the retained full-scan
-// reference, which re-evaluates every unhonored move in every recolor
-// pass, across every workload profile, both preference modes, and
-// every ablation variant.
+// incremental selector (indexed ready heap, maintained forbidden-
+// register masks, recolor passes that skip clean copy components,
+// cache current scores and read neighbor-color counts) is
+// bit-identical to the retained full-scan reference, which
+// re-evaluates every unhonored move in every recolor pass against
+// per-color occupancy rows, across every workload profile, both
+// preference modes, and every ablation variant.
 func TestSelectorMatchesReference(t *testing.T) {
 	m := target.UsageModel(16)
 	profiles := append(workload.Benchmarks(), workload.Large())
@@ -71,6 +75,45 @@ func TestSelectorMatchesReference(t *testing.T) {
 			for _, f := range funcs {
 				diffSelect(t, f, m, core.NewAblated(v.Ablation), v.Label)
 			}
+		}
+	})
+}
+
+// FuzzSelectorDifferential parses its input as IR, allocates it with
+// pref-full at k = 4 + kb%29 on the usage model under RunChecked, and
+// requires the incremental selector to give the reference selector's
+// digest, or its error. The seeds are the metamorph corpus at k = 4
+// and 8. Functions past a small size are skipped: the interference
+// graph is quadratic in the number of webs.
+func FuzzSelectorDifferential(f *testing.F) {
+	dir := filepath.Join("..", "metamorph", "testdata", "corpus")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range entries {
+		src, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src), byte(0))
+		f.Add(string(src), byte(4))
+	}
+	f.Fuzz(func(t *testing.T, src string, kb byte) {
+		fn, err := ir.Parse(src)
+		if err != nil || fn.NumVirt > 256 || len(src) > 1<<14 {
+			return
+		}
+		m := target.UsageModel(4 + int(kb%29))
+		outF, statsF, errF := regalloc.RunChecked(fn, m, core.New(), regalloc.Options{})
+		outR, statsR, errR := regalloc.RunChecked(fn, m, core.New().WithReferenceSelector(), regalloc.Options{})
+		switch {
+		case errF != nil || errR != nil:
+			if fmt.Sprint(errF) != fmt.Sprint(errR) {
+				t.Fatalf("k=%d: errors differ:\n  incremental %v\n  reference   %v", m.NumRegs, errF, errR)
+			}
+		case FuncDigest(fn.Name, statsF, outF) != FuncDigest(fn.Name, statsR, outR):
+			t.Fatalf("k=%d: digest diverged from reference selector", m.NumRegs)
 		}
 	})
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"prefcolor/internal/ig"
 	"prefcolor/internal/regalloc"
-	"prefcolor/internal/scratch"
 	"prefcolor/internal/telemetry"
 )
 
@@ -84,56 +83,4 @@ func (a *Allocator) Allocate(ctx *regalloc.Context) (*regalloc.Result, error) {
 // repository's benchmarks, which time CPG construction in isolation.
 func SimplifyForBench(g *ig.Graph, k int) ([]ig.NodeID, []bool) {
 	return simplifyOptimistic(g, k)
-}
-
-// simplifyOptimistic empties the graph in Briggs fashion, returning
-// the removal order and which nodes were removed at significant
-// degree (the potential spills of step 4's "spilled node" clause),
-// as a node-id-indexed mark slice. The graph is left fully removed;
-// selection works off the original adjacency, as §5.3 prescribes
-// ("add the chosen node to the interference graph").
-func simplifyOptimistic(g *ig.Graph, k int) ([]ig.NodeID, []bool) {
-	return simplifyOptimisticInto(nil, g, k)
-}
-
-// simplifyOptimisticInto is simplifyOptimistic drawing its stack and
-// mark slice from the workspace scratch (nil cs allocates fresh). The
-// sweep iterates the live graph directly instead of snapshotting
-// ActiveNodes: removing the visited node never changes which later
-// nodes the sweep sees, and degrees are read at visit time in both
-// forms, so the removal order is unchanged.
-func simplifyOptimisticInto(cs *coreScratch, g *ig.Graph, k int) ([]ig.NodeID, []bool) {
-	var order []ig.NodeID
-	var potential []bool
-	if cs != nil {
-		order = cs.order[:0]
-		cs.potential = scratch.Slice(cs.potential, g.NumNodes())
-		potential = cs.potential
-	} else {
-		potential = make([]bool, g.NumNodes())
-	}
-	for {
-		progress := false
-		g.ForEachActive(func(n ig.NodeID) {
-			if g.Degree(n) < k {
-				g.Remove(n)
-				order = append(order, n)
-				progress = true
-			}
-		})
-		if progress {
-			continue
-		}
-		cand := regalloc.SpillCandidate(g)
-		if cand < 0 {
-			break
-		}
-		potential[cand] = true
-		g.Remove(cand)
-		order = append(order, cand)
-	}
-	if cs != nil {
-		cs.order = order
-	}
-	return order, potential
 }

@@ -3,7 +3,7 @@ package core
 import (
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"prefcolor/internal/bitset"
 	"prefcolor/internal/ig"
@@ -106,7 +106,15 @@ func (s *selector) recolorFixup() {
 		moves = append(moves, recolorCand{x: m.X, y: m.Y, w: m.Weight})
 	}
 	s.rcMoves = moves
-	sort.SliceStable(moves, func(i, j int) bool { return moves[i].w > moves[j].w })
+	slices.SortStableFunc(moves, func(a, b recolorCand) int {
+		switch {
+		case a.w > b.w:
+			return -1
+		case b.w > a.w:
+			return 1
+		}
+		return 0
+	})
 
 	for pass := 0; pass < recolorPasses; pass++ {
 		changed := false
@@ -160,12 +168,21 @@ func (s *selector) tryPlans(x, y ig.NodeID) bool {
 		bestDelta, haveBest = s.considerPlan(plan, bestDelta, haveBest)
 	}
 	if !g.IsPhys(x) && !g.IsPhys(y) {
+		// x and y do not interfere (recolorFixup drops interfering
+		// moves), so the plan {x: c, y: c} is valid exactly when no
+		// neighbor of either currently wears c. Outside the reference
+		// selector the counts answer that without building the plan.
+		var nx, ny []int32
+		if !s.refSelect {
+			nx, ny = s.nbCounts(x), s.nbCounts(y)
+		}
 		for c := 0; c < k; c++ {
-			if c != cx && c != cy {
-				plan.nodes = append(plan.nodes[:0], x, y)
-				plan.colors = append(plan.colors[:0], c, c)
-				bestDelta, haveBest = s.considerPlan(plan, bestDelta, haveBest)
+			if c == cx || c == cy || nx != nil && (nx[c] != 0 || ny[c] != 0) {
+				continue
 			}
+			plan.nodes = append(plan.nodes[:0], x, y)
+			plan.colors = append(plan.colors[:0], c, c)
+			bestDelta, haveBest = s.considerPlan(plan, bestDelta, haveBest)
 		}
 	}
 	// Component plan: migrate as much of the copy component as fits
@@ -243,6 +260,9 @@ func (s *selector) compPlanDeltas(x ig.NodeID, members []ig.NodeID) []float64 {
 	plan := &s.rcPlan
 	for c := range deltas {
 		deltas[c] = math.NaN()
+		if !s.refSelect && s.takers(members, c) < 2 {
+			continue
+		}
 		s.componentPlan(members, c, plan)
 		if plan.len() >= 2 {
 			if d, ok := s.planDelta(plan); ok {
@@ -253,18 +273,52 @@ func (s *selector) compPlanDeltas(x ig.NodeID, members []ig.NodeID) []float64 {
 	return deltas
 }
 
-// recolorTo commits node n to color c, keeping the per-color
-// occupancy bitsets, the dirty stamps and the score cache in sync.
+// takers counts the members not on c that no neighbor wearing c
+// blocks. componentPlan only adds such a member — its plan holds only
+// members moving onto c, none of them on c now, so the plan never
+// hides a neighbor that wears c — and a plan of fewer than two nodes
+// is skipped, so below two takers the plan need not be built.
+func (s *selector) takers(members []ig.NodeID, c int) int {
+	n := 0
+	for _, m := range members {
+		if s.color[m] != c && s.nbCounts(m)[c] == 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// recolorTo commits node n to color c. The reference selector keeps
+// the per-color occupancy bitsets in sync; the incremental one keeps
+// the neighbor-color counts, the dirty stamps and the score cache.
 func (s *selector) recolorTo(n ig.NodeID, c int) {
-	if old := s.color[n]; old >= 0 && old < s.ctx.K() {
-		bitset.Clear(s.colorRow(old), int(n))
-	}
+	k, old := s.ctx.K(), s.color[n]
 	s.color[n] = c
-	if c >= 0 && c < s.ctx.K() {
-		bitset.Set(s.colorRow(c), int(n))
+	if s.refSelect {
+		if old >= 0 && old < k {
+			bitset.Clear(s.colorRow(old), int(n))
+		}
+		if c >= 0 && c < k {
+			bitset.Set(s.colorRow(c), int(n))
+		}
+		return
 	}
-	if !s.refSelect {
-		s.noteRecolored(n)
+	for wi, w := range s.ctx.Graph.OrigRow(n) {
+		base := wi << 6
+		for w != 0 {
+			cnt := s.nbCounts(ig.NodeID(base + bits.TrailingZeros64(w)))
+			w &= w - 1
+			if old >= 0 && old < k {
+				cnt[old]--
+			}
+			if c >= 0 && c < k {
+				cnt[c]++
+			}
+		}
+	}
+	s.noteRecolored(n)
+	if s.rcHook != nil {
+		s.rcHook()
 	}
 }
 
@@ -306,32 +360,42 @@ func (s *selector) currentScore(n ig.NodeID) float64 {
 	return s.rcScore[n]
 }
 
-// colorRow returns color c's occupancy row in rcColorBits.
-func (s *selector) colorRow(c int) []uint64 {
-	words := s.ctx.Graph.WordsPerRow()
-	return s.rcColorBits[c*words : (c+1)*words]
+// nbCounts returns n's row of rcNbCount: entry c is how many of n's
+// original-graph neighbors currently wear color c < k.
+func (s *selector) nbCounts(n ig.NodeID) []int32 {
+	k := s.ctx.K()
+	return s.rcNbCount[int(n)*k : int(n)*k+k]
 }
 
 // maxCompPlan bounds the component-migration plan size.
 const maxCompPlan = 12
 
 // buildRecolorIndex prepares the two structures the recolor pass
-// queries constantly: per-color occupancy bitsets (node n set in color
-// c's row when n currently wears c) and the copy components bucketed
-// by root in CSR form. Both stay valid for the whole pass — recoloring
-// updates the bitsets via recolorTo, and the colored set itself is
-// static (plans change colors, never colored-ness).
+// queries constantly: the per-node neighbor-color counts (the
+// reference selector's per-color occupancy bitsets instead) and the
+// copy components bucketed by root in CSR form. Both stay valid for the
+// whole pass — recolorTo updates the counts or bitsets, and the colored
+// set itself is static (plans change colors, never colored-ness).
 func (s *selector) buildRecolorIndex() {
 	g, k := s.ctx.Graph, s.ctx.K()
-	n, words := g.NumNodes(), g.WordsPerRow()
+	n := g.NumNodes()
 
-	s.rcColorBits = scratch.Slice(s.rcColorBits, k*words)
-	for i := 0; i < g.NumPhys() && i < k; i++ {
-		bitset.Set(s.colorRow(i), i)
-	}
-	for i := g.NumPhys(); i < n; i++ {
-		if c := s.color[i]; c >= 0 && c < k {
-			bitset.Set(s.colorRow(c), i)
+	if s.refSelect {
+		s.buildColorRows()
+	} else {
+		s.rcNbCount = scratch.Slice(s.rcNbCount, n*k)
+		for i := 0; i < n; i++ {
+			c := s.colorOf(ig.NodeID(i))
+			if c < 0 || c >= k {
+				continue
+			}
+			for wi, w := range g.OrigRow(ig.NodeID(i)) {
+				base := wi << 6
+				for w != 0 {
+					s.rcNbCount[(base+bits.TrailingZeros64(w))*k+c]++
+					w &= w - 1
+				}
+			}
 		}
 	}
 
@@ -392,14 +456,16 @@ func (s *selector) componentPlan(members []ig.NodeID, c int, plan *planOverlay) 
 // colorFreeFor reports whether node n may wear color c given current
 // colors with the plan's overrides (plan members never interfere with
 // each other here, but the check stays general). The usual case is one
-// AND pass of n's adjacency row against color c's occupancy bitset —
-// nonzero words are resolved bit by bit against the plan, and the
-// plan's own recolorings get a direct interference test. Colors the
-// bitsets don't track (a physical neighbor's id at or above K) take
-// the plain per-neighbor walk.
+// read of n's neighbor-color count: a neighbor wearing c blocks c
+// unless the plan moves it away, so the plan members among n's
+// neighbors that wear c now are taken off the count. The plan's own
+// recolorings then get a direct interference test. Colors the counts
+// don't track (a physical neighbor's id at or above K) take the plain
+// per-neighbor walk; the reference selector takes colorFreeForRef.
 func (s *selector) colorFreeFor(n ig.NodeID, c int, plan *planOverlay) bool {
 	g := s.ctx.Graph
-	if c < 0 || c >= s.ctx.K() {
+	switch {
+	case c < 0 || c >= s.ctx.K():
 		row := g.OrigRow(n)
 		for i := bitset.Next(row, 0); i >= 0; i = bitset.Next(row, i+1) {
 			nbc, ok := plan.lookup(ig.NodeID(i))
@@ -411,26 +477,25 @@ func (s *selector) colorFreeFor(n ig.NodeID, c int, plan *planOverlay) bool {
 			}
 		}
 		return true
+	case s.refSelect:
+		return s.colorFreeForRef(n, c, plan)
 	}
-	cb := s.colorRow(c)
-	for wi, w := range g.OrigRow(n) {
-		w &= cb[wi]
-		base := ig.NodeID(wi << 6)
-		for w != 0 {
-			nb := base + ig.NodeID(bits.TrailingZeros64(w))
-			w &= w - 1
-			// A plan member's current color is overridden; its planned
-			// color is checked below.
-			if _, ok := plan.lookup(nb); !ok {
-				return false
+	if plan == nil {
+		return s.nbCounts(n)[c] == 0
+	}
+	if blocked := s.nbCounts(n)[c]; blocked > 0 {
+		for _, m := range plan.nodes {
+			if s.colorOf(m) == c && g.OrigInterferes(n, m) {
+				blocked--
 			}
 		}
+		if blocked > 0 {
+			return false
+		}
 	}
-	if plan != nil {
-		for i, m := range plan.nodes {
-			if m != n && plan.colors[i] == c && g.OrigInterferes(n, m) {
-				return false
-			}
+	for i, m := range plan.nodes {
+		if m != n && plan.colors[i] == c && g.OrigInterferes(n, m) {
+			return false
 		}
 	}
 	return true

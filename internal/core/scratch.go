@@ -6,7 +6,8 @@ import (
 )
 
 // coreScratch is the preference allocator's per-workspace scratch: the
-// RPG, CPG, selector, and simplification buffers reused across spill
+// RPG, CPG, selector, and simplification buffers (stack, marks,
+// worklist, spill heap) reused across spill
 // rounds. It lives on regalloc.Workspace's opaque allocator slot
 // (core imports regalloc, so the workspace cannot name this type).
 // Like the workspace itself, everything here is cleared on borrow and
@@ -17,6 +18,8 @@ type coreScratch struct {
 	sel       selector
 	order     []ig.NodeID
 	potential []bool
+	low       []uint64
+	spill     spillHeap
 }
 
 // coreScratchFor recovers (or installs) the allocator scratch on the

@@ -33,12 +33,13 @@ type selector struct {
 	// The ready set (nodes whose CPG predecessors are all processed):
 	// a bitset with an O(1) membership test plus a maintained count,
 	// so the telemetry histogram costs nothing per pop. In the default
-	// incremental mode a lazy max-heap over (priority, node) entries
-	// sits on top — see chooseNode — so a pop costs O(log r) instead
-	// of a full scan of every node.
+	// incremental mode an indexed max-heap of the ready nodes sits on
+	// top (select_heap.go), so a pop reads its root instead of scanning
+	// every node.
 	readyBits  []uint64
 	readyCount int
-	heap       []priEntry
+	heap       []ig.NodeID
+	heapPos    []int32
 
 	// forbid is the per-node forbidden-register mask (kwords words of
 	// k bits each, flat): bit c set when some colored original-graph
@@ -96,13 +97,16 @@ type selector struct {
 	deferred  []*Pref
 
 	// Recolor-fixup scratch (see recolor.go): candidate moves, the
-	// per-color occupancy bitsets, the copy-component CSR buckets, the
-	// reusable plan overlays, the dirty stamps that let later passes
-	// skip components nothing touched, the cached current scores, and
-	// the cached component-plan deltas (arena offset and clock per
-	// component root).
+	// per-node neighbor-color counts (k per node; the reference
+	// selector's per-color occupancy bitsets instead), the
+	// copy-component CSR buckets, the reusable plan overlays, the dirty
+	// stamps that let later passes skip components nothing touched, the
+	// cached current scores, and the cached component-plan deltas
+	// (arena offset and clock per component root). rcHook, when set,
+	// runs after every incremental recolorTo; only tests set it.
 	rcMoves     []recolorCand
 	rcSeen      map[[2]ig.NodeID]bool
+	rcNbCount   []int32
 	rcColorBits []uint64
 	rcCompOff   []int32
 	rcCompNext  []int32
@@ -116,6 +120,7 @@ type selector struct {
 	rcPlanOff   []int32
 	rcPlanAt    []uint32
 	rcPlanDelta []float64
+	rcHook      func()
 }
 
 // The regRows slots. Each call path writes its own row, so a set that
@@ -169,6 +174,7 @@ func newSelectorIn(s *selector, ctx *regalloc.Context, rpg *RPG, cpg *CPG, mode 
 	s.readyBits = scratch.Slice(s.readyBits, bitset.Words(n))
 	s.readyCount = 0
 	s.heap = s.heap[:0]
+	s.heapPos = scratch.Fill(s.heapPos, n, -1)
 	s.compArena = s.compArena[:0]
 	s.initForbid(g, ctx.K())
 	s.initRegRows(g, ctx)
@@ -308,96 +314,68 @@ func (s *selector) run() (*regalloc.Result, error) {
 // honorable preference (a single preference's differential is its own
 // strength — the regret of missing it).
 //
-// The incremental form works off the lazy max-heap: entries are pushed
-// when a node becomes ready and whenever a stale priority is
-// recomputed, and validated on pop — an entry for a node that is no
-// longer ready, was invalidated since (priOK down), or no longer
-// carries the node's current priority is discarded. The heap orders by
-// (priority descending, node id ascending), which reproduces exactly
-// the winner of the reference's ascending full scan with its strict
-// keep-first maximum: highest priority, ties to the lowest node id.
+// The incremental form reads the root of the ready heap, which orders
+// by (priority descending, node id ascending) over current priorities:
+// exactly the winner of the reference's ascending full scan with its
+// strict keep-first maximum.
 func (s *selector) chooseNode() ig.NodeID {
-	if s.refSelect {
+	switch {
+	case s.refSelect:
 		return s.chooseNodeRef()
-	}
-	if s.ab.FIFOPriority {
+	case s.ab.FIFOPriority:
 		return s.firstReady()
+	case len(s.heap) == 0:
+		return -1
 	}
-	for len(s.heap) > 0 {
-		top := s.heap[0]
-		n := top.node
-		switch {
-		case !s.isReady(n):
-			s.heapPop()
-		case !s.priOK[n]:
-			s.heapPop()
-			pri := s.priority(n)
-			s.priVal[n], s.priOK[n] = pri, true
-			s.heapPush(priEntry{pri: pri, node: n})
-		case top.pri != s.priVal[n]:
-			// A superseded entry; the recompute that changed priVal
-			// pushed a current one, which is still in the heap.
-			s.heapPop()
-		default:
-			return n
-		}
-	}
-	return -1
+	return s.heap[0]
 }
 
 // invalidate drops node n's cached priority. In incremental mode a
-// ready n is recomputed and repushed on the spot: priorities can rise
-// as well as fall (a deferred preference turning honorable), and a
-// risen priority buried in the heap under its old value would pop too
-// late — the reference scan, which recomputes every stale ready node
-// each pop, sees the rise immediately, so the heap must too. The
-// recompute count matches the reference exactly (one per invalidation
-// of a ready node); the scan per pop is what the heap saves.
+// ready n is recomputed and re-sifted on the spot: priorities can rise
+// as well as fall (a deferred preference turning honorable), and the
+// reference scan, which recomputes every stale ready node each pop,
+// sees either change at the next pop, so the heap must too.
 func (s *selector) invalidate(n ig.NodeID) {
-	if !s.refSelect && !s.ab.FIFOPriority && s.isReady(n) {
-		pri := s.priority(n)
-		s.priVal[n], s.priOK[n] = pri, true
-		s.heapPush(priEntry{pri: pri, node: n})
+	if s.incremental() && s.isReady(n) {
+		if pri := s.priority(n); pri != s.priVal[n] {
+			s.priVal[n] = pri
+			s.heapFix(n)
+		}
 		return
 	}
 	s.priOK[n] = false
 }
 
-// invalidateAround drops cached priorities that the (un)coloring of n
-// may have changed: interference neighbors (available registers
-// changed) and preference partners (a deferred preference may now be
-// honorable). The neighbor walk is a closure-free word loop over the
-// original adjacency row.
-func (s *selector) invalidateAround(n ig.NodeID) {
-	for wi, w := range s.ctx.Graph.OrigRow(n) {
-		base := ig.NodeID(wi << 6)
-		for w != 0 {
-			s.invalidate(base + ig.NodeID(bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
-	for _, src := range s.prefSources[n] {
-		s.invalidate(src)
-	}
-}
-
-// noteColored is invalidateAround fused with the incremental forbid-
-// mask update for the hot path: granting register c to n sets bit c in
-// every original neighbor's mask in the same walk that refreshes their
-// cached priorities. The mask bit lands before the neighbor's
-// recompute, so the recompute reads the post-coloring candidate set —
-// the same state the reference's next-pop rebuild reads.
+// noteColored is the incremental counterpart of invalidateAround for
+// n taking register c: it sets bit c in every original neighbor's
+// forbid mask and refreshes the cached priorities that can have
+// changed. A neighbor's priority reads only its own mask and the
+// colors and spill marks of its preference targets, so a neighbor
+// whose bit c was already set (another colored neighbor holds c) keeps
+// its priority unless it also holds a preference aimed at n — and
+// those are exactly prefSources[n], refreshed below. The mask bit lands
+// before the neighbor's recompute, so the recompute reads the post-
+// coloring candidate set — the same state the reference's next-pop
+// rebuild reads.
 func (s *selector) noteColored(n ig.NodeID, c int) {
 	kw := s.kwords
 	for wi, w := range s.ctx.Graph.OrigRow(n) {
 		base := int(wi << 6)
 		for w != 0 {
 			nb := base + bits.TrailingZeros64(w)
-			bitset.Set(s.forbid[nb*kw:nb*kw+kw], c)
-			s.invalidate(ig.NodeID(nb))
 			w &= w - 1
+			if row := s.forbid[nb*kw : nb*kw+kw]; !bitset.Has(row, c) {
+				bitset.Set(row, c)
+				s.invalidate(ig.NodeID(nb))
+			}
 		}
 	}
+	s.invalidateSources(n)
+}
+
+// invalidateSources refreshes the priorities of the nodes holding a
+// preference aimed at n.
+func (s *selector) invalidateSources(n ig.NodeID) {
 	for _, src := range s.prefSources[n] {
 		s.invalidate(src)
 	}
@@ -424,9 +402,7 @@ func (s *selector) noteUncolored(n ig.NodeID, old int) {
 		}
 		s.invalidate(ig.NodeID(nb))
 	}
-	for _, src := range s.prefSources[n] {
-		s.invalidate(src)
-	}
+	s.invalidateSources(n)
 }
 
 // priority computes the step-2.3/3 strength differential for node n.
@@ -707,10 +683,15 @@ func (s *selector) processNode(n ig.NodeID, res *regalloc.Result) {
 			})
 		}
 	}
-	if chosen >= 0 && !s.refSelect {
-		s.noteColored(n, chosen)
-	} else {
+	// A spill (chosen < 0) moves no cached priority outside the
+	// reference selector: no forbid mask changes, and the preferences
+	// aimed at n go from deferred to dead, neither of which counts
+	// toward priority.
+	switch {
+	case s.refSelect:
 		s.invalidateAround(n)
+	case chosen >= 0:
+		s.noteColored(n, chosen)
 	}
 
 	// Step 5: release successors (Bottom's slot is skipped).

@@ -5,67 +5,95 @@ import (
 	"prefcolor/internal/ig"
 )
 
-// The ready set and its lazy priority heap. Membership lives in a
-// bitset (readyBits) with a maintained count; the heap carries
-// (priority, node) entries that chooseNode validates on pop, so
-// superseded entries cost one comparison instead of a tombstone
-// protocol. Entries are pushed when a node becomes ready and whenever
-// a ready node's priority is refreshed (invalidate, or chooseNode
-// finding priOK down), which keeps the invariant chooseNode relies
-// on: every ready node always has an entry carrying its current
-// priVal, so the true maximum is never buried under a stale key.
+// The ready set and its indexed priority heap. Membership lives in a
+// bitset (readyBits) with a maintained count. In incremental mode the
+// heap holds exactly one entry per ready node, ordered by the node's
+// memoized priority (priVal), and heapPos[n] is n's index in it (-1
+// when absent). Every change to a ready node's priority re-sifts its
+// entry on the spot (heapFix), and processing a node removes its entry
+// (heapRemove), so the top is always the current winner and chooseNode
+// reads it without validation.
 
-// priEntry is one lazy-heap element: a node and the priority it was
-// pushed under.
-type priEntry struct {
-	pri  float64
-	node ig.NodeID
-}
-
-// priBefore orders the heap: higher priority first, ties to the lower
+// heapBefore orders the heap: higher priority first, ties to the lower
 // node id — exactly the winner the reference scan's ascending
 // strict-maximum sweep selects. Priorities are never NaN (strength
 // differentials are finite, no-preference nodes rank -Inf), so the
 // comparison is total.
-func priBefore(a, b priEntry) bool {
-	return a.pri > b.pri || (a.pri == b.pri && a.node < b.node)
+func (s *selector) heapBefore(a, b ig.NodeID) bool {
+	pa, pb := s.priVal[a], s.priVal[b]
+	return pa > pb || (pa == pb && a < b)
 }
 
-func (s *selector) heapPush(e priEntry) {
-	h := append(s.heap, e)
-	i := len(h) - 1
+// heapPush adds n under its current priVal.
+func (s *selector) heapPush(n ig.NodeID) {
+	s.heapPos[n] = int32(len(s.heap))
+	s.heap = append(s.heap, n)
+	s.heapUp(len(s.heap) - 1)
+}
+
+// heapFix restores the order after n's priVal changed.
+func (s *selector) heapFix(n ig.NodeID) {
+	i := int(s.heapPos[n])
+	if !s.heapUp(i) {
+		s.heapDown(i)
+	}
+}
+
+// heapRemove takes n's entry out of the heap.
+func (s *selector) heapRemove(n ig.NodeID) {
+	i, last := int(s.heapPos[n]), len(s.heap)-1
+	s.heapPos[n] = -1
+	if i != last {
+		m := s.heap[last]
+		s.heap[i] = m
+		s.heapPos[m] = int32(i)
+	}
+	s.heap = s.heap[:last]
+	if i != last {
+		s.heapFix(s.heap[i])
+	}
+}
+
+// heapUp sifts the entry at i toward the root and reports whether it
+// moved.
+func (s *selector) heapUp(i int) bool {
+	h := s.heap
+	n, start := h[i], i
 	for i > 0 {
 		p := (i - 1) / 2
-		if !priBefore(h[i], h[p]) {
+		if !s.heapBefore(n, h[p]) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
+		h[i] = h[p]
+		s.heapPos[h[i]] = int32(i)
 		i = p
 	}
-	s.heap = h
+	h[i] = n
+	s.heapPos[n] = int32(i)
+	return i != start
 }
 
-func (s *selector) heapPop() {
+// heapDown sifts the entry at i toward the leaves.
+func (s *selector) heapDown(i int) {
 	h := s.heap
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
+	n := h[i]
 	for {
-		l, r, m := 2*i+1, 2*i+2, i
-		if l < len(h) && priBefore(h[l], h[m]) {
-			m = l
-		}
-		if r < len(h) && priBefore(h[r], h[m]) {
-			m = r
-		}
-		if m == i {
+		c := 2*i + 1
+		if c >= len(h) {
 			break
 		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+		if r := c + 1; r < len(h) && s.heapBefore(h[r], h[c]) {
+			c = r
+		}
+		if !s.heapBefore(h[c], n) {
+			break
+		}
+		h[i] = h[c]
+		s.heapPos[h[i]] = int32(i)
+		i = c
 	}
-	s.heap = h
+	h[i] = n
+	s.heapPos[n] = int32(i)
 }
 
 // isReady reports ready-set membership in O(1).
@@ -73,26 +101,34 @@ func (s *selector) isReady(n ig.NodeID) bool {
 	return bitset.Has(s.readyBits, int(n))
 }
 
+// incremental reports whether the ready heap is in use: not under the
+// reference selector, and not under the FIFO ablation, which picks by
+// node id alone.
+func (s *selector) incremental() bool {
+	return !s.refSelect && !s.ab.FIFOPriority
+}
+
 // pushReady admits n to the ready set. In incremental mode its
 // priority is computed here — n was never ready before, so priOK is
 // necessarily down, and no state changes between this step-5 release
 // and the next chooseNode, so the value is exactly what the reference
-// computes there — and a heap entry is pushed under it.
+// computes there — and n enters the heap under it.
 func (s *selector) pushReady(n ig.NodeID) {
 	bitset.Set(s.readyBits, int(n))
 	s.readyCount++
-	if !s.refSelect && !s.ab.FIFOPriority {
-		pri := s.priority(n)
-		s.priVal[n], s.priOK[n] = pri, true
-		s.heapPush(priEntry{pri: pri, node: n})
+	if s.incremental() {
+		s.priVal[n], s.priOK[n] = s.priority(n), true
+		s.heapPush(n)
 	}
 }
 
-// dropReady removes n from the ready set; its heap entries die lazily
-// on their next pop.
+// dropReady removes n from the ready set and its heap entry.
 func (s *selector) dropReady(n ig.NodeID) {
 	bitset.Clear(s.readyBits, int(n))
 	s.readyCount--
+	if s.heapPos[n] >= 0 {
+		s.heapRemove(n)
+	}
 }
 
 // firstReady returns the lowest-id ready node (the FIFOPriority

@@ -274,6 +274,8 @@ func TestParseErrors(t *testing.T) {
 		"func f() {\nb0:\n  jump b0, b1\n}", // jump arity
 		"func f() {\nb0:\n  v0 = load v1\n}",
 		"func f(q0) {\nb0:\n  ret\n}", // bad register
+		"func f() {\nb0:\n  v0 = move r700\n  ret v0\n}",       // physical register past the encoding
+		"func f() {\nb0:\n  v2147483647 = loadimm 1\n  ret\n}", // virtual register past the encoding
 	}
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {

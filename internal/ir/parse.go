@@ -3,6 +3,7 @@ package ir
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -116,13 +117,20 @@ func (p *parser) reg(tok string) (Reg, error) {
 	if err != nil || n < 0 {
 		return NoReg, p.errf("bad register %q", tok)
 	}
+	// The same encodable ranges DecodeBinary enforces.
 	switch tok[0] {
 	case 'v':
+		if n > math.MaxInt32-int(FirstVirtual) {
+			return NoReg, p.errf("virtual register %q out of range", tok)
+		}
 		if n >= p.f.NumVirt {
 			p.f.NumVirt = n + 1
 		}
 		return Virt(n), nil
 	case 'r':
+		if n >= int(FirstVirtual)-1 {
+			return NoReg, p.errf("physical register %q out of range", tok)
+		}
 		return Phys(n), nil
 	}
 	return NoReg, p.errf("bad register %q", tok)

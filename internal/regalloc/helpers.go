@@ -105,16 +105,22 @@ func SpillCandidate(g *ig.Graph) ig.NodeID {
 	// snapshot — this runs once per simplify stall, so the snapshot
 	// allocation used to be a top-line profile entry.
 	g.ForEachActive(func(n ig.NodeID) {
-		deg := g.Degree(n)
-		if deg == 0 {
-			deg = 1
-		}
-		key := g.SpillCost(n) / float64(deg)
-		if best < 0 || key < bestKey {
+		if key := SpillKey(g, n); best < 0 || key < bestKey {
 			best, bestKey = n, key
 		}
 	})
 	return best
+}
+
+// SpillKey is SpillCandidate's ranking of active node n: its spill
+// cost over its current degree, with degree 0 counted as 1. Lower
+// keys spill first.
+func SpillKey(g *ig.Graph, n ig.NodeID) float64 {
+	deg := g.Degree(n)
+	if deg == 0 {
+		deg = 1
+	}
+	return g.SpillCost(n) / float64(deg)
 }
 
 // Coloring tracks register choices per node during select. Physical

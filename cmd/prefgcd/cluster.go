@@ -2,14 +2,12 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -138,8 +136,8 @@ func serveCluster(stdout, stderr io.Writer, cfg clusterConfig) int {
 }
 
 // simCLIConfig is the -sim mode: one deterministic fault-injection
-// round plus the single-replica baseline, reported as a benchmark
-// record (BENCH_PR7.json format).
+// round plus the single-replica baseline, printed as the sim.Result
+// JSON.
 type simCLIConfig struct {
 	seed     int64
 	replicas int
@@ -148,31 +146,6 @@ type simCLIConfig struct {
 	schedule string
 	corpus   string
 	cache    int
-	pr       int
-	title    string
-	out      string
-}
-
-// simRecord is the BENCH_PR7.json schema: environment, simulation
-// configuration, and the full invariant-checked result, including the
-// single-replica baseline and the cluster's aggregate speedup.
-type simRecord struct {
-	PR          int    `json:"pr"`
-	Title       string `json:"title"`
-	Environment struct {
-		GOOS   string `json:"goos"`
-		GOARCH string `json:"goarch"`
-		CPUs   int    `json:"cpus_available"`
-		CPU    string `json:"cpu,omitempty"`
-	} `json:"environment"`
-	Config struct {
-		Replicas int    `json:"replicas"`
-		Seed     int64  `json:"seed"`
-		Schedule string `json:"schedule"`
-		Corpus   string `json:"corpus"`
-		Requests int    `json:"requests"`
-	} `json:"config"`
-	Result *sim.Result `json:"result"`
 }
 
 func runSim(stdout, stderr io.Writer, cli simCLIConfig) int {
@@ -206,32 +179,8 @@ func runSim(stdout, stderr io.Writer, cli simCLIConfig) int {
 	if err != nil {
 		return fail(err)
 	}
-
-	title := cli.title
-	if title == "" {
-		title = "Sharded allocation cluster under deterministic fault injection"
-	}
-	rec := &simRecord{PR: cli.pr, Title: title, Result: res}
-	rec.Environment.GOOS = runtime.GOOS
-	rec.Environment.GOARCH = runtime.GOARCH
-	rec.Environment.CPUs = runtime.NumCPU()
-	rec.Environment.CPU = cpuModel()
-	rec.Config.Replicas = res.Replicas
-	rec.Config.Seed = res.Seed
-	rec.Config.Schedule = res.Schedule
-	rec.Config.Corpus = res.Corpus
-	rec.Config.Requests = res.Requests
-
-	buf, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
+	if err := writeJSON(stdout, res); err != nil {
 		return fail(err)
-	}
-	buf = append(buf, '\n')
-	fmt.Fprintf(stdout, "%s", buf)
-	if cli.out != "" {
-		if err := os.WriteFile(cli.out, buf, 0o644); err != nil {
-			return fail(err)
-		}
 	}
 	if len(res.Violations) > 0 {
 		for _, v := range res.Violations {

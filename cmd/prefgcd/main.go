@@ -12,16 +12,16 @@
 // queued allocations finish, then the process exits.
 //
 // Load mode (-load) drives sustained concurrent traffic against a
-// running daemon from the synthetic workload corpora and prints a
-// throughput/latency/cache report; -out writes the benchmark record
-// (BENCH_PR3.json format):
+// running daemon from the synthetic workload corpora and prints the
+// throughput/latency/cache report (loadgen.Report) as JSON on stdout:
 //
 //	prefgcd -load -addr http://localhost:8377 -duration 5s -concurrency 8 \
-//	        -corpus compress,large -out BENCH_PR3.json
+//	        -corpus compress,large > load.json
 //
-// Load mode exits non-zero if any request failed hard or any two
-// responses for the same function disagreed, so it doubles as a CI
-// smoke check.
+// Load mode exits non-zero if any request failed hard, any two
+// responses for the same function disagreed, or none succeeded; with
+// -tier also if no full-tier response arrived or one diverged from the
+// local pref-full oracle. It doubles as a CI smoke check.
 //
 // Cluster mode (-cluster) serves a consistent-hashing router at -addr
 // over -replicas in-process shards, so each shard's LRU stays disjoint
@@ -33,11 +33,11 @@
 //
 // Sim mode (-sim) runs one deterministic fault-injection round —
 // scripted kill/drain/resurrect against a seeded cluster plus a
-// single-replica baseline — and writes the benchmark record
-// (BENCH_PR7.json format); it exits non-zero on any invariant
-// violation and prints the reproducer line:
+// single-replica baseline — and prints the result (sim.Result) as JSON
+// on stdout; it exits non-zero on any invariant violation and prints
+// the reproducer line:
 //
-//	prefgcd -sim -seed 1 -replicas 3 -requests 600 -corpus all -pr 7 -out BENCH_PR7.json
+//	prefgcd -sim -seed 1 -replicas 3 -requests 600 -corpus all > sim.json
 package main
 
 import (
@@ -50,18 +50,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
 
-	"prefcolor/internal/bench"
-	"prefcolor/internal/linearscan"
-	"prefcolor/internal/regalloc"
 	"prefcolor/internal/server"
 	"prefcolor/internal/server/loadgen"
 	"prefcolor/internal/target"
-	"prefcolor/internal/workload"
 )
 
 func main() {
@@ -106,9 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 1, "load: corpus-picking RNG seed")
 	cold := fs.Bool("cold", false, "load: send no_cache on every request (honest cold-path latency)")
 	binary := fs.Bool("binary", false, "load: post the binary IR wire format instead of JSON/text")
-	pr := fs.Int("pr", 3, "load: PR number stamped into the benchmark record")
-	title := fs.String("title", "", "load: benchmark record title (default per -pr)")
-	out := fs.String("out", "", "load: write the benchmark record (BENCH_PR3.json format) to this file")
 
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -117,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runSim(stdout, stderr, simCLIConfig{
 			seed: *seed, replicas: *replicas, requests: *requests,
 			events: *events, schedule: *schedule, corpus: *corpus,
-			cache: *cacheEntries, pr: *pr, title: *title, out: *out,
+			cache: *cacheEntries,
 		})
 	}
 	if *clusterMode || *router != "" {
@@ -137,7 +129,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			addr: *addr, duration: *duration, concurrency: *concurrency,
 			corpus: *corpus, allocator: *allocator, k: *k, machine: *machine,
 			requests: *requests, seed: *seed, cold: *cold, binary: *binary,
-			tier: *tier, pr: *pr, title: *title, out: *out,
+			tier: *tier,
 		})
 	}
 	return serve(stdout, stderr, *addr, server.Config{
@@ -197,89 +189,6 @@ type loadConfig struct {
 	cold        bool
 	binary      bool
 	tier        bool
-	pr          int
-	title       string
-	out         string
-}
-
-// allocSpeedup is the local allocator microbenchmark stamped into
-// tier-mode benchmark records: one large-workload sweep through the
-// linear-scan fast path versus one through the pref-full driver, on
-// the same machine model the load run targets.
-type allocSpeedup struct {
-	FastMSPerSweep float64 `json:"fast_ms_per_sweep"`
-	FullMSPerSweep float64 `json:"full_ms_per_sweep"`
-	Speedup        float64 `json:"speedup"`
-}
-
-func measureAllocSpeedup(m *target.Machine) (*allocSpeedup, error) {
-	funcs := workload.Generate(workload.Large(), m)
-	sweepFast := func(ws *linearscan.Workspace) error {
-		for _, f := range funcs {
-			if _, _, err := linearscan.Run(f, m, linearscan.RunOptions{Workspace: ws}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	ws := linearscan.NewFastWorkspace()
-	if err := sweepFast(ws); err != nil { // warm the workspace
-		return nil, err
-	}
-	const iters = 5
-	t0 := time.Now()
-	for i := 0; i < iters; i++ {
-		if err := sweepFast(ws); err != nil {
-			return nil, err
-		}
-	}
-	fast := float64(time.Since(t0).Microseconds()) / 1000 / iters
-
-	rws := regalloc.NewWorkspace()
-	t0 = time.Now()
-	for _, f := range funcs {
-		alloc, err := bench.NewAllocator("pref-full")
-		if err != nil {
-			return nil, err
-		}
-		if _, _, err := regalloc.Run(f, m, alloc, regalloc.Options{Workspace: rws}); err != nil {
-			return nil, err
-		}
-	}
-	full := float64(time.Since(t0).Microseconds()) / 1000
-	sp := &allocSpeedup{FastMSPerSweep: fast, FullMSPerSweep: full}
-	if fast > 0 {
-		sp.Speedup = full / fast
-	}
-	return sp, nil
-}
-
-// benchRecord is the BENCH_PR3.json schema: environment, load
-// configuration, and the loadgen report.
-type benchRecord struct {
-	PR          int    `json:"pr"`
-	Title       string `json:"title"`
-	Environment struct {
-		GOOS   string `json:"goos"`
-		GOARCH string `json:"goarch"`
-		CPUs   int    `json:"cpus_available"`
-		CPU    string `json:"cpu,omitempty"`
-	} `json:"environment"`
-	Config struct {
-		Server      string  `json:"server"`
-		DurationSec float64 `json:"duration_sec"`
-		Concurrency int     `json:"concurrency"`
-		Corpus      string  `json:"corpus"`
-		Allocator   string  `json:"allocator"`
-		K           int     `json:"k"`
-		Machine     string  `json:"machine"`
-		Seed        int64   `json:"seed"`
-		Cold        bool    `json:"cold,omitempty"`
-		Binary      bool    `json:"binary,omitempty"`
-		Tier        bool    `json:"tier,omitempty"`
-	} `json:"config"`
-	Allocator *allocSpeedup   `json:"allocator_speedup,omitempty"`
-	Report    *loadgen.Report `json:"report"`
 }
 
 func runLoad(stdout, stderr io.Writer, cfg loadConfig) int {
@@ -326,45 +235,8 @@ func runLoad(stdout, stderr io.Writer, cfg loadConfig) int {
 	if err != nil {
 		return fail(err)
 	}
-
-	title := cfg.title
-	if title == "" {
-		title = "Allocation-as-a-service: prefgcd daemon under sustained load"
-	}
-	rec := &benchRecord{PR: cfg.pr, Title: title, Report: rep}
-	rec.Environment.GOOS = runtime.GOOS
-	rec.Environment.GOARCH = runtime.GOARCH
-	rec.Environment.CPUs = runtime.NumCPU()
-	rec.Environment.CPU = cpuModel()
-	rec.Config.Server = base
-	rec.Config.DurationSec = cfg.duration.Seconds()
-	rec.Config.Concurrency = cfg.concurrency
-	rec.Config.Corpus = cfg.corpus
-	rec.Config.Allocator = cfg.allocator
-	rec.Config.K = cfg.k
-	rec.Config.Machine = cfg.machine
-	rec.Config.Seed = cfg.seed
-	rec.Config.Cold = cfg.cold
-	rec.Config.Binary = cfg.binary
-	rec.Config.Tier = cfg.tier
-	if cfg.tier {
-		sp, err := measureAllocSpeedup(m)
-		if err != nil {
-			return fail(err)
-		}
-		rec.Allocator = sp
-	}
-
-	buf, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
+	if err := writeJSON(stdout, rep); err != nil {
 		return fail(err)
-	}
-	buf = append(buf, '\n')
-	fmt.Fprintf(stdout, "%s", buf)
-	if cfg.out != "" {
-		if err := os.WriteFile(cfg.out, buf, 0o644); err != nil {
-			return fail(err)
-		}
 	}
 	if rep.Errors > 0 {
 		return fail(fmt.Errorf("%d hard errors during load", rep.Errors))
@@ -389,16 +261,9 @@ func runLoad(stdout, stderr io.Writer, cfg loadConfig) int {
 	return 0
 }
 
-// cpuModel reads the CPU model name, best effort.
-func cpuModel() string {
-	data, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		return ""
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if name, ok := strings.CutPrefix(line, "model name"); ok {
-			return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(name), ":"))
-		}
-	}
-	return ""
+// writeJSON prints v as indented JSON followed by a newline.
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }

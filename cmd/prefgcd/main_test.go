@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
+	"prefcolor/internal/cluster/sim"
 	"prefcolor/internal/server"
+	"prefcolor/internal/server/loadgen"
 )
 
 func TestRunBadFlags(t *testing.T) {
@@ -70,81 +70,56 @@ func TestSimModeBadSchedule(t *testing.T) {
 }
 
 // TestSimModeEndToEnd runs a small fault-free simulation round through
-// the CLI and checks the benchmark record it emits.
+// the CLI and checks the result it prints.
 func TestSimModeEndToEnd(t *testing.T) {
-	outPath := filepath.Join(t.TempDir(), "bench.json")
 	var out, errb bytes.Buffer
 	code := run([]string{
 		"-sim", "-seed", "1", "-requests", "60", "-corpus", "compress",
-		"-cache", "4", "-schedule", "none", "-pr", "7", "-out", outPath,
+		"-cache", "4", "-schedule", "none",
 	}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
+	var res sim.Result
+	if err := json.Unmarshal(out.Bytes(), &res); err != nil {
 		t.Fatal(err)
 	}
-	var rec simRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatal(err)
+	if res.OK != 60 {
+		t.Fatalf("result = %+v, want 60 ok", res)
 	}
-	if rec.PR != 7 {
-		t.Errorf("pr = %d, want 7", rec.PR)
-	}
-	if rec.Result == nil || rec.Result.OK != 60 {
-		t.Fatalf("result = %+v, want 60 ok", rec.Result)
-	}
-	if rec.Result.BaselineRPS <= 0 || rec.Result.Speedup <= 0 {
+	if res.BaselineRPS <= 0 || res.Speedup <= 0 {
 		t.Errorf("baseline %.1f speedup %.2f — baseline phase missing",
-			rec.Result.BaselineRPS, rec.Result.Speedup)
+			res.BaselineRPS, res.Speedup)
 	}
-	if len(rec.Result.Violations) != 0 {
-		t.Errorf("violations: %v", rec.Result.Violations)
-	}
-	if !bytes.Equal(bytes.TrimSpace(out.Bytes()), bytes.TrimSpace(data)) {
-		t.Error("stdout record differs from -out file")
+	if len(res.Violations) != 0 {
+		t.Errorf("violations: %v", res.Violations)
 	}
 }
 
 // TestLoadModeEndToEnd runs the load mode in-process against a live
-// server and checks the exit code, the report on stdout, and the
-// benchmark record written by -out.
+// server and checks the exit code and the report on stdout.
 func TestLoadModeEndToEnd(t *testing.T) {
 	s := server.New(server.Config{Workers: 2, QueueSize: 8})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()
 
-	outPath := filepath.Join(t.TempDir(), "bench.json")
 	var out, errb bytes.Buffer
 	code := run([]string{
 		"-load", "-addr", ts.URL, "-corpus", "compress",
 		"-requests", "30", "-duration", "30s", "-concurrency", "2",
-		"-out", outPath,
 	}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-
-	data, err := os.ReadFile(outPath)
-	if err != nil {
+	var rep loadgen.Report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatal(err)
 	}
-	var rec benchRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatal(err)
+	if rep.Requests != 30 {
+		t.Errorf("report requests = %d, want 30", rep.Requests)
 	}
-	if rec.PR != 3 {
-		t.Errorf("pr = %d, want 3", rec.PR)
-	}
-	if rec.Report == nil || rec.Report.Requests != 30 {
-		t.Errorf("report requests = %+v, want 30", rec.Report)
-	}
-	if rec.Report.OK == 0 || rec.Report.Errors != 0 {
-		t.Errorf("ok=%d errors=%d", rec.Report.OK, rec.Report.Errors)
-	}
-	if !bytes.Equal(bytes.TrimSpace(out.Bytes()), bytes.TrimSpace(data)) {
-		t.Error("stdout report differs from -out file")
+	if rep.OK == 0 || rep.Errors != 0 {
+		t.Errorf("ok=%d errors=%d", rep.OK, rep.Errors)
 	}
 }

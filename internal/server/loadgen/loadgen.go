@@ -1,7 +1,7 @@
 // Package loadgen drives sustained concurrent traffic against a live
 // prefgcd daemon from the synthetic workload corpora and reports
 // throughput, latency percentiles, and cache behavior — the harness
-// behind BENCH_PR3.json and the CI service smoke.
+// behind prefgcd -load and the CI service and tier smokes.
 //
 // Each client goroutine draws functions from the corpus with its own
 // seeded RNG, posts them to /v1/allocate, and records one sample per

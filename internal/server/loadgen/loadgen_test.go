@@ -254,6 +254,51 @@ func TestRunColdBinary(t *testing.T) {
 	}
 }
 
+// TestRunTier drives a tier-mode daemon: the first answer for each
+// item comes from the fast tier, background upgrades must land, and
+// every full-tier digest must match the local pref-full oracle.
+func TestRunTier(t *testing.T) {
+	srv := server.New(server.Config{Workers: 2, QueueSize: 16, Tier: true})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+
+	corpus, err := CorpusFromProfiles("compress", target.UsageModel(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(context.Background(), Options{
+		BaseURL: ts.URL, Corpus: corpus, Concurrency: 2,
+		Duration: time.Second, Seed: 7, Tier: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errors != 0 || rep.OK == 0 {
+		t.Fatalf("ok=%d errors=%d", rep.OK, rep.Errors)
+	}
+	if rep.Tier == nil {
+		t.Fatal("tier run has no tier report")
+	}
+	t.Logf("requests=%d fast=%d full=%d upgraded=%d/%d",
+		rep.Requests, rep.Tier.FastServed, rep.Tier.FullServed, rep.Tier.UpgradedItems, len(corpus))
+	if rep.Tier.FastServed == 0 {
+		t.Error("no fast-tier responses")
+	}
+	if rep.Tier.FullServed == 0 {
+		t.Error("no full-tier responses: upgrades never landed")
+	}
+	if rep.Tier.UpgradedItems == 0 {
+		t.Error("no item was seen flipping from fast to full")
+	}
+	if rep.Tier.OracleMismatches != 0 {
+		t.Errorf("%d full-tier digests diverged from the pref-full oracle", rep.Tier.OracleMismatches)
+	}
+	if rep.DigestMismatches != 0 {
+		t.Errorf("digest mismatches: %d", rep.DigestMismatches)
+	}
+}
+
 // stallingServer answers every request 200 with the start of a JSON
 // body, then holds the rest back until the client goes away. Every
 // exchange is still mid-body when a run's deadline passes.

@@ -4,6 +4,7 @@ import (
 	"io"
 	"testing"
 
+	"prefcolor/internal/ir"
 	"prefcolor/internal/regalloc"
 	"prefcolor/internal/target"
 	"prefcolor/internal/workload"
@@ -56,5 +57,36 @@ func TestAllocationDeterminism(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTextDigestMatchesAllocationDigest checks the daemon's
+// render-once digest: TextDigest over an allocation's rendered text
+// equals FuncDigest and the single-function AllocationDigest on every
+// function of the nine profiles and Large at k = 16.
+func TestTextDigestMatchesAllocationDigest(t *testing.T) {
+	m := target.UsageModel(16)
+	for _, p := range append(workload.Benchmarks(), workload.Large()) {
+		for _, f := range workload.Generate(p, m) {
+			alloc, err := NewAllocator("pref-full")
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, stats, err := regalloc.Run(f, m, alloc, regalloc.Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", f.Name, err)
+			}
+			got := TextDigest(f.Name, stats, out.String())
+			if want := FuncDigest(f.Name, stats, out); got != want {
+				t.Fatalf("%s: TextDigest %s, FuncDigest %s", f.Name, got, want)
+			}
+			want, err := AllocationDigest([]*ir.Func{f}, m, "pref-full")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%s: TextDigest %s, AllocationDigest %s", f.Name, got, want)
+			}
+		}
 	}
 }

@@ -38,7 +38,7 @@ func AllocationDigestOpts(funcs []*ir.Func, m *target.Machine, allocName string,
 		if err != nil {
 			return "", fmt.Errorf("bench: digest %s/%s: %w", allocName, f.Name, err)
 		}
-		writeFuncDigest(h, f.Name, stats, out)
+		writeFuncDigest(h, f.Name, stats, out.String())
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
@@ -49,14 +49,21 @@ func AllocationDigestOpts(funcs []*ir.Func, m *target.Machine, allocName string,
 // single-function AllocationDigest run. name is the input function's
 // name (identical to out.Name under the driver, which never renames).
 func FuncDigest(name string, stats *regalloc.Stats, out *ir.Func) string {
+	return TextDigest(name, stats, out.String())
+}
+
+// TextDigest is FuncDigest over text, the already rendered
+// out.String(), so a caller that renders the function anyway (the
+// daemon's response) hashes those bytes instead of rendering twice.
+func TextDigest(name string, stats *regalloc.Stats, text string) string {
 	h := sha256.New()
-	writeFuncDigest(h, name, stats, out)
+	writeFuncDigest(h, name, stats, text)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // writeFuncDigest appends one function's allocation-outcome record —
-// spilled-web count, spill code, final rewritten code — to h.
-func writeFuncDigest(h io.Writer, name string, stats *regalloc.Stats, out *ir.Func) {
+// spilled-web count, spill code, final rewritten code (text) — to h.
+func writeFuncDigest(h io.Writer, name string, stats *regalloc.Stats, text string) {
 	fmt.Fprintf(h, "%s|webs=%d|loads=%d|stores=%d\n%s\n",
-		name, stats.SpilledWebs, stats.SpillLoads, stats.SpillStores, out.String())
+		name, stats.SpilledWebs, stats.SpillLoads, stats.SpillStores, text)
 }

@@ -120,7 +120,7 @@ func TestAllocateAllWorkerCountInvariance(t *testing.T) {
 		}
 		h := sha256.New()
 		for i, f := range funcs {
-			writeFuncDigest(h, f.Name, res.Stats[i], res.Funcs[i])
+			writeFuncDigest(h, f.Name, res.Stats[i], res.Funcs[i].String())
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != want {
 			t.Errorf("workers=%d: batch digest %s != sequential %s", workers, got, want)

@@ -13,6 +13,7 @@ import (
 	"prefcolor/internal/cfg"
 	"prefcolor/internal/ir"
 	"prefcolor/internal/liveness"
+	"prefcolor/internal/scratch"
 	"prefcolor/internal/target"
 )
 
@@ -56,11 +57,15 @@ type Info struct {
 // Analyze computes the Appendix quantities for every web of f.
 // The function must already be renumbered (webs == virtual registers).
 func Analyze(f *ir.Func, m *target.Machine, loops *cfg.LoopInfo, live *liveness.Info) *Info {
-	info := &Info{
-		SpillCosts: make([]float64, f.NumVirt),
-		OpCosts:    make([]float64, f.NumVirt),
-		CrossFreq:  live.LiveAcrossCalls(loops.Freq),
-	}
+	return AnalyzeInto(&Info{}, f, m, loops, live)
+}
+
+// AnalyzeInto is Analyze computed into info's tables, reusing their
+// backing arrays when they are large enough, and returns info.
+func AnalyzeInto(info *Info, f *ir.Func, m *target.Machine, loops *cfg.LoopInfo, live *liveness.Info) *Info {
+	info.SpillCosts = scratch.Slice(info.SpillCosts, f.NumVirt)
+	info.OpCosts = scratch.Slice(info.OpCosts, f.NumVirt)
+	info.CrossFreq = live.LiveAcrossCalls(info.CrossFreq, loops.Freq)
 	for _, b := range f.Blocks {
 		freq := loops.Freq(b.ID)
 		for i := range b.Instrs {

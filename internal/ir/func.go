@@ -1,7 +1,7 @@
 package ir
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -132,28 +132,58 @@ func (f *Func) NumInstrs() int {
 	return n
 }
 
-// Clone returns a deep copy of the function.
+// Clone returns a deep copy of the function. The copy's blocks, its
+// edges and its register operands each live in one backing array, and
+// every slice cut from the shared arrays is cap-limited, so an append
+// to one instruction's Defs or Uses or one block's Succs or Preds
+// reallocates instead of running into its neighbour. Each block's
+// instructions get their own array: spill rounds rebuild blocks, and
+// a shared array would stay pinned by the blocks no round touched.
+// Empty operand and edge slices come back nil, as a per-slice copy
+// would leave them.
 func (f *Func) Clone() *Func {
+	nEdges, nRegs := 0, len(f.Params)
+	for _, b := range f.Blocks {
+		nEdges += len(b.Succs) + len(b.Preds)
+		for i := range b.Instrs {
+			nRegs += len(b.Instrs[i].Defs) + len(b.Instrs[i].Uses)
+		}
+	}
+	blocks := make([]Block, len(f.Blocks))
+	edges := make([]BlockID, 0, nEdges)
+	regs := make([]Reg, 0, nRegs)
 	out := &Func{
 		Name:          f.Name,
-		Params:        append([]Reg(nil), f.Params...),
+		Params:        appendCut(&regs, f.Params),
 		NumVirt:       f.NumVirt,
 		NumSpillSlots: f.NumSpillSlots,
+		Blocks:        make([]*Block, len(f.Blocks)),
 	}
-	out.Blocks = make([]*Block, len(f.Blocks))
 	for i, b := range f.Blocks {
-		nb := &Block{
-			ID:    b.ID,
-			Succs: append([]BlockID(nil), b.Succs...),
-			Preds: append([]BlockID(nil), b.Preds...),
-		}
+		nb := &blocks[i]
+		nb.ID = b.ID
+		nb.Succs = appendCut(&edges, b.Succs)
+		nb.Preds = appendCut(&edges, b.Preds)
 		nb.Instrs = make([]Instr, len(b.Instrs))
-		for j := range b.Instrs {
-			nb.Instrs[j] = b.Instrs[j].Clone()
+		for j, in := range b.Instrs {
+			in.Defs = appendCut(&regs, in.Defs)
+			in.Uses = appendCut(&regs, in.Uses)
+			nb.Instrs[j] = in
 		}
 		out.Blocks[i] = nb
 	}
 	return out
+}
+
+// appendCut appends src to *arena and returns the appended elements
+// as a cap-limited slice, or nil when src is empty.
+func appendCut[T any](arena *[]T, src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	lo := len(*arena)
+	*arena = append(*arena, src...)
+	return (*arena)[lo:len(*arena):len(*arena)]
 }
 
 // CompactNops removes Nop instructions in place.
@@ -170,39 +200,51 @@ func (f *Func) CompactNops() {
 }
 
 // String renders the function in the textual IR syntax accepted by
-// Parse.
+// Parse. Each line is appended into a stack buffer and written to one
+// builder sized up front, so rendering costs one or two allocations
+// however long the function is.
 func (f *Func) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "func %s(", f.Name)
+	sb.Grow(16 + 20*len(f.Blocks) + 20*f.NumInstrs())
+	var line [128]byte
+	buf := append(line[:0], "func "...)
+	buf = append(buf, f.Name...)
+	buf = append(buf, '(')
 	for i, p := range f.Params {
 		if i > 0 {
-			sb.WriteString(", ")
+			buf = append(buf, ", "...)
 		}
-		sb.WriteString(p.String())
+		buf = p.appendText(buf)
 	}
-	sb.WriteString(") {\n")
+	sb.Write(append(buf, ") {\n"...))
 	for _, b := range f.Blocks {
-		fmt.Fprintf(&sb, "b%d:", b.ID)
+		buf = appendBlockRef(line[:0], b.ID, "b", ":")
 		if len(b.Succs) > 0 {
-			sb.WriteString(" ; succs:")
+			buf = append(buf, " ; succs:"...)
 			for _, s := range b.Succs {
-				fmt.Fprintf(&sb, " b%d", s)
+				buf = appendBlockRef(buf, s, " b", "")
 			}
 		}
-		sb.WriteByte('\n')
+		sb.Write(append(buf, '\n'))
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			sb.WriteString("  ")
-			sb.WriteString(in.String())
+			buf = in.appendText(append(line[:0], "  "...))
 			switch in.Op {
 			case Jump:
-				fmt.Fprintf(&sb, " b%d", b.Succs[0])
+				buf = appendBlockRef(buf, b.Succs[0], " b", "")
 			case Branch:
-				fmt.Fprintf(&sb, ", b%d, b%d", b.Succs[0], b.Succs[1])
+				buf = appendBlockRef(buf, b.Succs[0], ", b", "")
+				buf = appendBlockRef(buf, b.Succs[1], ", b", "")
 			}
-			sb.WriteByte('\n')
+			sb.Write(append(buf, '\n'))
 		}
 	}
 	sb.WriteString("}\n")
 	return sb.String()
+}
+
+// appendBlockRef appends prefix, the block number and suffix to dst.
+func appendBlockRef(dst []byte, id BlockID, prefix, suffix string) []byte {
+	dst = strconv.AppendInt(append(dst, prefix...), int64(id), 10)
+	return append(dst, suffix...)
 }

@@ -2,7 +2,7 @@ package ir
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Instr is a single register-transfer instruction.
@@ -101,38 +101,39 @@ func (in Instr) Clone() Instr {
 // String renders the instruction in the textual IR syntax, e.g.
 // "v3 = add v1, v2" or "store v1, v2, 8".
 func (in Instr) String() string {
-	var b strings.Builder
-	if len(in.Defs) > 0 {
-		for i, d := range in.Defs {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(d.String())
+	var buf [64]byte
+	return string(in.appendText(buf[:0]))
+}
+
+// appendText appends the instruction's String form to dst.
+func (in *Instr) appendText(dst []byte) []byte {
+	for i, d := range in.Defs {
+		if i > 0 {
+			dst = append(dst, ", "...)
 		}
-		b.WriteString(" = ")
+		dst = d.appendText(dst)
 	}
-	b.WriteString(in.Op.String())
+	if len(in.Defs) > 0 {
+		dst = append(dst, " = "...)
+	}
+	dst = append(dst, in.Op.String()...)
 	if in.Op == Call {
-		b.WriteString(" @")
-		b.WriteString(in.Sym)
+		dst = append(dst, " @"...)
+		dst = append(dst, in.Sym...)
 	}
 	for i, u := range in.Uses {
 		if i == 0 {
-			if in.Op != Call {
-				b.WriteByte(' ')
-			} else {
-				b.WriteString(" ")
-			}
+			dst = append(dst, ' ')
 		} else {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		b.WriteString(u.String())
+		dst = u.appendText(dst)
 	}
 	switch in.Op {
 	case LoadImm, SpillLoad:
-		fmt.Fprintf(&b, " %d", in.Imm)
+		dst = strconv.AppendInt(append(dst, ' '), in.Imm, 10)
 	case Load, Store, SpillStore, AddImm:
-		fmt.Fprintf(&b, ", %d", in.Imm)
+		dst = strconv.AppendInt(append(dst, ", "...), in.Imm, 10)
 	}
-	return b.String()
+	return dst
 }

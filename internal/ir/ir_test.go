@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -337,6 +338,49 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if f.Blocks[0].Succs[0] == 2 {
 		t.Error("Clone shares Succs")
+	}
+}
+
+// TestCloneOperandsDoNotAlias checks that the clone's shared backing
+// arrays are cut cap-limited: appending to or overwriting one cloned
+// instruction's operands, one block's instructions or one block's
+// edges changes neither the original nor any neighbour in the clone.
+func TestCloneOperandsDoNotAlias(t *testing.T) {
+	f := makeDiamond(t)
+	want := f.String()
+	for bi, b := range f.Blocks {
+		for i := range b.Instrs {
+			g := f.Clone()
+			in := &g.Blocks[bi].Instrs[i]
+			for j := range in.Uses {
+				in.Uses[j] = Virt(97)
+			}
+			for j := range in.Defs {
+				in.Defs[j] = Virt(96)
+			}
+			in.Uses = append(in.Uses, Virt(99))
+			in.Defs = append(in.Defs, Virt(98))
+			g.Blocks[bi].Instrs = append(g.Blocks[bi].Instrs, MakeMove(Virt(95), Virt(94)))
+			g.Blocks[bi].Succs = append(g.Blocks[bi].Succs, 0)
+			g.Blocks[bi].Preds = append(g.Blocks[bi].Preds, 0)
+			if got := f.String(); got != want {
+				t.Fatalf("b%d[%d]: editing the clone changed the original:\n%s", bi, i, got)
+			}
+			for bj, ob := range f.Blocks {
+				cb := g.Blocks[bj]
+				if bj != bi && (!slices.Equal(cb.Succs, ob.Succs) || !slices.Equal(cb.Preds, ob.Preds) || len(cb.Instrs) != len(ob.Instrs)) {
+					t.Fatalf("b%d[%d]: editing the clone changed block b%d's edges or length", bi, i, bj)
+				}
+				for j := range ob.Instrs {
+					if bj == bi && j == i {
+						continue
+					}
+					if got, exp := cb.Instrs[j].String(), ob.Instrs[j].String(); got != exp {
+						t.Fatalf("b%d[%d]: neighbour b%d[%d] became %q, want %q", bi, i, bj, j, got, exp)
+					}
+				}
+			}
+		}
 	}
 }
 

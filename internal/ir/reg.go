@@ -9,7 +9,10 @@
 // explicit φ-functions when a function is in SSA form.
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Reg names a register operand. The zero value, NoReg, means "no
 // register". Physical machine registers occupy the small positive
@@ -75,12 +78,18 @@ func (r Reg) VirtNum() int {
 // String renders physical registers as r<n> and virtual registers as
 // v<n>, matching the textual IR syntax.
 func (r Reg) String() string {
+	var buf [12]byte
+	return string(r.appendText(buf[:0]))
+}
+
+// appendText appends r's String form to dst.
+func (r Reg) appendText(dst []byte) []byte {
 	switch {
 	case r == NoReg:
-		return "<none>"
+		return append(dst, "<none>"...)
 	case r.IsPhys():
-		return fmt.Sprintf("r%d", r.PhysNum())
+		return strconv.AppendInt(append(dst, 'r'), int64(r.PhysNum()), 10)
 	default:
-		return fmt.Sprintf("v%d", r.VirtNum())
+		return strconv.AppendInt(append(dst, 'v'), int64(r.VirtNum()), 10)
 	}
 }

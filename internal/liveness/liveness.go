@@ -199,9 +199,10 @@ func (i *Info) ForEachInstrReverse(b *ir.Block, fn func(idx int, in *ir.Instr, l
 // call instructions v is live across, weighted by block frequency
 // (freq[b] per call in block b), at index v. A register is live across
 // a call when it is live immediately after the call and is not
-// defined by it.
-func (i *Info) LiveAcrossCalls(freq func(ir.BlockID) float64) []float64 {
-	across := make([]float64, i.f.NumVirt)
+// defined by it. The result reuses dst's backing array when it is
+// large enough; dst may be nil.
+func (i *Info) LiveAcrossCalls(dst []float64, freq func(ir.BlockID) float64) []float64 {
+	across := scratch.Slice(dst, i.f.NumVirt)
 	for _, b := range i.f.Blocks {
 		w := freq(b.ID)
 		i.ForEachInstrReverse(b, func(_ int, in *ir.Instr, liveAfter []uint64) {

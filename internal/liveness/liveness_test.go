@@ -154,7 +154,7 @@ b0:
 }
 `)
 	li := Compute(f)
-	across := li.LiveAcrossCalls(func(ir.BlockID) float64 { return 1 })
+	across := li.LiveAcrossCalls(nil, func(ir.BlockID) float64 { return 1 })
 	if across[1] != 1 {
 		t.Errorf("v1 across-call weight = %v, want 1", across[1])
 	}
@@ -180,7 +180,7 @@ b2:
 }
 `)
 	li := Compute(f)
-	across := li.LiveAcrossCalls(func(b ir.BlockID) float64 {
+	across := li.LiveAcrossCalls(nil, func(b ir.BlockID) float64 {
 		if b == 1 {
 			return 10
 		}

@@ -168,7 +168,7 @@ func TestRowsMatchReference(t *testing.T) {
 
 		loops := cfg.FindLoops(f, cfg.NewDomTree(f))
 		want := refLiveAcrossCalls(f, li, loops.Freq)
-		got := li.LiveAcrossCalls(loops.Freq)
+		got := li.LiveAcrossCalls(nil, loops.Freq)
 		if len(got) != f.NumVirt {
 			t.Fatalf("func %d (%s): %d across-call weights for %d virtual registers", fi, f.Name, len(got), f.NumVirt)
 		}

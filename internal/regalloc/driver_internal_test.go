@@ -1,15 +1,18 @@
 package regalloc
 
 import (
+	"slices"
 	"testing"
 
+	"prefcolor/internal/bitset"
 	"prefcolor/internal/ir"
 )
 
 // TestReadBeforeWritten pins the classifier the spill inserters use to
 // decide which webs need their (undefined) entry value captured: webs
 // with an upward-exposed use on some path from entry, excluding
-// parameters.
+// parameters. Both the one-walk-per-web reference and the one-pass
+// liveIntoEntry the inserters use must give the pinned answers.
 func TestReadBeforeWritten(t *testing.T) {
 	// b0 -> b1 -> b2, with a loop b2 -> b1.
 	//   v0: param, used in b1            -> false (defined by caller)
@@ -46,9 +49,17 @@ b3:
 	// to cover the parameter exemption.
 	f.Params = append(f.Params, ir.Virt(0))
 	want := map[int]bool{0: false, 1: false, 2: true, 3: true, 4: false, 5: false}
+	webs := []int{0, 1, 2, 3, 4, 5}
+	var sc spillScratch
+	sc.mark(webs, f.NumVirt)
+	live := liveIntoEntry(f, &sc, len(webs))
 	for w, exp := range want {
 		if got := readBeforeWritten(f, ir.Virt(w)); got != exp {
 			t.Errorf("readBeforeWritten(v%d) = %v, want %v", w, got, exp)
+		}
+		isParam := slices.Contains(f.Params, ir.Virt(w))
+		if got := bitset.Has(live, w) && !isParam; got != exp {
+			t.Errorf("liveIntoEntry(v%d) = %v (param %v), want %v", w, got, isParam, exp)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"prefcolor/internal/ig"
 	"prefcolor/internal/ir"
 	"prefcolor/internal/liveness"
+	"prefcolor/internal/scratch"
 	"prefcolor/internal/target"
 	"prefcolor/internal/telemetry"
 )
@@ -58,17 +59,24 @@ func NewContext(f *ir.Func, m *target.Machine, spillTemp []bool) (*Context, erro
 // solution is computed once and shared by the cost model and the
 // graph builder.
 func NewContextIn(ws *Workspace, f *ir.Func, m *target.Machine, spillTemp []bool) (*Context, error) {
-	dom := cfg.NewDomTree(f)
-	loops := cfg.FindLoops(f, dom)
+	return newContext(ws, f, m, spillTemp, cfg.FindLoops(f, cfg.NewDomTree(f)))
+}
+
+// newContext is NewContextIn with the loop analysis supplied. Spill
+// code never adds or removes a block or an edge, so Run computes the
+// dominator tree and loops once and passes them to every round.
+func newContext(ws *Workspace, f *ir.Func, m *target.Machine, spillTemp []bool, loops *cfg.LoopInfo) (*Context, error) {
 	var live *liveness.Info
 	var gws *ig.GraphScratch
+	var costs *costmodel.Info
 	if ws != nil {
 		live = liveness.ComputeInto(f, &ws.live)
 		gws = &ws.graph
+		costs = costmodel.AnalyzeInto(&ws.costs, f, m, loops, live)
 	} else {
 		live = liveness.Compute(f)
+		costs = costmodel.Analyze(f, m, loops, live)
 	}
-	costs := costmodel.Analyze(f, m, loops, live)
 	g, err := ig.BuildInto(gws, f, m, loops, live)
 	if err != nil {
 		return nil, err
@@ -155,13 +163,15 @@ type Driver interface {
 //   - spill temporaries are never spilled.
 func CheckResult(ctx *Context, res *Result) error {
 	g := ctx.Graph
-	spilled := map[ig.NodeID]bool{}
+	ws := ctx.Workspace
+	if ws == nil {
+		ws = &Workspace{}
+	}
+	ws.checkSpilled = scratch.Slice(ws.checkSpilled, g.NumNodes())
+	ws.checkColor = scratch.Fill(ws.checkColor, g.NumNodes(), -1)
+	spilled, color := ws.checkSpilled, ws.checkColor
 	for _, s := range res.Spilled {
 		spilled[s] = true
-	}
-	color := make([]int, g.NumNodes())
-	for i := range color {
-		color[i] = -1
 	}
 	for i := 0; i < g.NumPhys(); i++ {
 		color[i] = i

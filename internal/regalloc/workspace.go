@@ -1,6 +1,7 @@
 package regalloc
 
 import (
+	"prefcolor/internal/costmodel"
 	"prefcolor/internal/ig"
 	"prefcolor/internal/ir"
 	"prefcolor/internal/liveness"
@@ -10,9 +11,10 @@ import (
 // it owns the per-round buffers the driver, the analyses, and the
 // allocators would otherwise reallocate on every spill round — the
 // liveness in/out sets, the web-numbering tables, the interference
-// graph's bitset rows, the driver's marker slices and maps, and
-// (via the opaque allocator slot) the RPG/CPG/selector storage of the
-// core coloring engine.
+// graph's bitset rows, the cost model's tables, the spill inserter's
+// and CheckResult's dense tables, the driver's marker slices and maps,
+// and (via the opaque allocator slot) the RPG/CPG/selector storage of
+// the core coloring engine.
 //
 // Ownership rules (see DESIGN.md §11):
 //
@@ -20,7 +22,7 @@ import (
 //     concurrent use; pool it (sync.Pool, one per batch worker) rather
 //     than share it.
 //   - Everything handed out from workspace storage — the Context's
-//     Graph and Live, RenumberInfo, the allocator scratch — is valid
+//     Graph, Live and Costs, RenumberInfo, the allocator scratch — is valid
 //     only until the next Run (or the next round) borrows the buffers
 //     again. Results that outlive the call (the rewritten function,
 //     Stats, Result) are always freshly allocated.
@@ -36,11 +38,18 @@ type Workspace struct {
 	renumber ig.RenumberScratch
 	graph    ig.GraphScratch
 
+	costs costmodel.Info
+	spill spillScratch
+
 	spillTemp      []bool
 	blockLocal     []bool
 	tempRegs       map[ir.Reg]bool
 	blockLocalRegs map[ir.Reg]bool
 	colors         []int
+	spillSeen      []bool // expandSpills: web already listed
+	spillWebs      []int
+	checkSpilled   []bool // CheckResult: node listed as spilled
+	checkColor     []int
 
 	allocScratch any
 }

@@ -922,9 +922,10 @@ func (s *Server) compute(ctx context.Context, in srcInput, spec Spec,
 		return nil, http.StatusUnprocessableEntity, err
 	}
 	s.metrics.CountExecuted(stats.Telemetry)
+	text := out.String()
 	e := &entry{
-		Function: out.String(),
-		Digest:   bench.FuncDigest(f.Name, stats, out),
+		Function: text,
+		Digest:   bench.TextDigest(f.Name, stats, text),
 		Stats:    statsFrom(stats),
 	}
 	if tier {

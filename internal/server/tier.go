@@ -83,9 +83,10 @@ func (s *Server) computeFast(ctx context.Context, in srcInput, spec Spec,
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, err
 	}
+	text := out.String()
 	return &entry{
-		Function: out.String(),
-		Digest:   bench.FuncDigest(f.Name, stats, out),
+		Function: text,
+		Digest:   bench.TextDigest(f.Name, stats, text),
 		Stats:    statsFrom(stats),
 		Tier:     tierFast,
 		Cycles:   perfmodel.Estimate(out, machine).Cycles,

@@ -6,7 +6,9 @@ import (
 	"slices"
 	"testing"
 
+	"prefcolor/internal/bitset"
 	"prefcolor/internal/ig"
+	"prefcolor/internal/ir"
 	"prefcolor/internal/regalloc"
 	"prefcolor/internal/target"
 	"prefcolor/internal/workload"
@@ -94,47 +96,201 @@ func TestReadyHeapMatchesArgmax(t *testing.T) {
 	}
 }
 
-// TestRecolorCountsMatchRecount checks the recolor fixup's neighbor-
-// color counts against a from-scratch recount after every recolorTo,
-// over every round of pref-full and pref-coalesce on the nine profiles
-// at k = 16 and 32.
-func TestRecolorCountsMatchRecount(t *testing.T) {
-	recolors := 0
-	for _, k := range []int{16, 32} {
+// hookCase is one function allocated on one machine.
+type hookCase struct {
+	f *ir.Func
+	m *target.Machine
+}
+
+// suiteCases lists the nine profiles' functions at each k.
+func suiteCases(ks ...int) []hookCase {
+	var cases []hookCase
+	for _, k := range ks {
 		m := target.UsageModel(k)
 		for _, p := range workload.Benchmarks() {
 			for _, f := range workload.Generate(p, m) {
-				for _, alloc := range []*Allocator{New(), NewCoalesceOnly()} {
-					ws := regalloc.NewWorkspace()
-					cs := &coreScratch{}
-					ws.SetAllocatorScratch(cs)
-					s := &cs.sel
-					s.rcHook = func() {
-						recolors++
-						g := s.ctx.Graph
-						for n := 0; n < g.NumNodes(); n++ {
-							want := make([]int32, k)
-							g.ForEachOrigNeighbor(ig.NodeID(n), func(nb ig.NodeID) {
-								if c := s.colorOf(nb); c >= 0 && c < k {
-									want[c]++
-								}
-							})
-							if got := s.nbCounts(ig.NodeID(n)); !slices.Equal(got, want) {
-								t.Fatalf("%s/%s k=%d: node %d counts %v, recount %v", alloc.Name(), f.Name, k, n, got, want)
-							}
+				cases = append(cases, hookCase{f, m})
+			}
+		}
+	}
+	return cases
+}
+
+// largeCases lists Large's functions at k = 16.
+func largeCases() []hookCase {
+	m := target.UsageModel(16)
+	var cases []hookCase
+	for _, f := range workload.Generate(workload.Large(), m) {
+		cases = append(cases, hookCase{f, m})
+	}
+	return cases
+}
+
+// fuzzCases lists workload.Fuzz() seeds 1–200 at each k.
+func fuzzCases(ks ...int) []hookCase {
+	var cases []hookCase
+	for _, k := range ks {
+		m := target.UsageModel(k)
+		for seed := int64(1); seed <= 200; seed++ {
+			cases = append(cases, hookCase{workload.GenerateRawFunc(workload.Fuzz(), m, seed), m})
+		}
+	}
+	return cases
+}
+
+// runHooked allocates every case with a fresh allocator from newAlloc
+// on its own workspace, calling install on the workspace's selector
+// before the run (where tests set their hooks) and, when after is not
+// nil, after it on the final round's state.
+func runHooked(t *testing.T, cases []hookCase, newAlloc func() *Allocator, install, after func(*selector)) {
+	t.Helper()
+	for _, c := range cases {
+		ws := regalloc.NewWorkspace()
+		cs := &coreScratch{}
+		ws.SetAllocatorScratch(cs)
+		install(&cs.sel)
+		alloc := newAlloc()
+		if _, _, err := regalloc.Run(c.f, c.m, alloc, regalloc.Options{Workspace: ws}); err != nil {
+			t.Fatalf("%s/%s k=%d: %v", alloc.Name(), c.f.Name, c.m.NumRegs, err)
+		}
+		if after != nil {
+			after(&cs.sel)
+		}
+	}
+}
+
+// TestRecolorCountsMatchRecount checks the recolor fixup's built
+// neighbor-color count rows against a from-scratch recount, and each
+// built free-color row against its counts (bit c set exactly when count
+// c is zero, no bit at or above k), after every recolorTo, over every
+// round of pref-full and pref-coalesce on the nine profiles at k = 16
+// and 32.
+func TestRecolorCountsMatchRecount(t *testing.T) {
+	recolors, rows := 0, 0
+	cases := suiteCases(16, 32)
+	for _, newAlloc := range []func() *Allocator{New, NewCoalesceOnly} {
+		runHooked(t, cases, newAlloc, func(s *selector) {
+			s.rcHook = func() {
+				recolors++
+				g, k := s.ctx.Graph, s.ctx.K()
+				for n := ig.NodeID(0); int(n) < g.NumNodes(); n++ {
+					if !s.rcRowOK[n] {
+						continue
+					}
+					rows++
+					want := make([]int32, k)
+					g.ForEachOrigNeighbor(n, func(nb ig.NodeID) {
+						if c := s.colorOf(nb); c >= 0 && c < k {
+							want[c]++
+						}
+					})
+					if got := s.nbCounts(n); !slices.Equal(got, want) {
+						t.Fatalf("%s k=%d: node %d counts %v, recount %v", s.ctx.F.Name, k, n, got, want)
+					}
+					row := s.freeRow(n)
+					for c, cnt := range want {
+						if bitset.Has(row, c) != (cnt == 0) {
+							t.Fatalf("%s k=%d: node %d color %d: free bit %v, count %d", s.ctx.F.Name, k, n, c, bitset.Has(row, c), cnt)
 						}
 					}
-					if _, _, err := regalloc.Run(f, m, alloc, regalloc.Options{Workspace: ws}); err != nil {
-						t.Fatalf("%s/%s: %v", alloc.Name(), f.Name, err)
+					if bitset.Next(row, k) >= 0 {
+						t.Fatalf("%s k=%d: node %d has a free bit at or above k", s.ctx.F.Name, k, n)
 					}
+				}
+			}
+		}, nil)
+	}
+	if recolors == 0 || rows == 0 {
+		t.Fatal("no recoloring happened; the check saw nothing")
+	}
+	t.Logf("%d recolorings checked, %d built rows compared", recolors, rows)
+}
+
+// TestForbidSkipExact recomputes the priority of every ready neighbor
+// whose newly forbidden register forbidMatters judged harmless, and
+// requires it bit-equal to the cached priVal, over pref-full and
+// pref-coalesce on the nine profiles at k = 16/24/32, Large at k = 16,
+// and workload.Fuzz() seeds 1–200 at k = 4 and 8. It logs how many
+// ready neighbors each corpus refreshed and how many of them needed a
+// recompute.
+func TestForbidSkipExact(t *testing.T) {
+	corpora := []struct {
+		name  string
+		cases []hookCase
+	}{
+		{"suite", suiteCases(16, 24, 32)},
+		{"large", largeCases()},
+		{"fuzz", fuzzCases(4, 8)},
+	}
+	for _, corpus := range corpora {
+		for _, newAlloc := range []func() *Allocator{New, NewCoalesceOnly} {
+			var skipped, recomputed int
+			runHooked(t, corpus.cases, newAlloc, func(s *selector) {
+				s.forbidHook = func(nb ig.NodeID, skip bool) {
+					if !skip {
+						recomputed++
+						return
+					}
+					skipped++
+					if got, want := s.priority(nb), s.priVal[nb]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s k=%d: skipped node %d: priority %v, cached %v", s.ctx.F.Name, s.ctx.K(), nb, got, want)
+					}
+				}
+			}, nil)
+			if skipped == 0 {
+				t.Fatalf("%s: no refresh was skipped; the check saw nothing", corpus.name)
+			}
+			n := float64(len(corpus.cases))
+			t.Logf("%s/%s: %.1f ready neighbors refreshed per function, %.1f recomputed",
+				corpus.name, newAlloc().Name(), float64(skipped+recomputed)/n, float64(recomputed)/n)
+		}
+	}
+}
+
+// TestComponentPlanScoreMatches builds every component plan the recolor
+// fixup can score — each copy component of 3 to maxCompPlan colored
+// members, each color below k — after every recolorTo and on each
+// run's final state, and requires each plan of two or more nodes to
+// pass planDelta's validation with a delta bit-equal to planGain's,
+// over pref-full on the nine profiles at k = 16/24/32 and Large.
+func TestComponentPlanScoreMatches(t *testing.T) {
+	plans := 0
+	check := func(s *selector) {
+		g, k := s.ctx.Graph, s.ctx.K()
+		plan := &planOverlay{}
+		for r := g.NumPhys(); r < g.NumNodes(); r++ {
+			if s.compOf(ig.NodeID(r)) != int32(r) {
+				continue
+			}
+			members := s.compMembers(ig.NodeID(r))
+			if len(members) <= 2 || len(members) > maxCompPlan {
+				continue
+			}
+			for _, m := range members {
+				s.ensureRows(m)
+			}
+			for c := 0; c < k; c++ {
+				s.componentPlan(members, c, plan)
+				if plan.len() < 2 {
+					continue
+				}
+				plans++
+				gain := s.planGain(plan)
+				delta, ok := s.planDelta(plan)
+				if !ok || math.Float64bits(delta) != math.Float64bits(gain) {
+					t.Fatalf("%s k=%d: component %d color %d: planDelta (%v, %v), planGain %v", s.ctx.F.Name, k, r, c, delta, ok, gain)
 				}
 			}
 		}
 	}
-	if recolors == 0 {
-		t.Fatal("no recoloring happened; the check saw nothing")
+	cases := append(suiteCases(16, 24, 32), largeCases()...)
+	runHooked(t, cases, New, func(s *selector) {
+		s.rcHook = func() { check(s) }
+	}, check)
+	if plans == 0 {
+		t.Fatal("no component plan was built; the check saw nothing")
 	}
-	t.Logf("%d recolorings checked", recolors)
+	t.Logf("%d component plans checked", plans)
 }
 
 // TestColorFreeForMatchesRef compares the count-based colorFreeFor with
@@ -157,6 +313,9 @@ func TestColorFreeForMatchesRef(t *testing.T) {
 			s := &cs.sel
 			s.buildColorRows()
 			g := s.ctx.Graph
+			for n := 0; n < g.NumNodes(); n++ {
+				s.ensureRows(ig.NodeID(n))
+			}
 			var colored []ig.NodeID
 			for n := g.NumPhys(); n < g.NumNodes(); n++ {
 				if s.color[n] >= 0 {

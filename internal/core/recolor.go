@@ -22,10 +22,11 @@ type recolorCand struct {
 }
 
 // planOverlay is a proposed recoloring: a handful of (node, color)
-// overrides on top of the current assignment. Plans never exceed
-// maxCompPlan entries, so lookups are a linear scan over a pair of
-// small slices — cheaper than a hash table at this size, and
-// iteration order is insertion order (deterministic).
+// overrides on top of the current assignment, in insertion order
+// (deterministic). Plans never exceed maxCompPlan entries. While a plan
+// is scored, markPlan copies it into the per-node rcMark array, so a
+// planned color is one array read; the reference colorFreeForRef still
+// scans the pair of slices (lookup).
 type planOverlay struct {
 	nodes  []ig.NodeID
 	colors []int
@@ -88,6 +89,7 @@ func (s *selector) recolorFixup() {
 	s.rcPlanOff = scratch.Fill(s.rcPlanOff, g.NumNodes(), -1)
 	s.rcPlanAt = scratch.Slice(s.rcPlanAt, g.NumNodes())
 	s.rcPlanDelta = s.rcPlanDelta[:0]
+	s.rcMark = scratch.Slice(s.rcMark, g.NumNodes())
 	moves := s.rcMoves[:0]
 	if s.rcSeen == nil {
 		s.rcSeen = map[[2]ig.NodeID]bool{}
@@ -156,6 +158,13 @@ func (s *selector) tryPlans(x, y ig.NodeID) bool {
 	bestDelta := 0.0
 	haveBest := false
 	plan := &s.rcPlan
+	if !s.refSelect {
+		for _, n := range [2]ig.NodeID{x, y} {
+			if !g.IsPhys(n) {
+				s.ensureRows(n)
+			}
+		}
+	}
 
 	if !g.IsPhys(x) {
 		plan.nodes = append(plan.nodes[:0], x)
@@ -171,18 +180,24 @@ func (s *selector) tryPlans(x, y ig.NodeID) bool {
 		// x and y do not interfere (recolorFixup drops interfering
 		// moves), so the plan {x: c, y: c} is valid exactly when no
 		// neighbor of either currently wears c. Outside the reference
-		// selector the counts answer that without building the plan.
-		var nx, ny []int32
+		// selector the free-color rows answer that, and the plans they
+		// admit are scored without re-validation.
+		var fx, fy []uint64
 		if !s.refSelect {
-			nx, ny = s.nbCounts(x), s.nbCounts(y)
+			fx, fy = s.freeRow(x), s.freeRow(y)
 		}
 		for c := 0; c < k; c++ {
-			if c == cx || c == cy || nx != nil && (nx[c] != 0 || ny[c] != 0) {
+			if c == cx || c == cy || fx != nil && !(bitset.Has(fx, c) && bitset.Has(fy, c)) {
 				continue
 			}
 			plan.nodes = append(plan.nodes[:0], x, y)
 			plan.colors = append(plan.colors[:0], c, c)
-			bestDelta, haveBest = s.considerPlan(plan, bestDelta, haveBest)
+			if s.refSelect {
+				bestDelta, haveBest = s.considerPlan(plan, bestDelta, haveBest)
+			} else if d := s.planGain(plan); d > bestDelta+1e-9 {
+				bestDelta, haveBest = d, true
+				s.keepBest(plan)
+			}
 		}
 	}
 	// Component plan: migrate as much of the copy component as fits
@@ -197,8 +212,7 @@ func (s *selector) tryPlans(x, y ig.NodeID) bool {
 		}
 		if bestC >= 0 {
 			s.componentPlan(members, bestC, plan)
-			s.rcBest.nodes = append(s.rcBest.nodes[:0], plan.nodes...)
-			s.rcBest.colors = append(s.rcBest.colors[:0], plan.colors...)
+			s.keepBest(plan)
 		}
 	}
 	if !haveBest {
@@ -216,25 +230,77 @@ func (s *selector) tryPlans(x, y ig.NodeID) bool {
 // updated running best.
 func (s *selector) considerPlan(plan *planOverlay, bestDelta float64, haveBest bool) (float64, bool) {
 	if delta, ok := s.planDelta(plan); ok && delta > bestDelta+1e-9 {
-		s.rcBest.nodes = append(s.rcBest.nodes[:0], plan.nodes...)
-		s.rcBest.colors = append(s.rcBest.colors[:0], plan.colors...)
+		s.keepBest(plan)
 		return delta, true
 	}
 	return bestDelta, haveBest
 }
 
+// keepBest copies plan into s.rcBest.
+func (s *selector) keepBest(plan *planOverlay) {
+	s.rcBest.nodes = append(s.rcBest.nodes[:0], plan.nodes...)
+	s.rcBest.colors = append(s.rcBest.colors[:0], plan.colors...)
+}
+
 // planDelta is plan's score gain over the current assignment; ok is
 // false when some planned node may not wear its planned color.
-func (s *selector) planDelta(plan *planOverlay) (delta float64, ok bool) {
+func (s *selector) planDelta(plan *planOverlay) (float64, bool) {
 	g := s.ctx.Graph
+	s.markPlan(plan)
+	defer s.unmarkPlan(plan)
 	for i, n := range plan.nodes {
-		nc := plan.colors[i]
-		if g.IsPhys(n) || !s.colorFreeFor(n, nc, plan) {
+		if g.IsPhys(n) || !s.colorFreeFor(n, plan.colors[i], plan) {
 			return 0, false
 		}
-		delta += s.nodeScore(n, nc, plan) - s.currentScore(n)
 	}
-	return delta, true
+	return s.markedGain(plan), true
+}
+
+// planGain is planDelta for a plan known to be valid. componentPlan
+// admits a member only when it is free for the plan's color beside the
+// members admitted before it, and interference is symmetric, so
+// planDelta's re-check of the whole plan always passes; a pair plan
+// tryPlans scores has passed the free-row test for both endpoints,
+// which is its whole validity (DESIGN §16).
+func (s *selector) planGain(plan *planOverlay) float64 {
+	s.markPlan(plan)
+	d := s.markedGain(plan)
+	s.unmarkPlan(plan)
+	return d
+}
+
+// markedGain sums, in plan order, each planned node's score under the
+// marked plan minus its current score.
+func (s *selector) markedGain(plan *planOverlay) float64 {
+	delta := 0.0
+	for i, n := range plan.nodes {
+		delta += s.nodeScore(n, plan.colors[i], true) - s.currentScore(n)
+	}
+	return delta
+}
+
+// markPlan records plan's colors in rcMark (color+1; 0 means not
+// planned), and unmarkPlan clears them again, so rcMark is all zero
+// between scorings.
+func (s *selector) markPlan(plan *planOverlay) {
+	for i, n := range plan.nodes {
+		s.rcMark[n] = int32(plan.colors[i]) + 1
+	}
+}
+
+func (s *selector) unmarkPlan(plan *planOverlay) {
+	for _, n := range plan.nodes {
+		s.rcMark[n] = 0
+	}
+}
+
+// plannedColor is n's color under the marked plan, its current color
+// when no marked plan covers it.
+func (s *selector) plannedColor(n ig.NodeID) int {
+	if m := s.rcMark[n]; m != 0 {
+		return int(m) - 1
+	}
+	return s.colorOf(n)
 }
 
 // compPlanDeltas returns, per color c, the gain of moving x's copy
@@ -243,7 +309,9 @@ func (s *selector) planDelta(plan *planOverlay) (delta float64, ok bool) {
 // invalid. The deltas read only the component's read set (see
 // noteRecolored), so outside the reference selector they are cached
 // per component and reused by its other moves until the component is
-// stamped.
+// stamped, and plans are built only for colors with two takers and
+// scored without re-validation (planGain). The reference selector
+// builds and validates every plan.
 func (s *selector) compPlanDeltas(x ig.NodeID, members []ig.NodeID) []float64 {
 	k, root := s.ctx.K(), s.compOf(x)
 	off := int(s.rcPlanOff[root])
@@ -258,39 +326,59 @@ func (s *selector) compPlanDeltas(x ig.NodeID, members []ig.NodeID) []float64 {
 	s.rcPlanAt[root] = s.rcClock
 	deltas := s.rcPlanDelta[off : off+k]
 	plan := &s.rcPlan
+	var twice []uint64
+	if !s.refSelect {
+		for _, m := range members {
+			s.ensureRows(m)
+		}
+		twice = s.twoTakers(members)
+	}
 	for c := range deltas {
 		deltas[c] = math.NaN()
-		if !s.refSelect && s.takers(members, c) < 2 {
+		if twice != nil && !bitset.Has(twice, c) {
 			continue
 		}
 		s.componentPlan(members, c, plan)
-		if plan.len() >= 2 {
+		switch {
+		case plan.len() < 2:
+		case s.refSelect:
 			if d, ok := s.planDelta(plan); ok {
 				deltas[c] = d
 			}
+		default:
+			deltas[c] = s.planGain(plan)
 		}
 	}
 	return deltas
 }
 
-// takers counts the members not on c that no neighbor wearing c
-// blocks. componentPlan only adds such a member — its plan holds only
-// members moving onto c, none of them on c now, so the plan never
-// hides a neighbor that wears c — and a plan of fewer than two nodes
-// is skipped, so below two takers the plan need not be built.
-func (s *selector) takers(members []ig.NodeID, c int) int {
-	n := 0
+// twoTakers returns the row of colors c with at least two takers: the
+// members not on c that no neighbor wearing c blocks. componentPlan
+// only adds such a member — its plan holds only members moving onto c,
+// none of them on c now, so the plan never hides a neighbor that wears
+// c — and a plan of fewer than two nodes is skipped, so below two
+// takers the plan need not be built.
+func (s *selector) twoTakers(members []ig.NodeID) []uint64 {
+	once, twice := s.regRow(rowOnce), s.regRow(rowTwice)
+	clear(once)
+	clear(twice)
 	for _, m := range members {
-		if s.color[m] != c && s.nbCounts(m)[c] == 0 {
-			n++
+		own := s.color[m]
+		for i, w := range s.freeRow(m) {
+			if i == own>>6 {
+				w &^= 1 << uint(own&63)
+			}
+			twice[i] |= once[i] & w
+			once[i] |= w
 		}
 	}
-	return n
+	return twice
 }
 
 // recolorTo commits node n to color c. The reference selector keeps
 // the per-color occupancy bitsets in sync; the incremental one keeps
-// the neighbor-color counts, the dirty stamps and the score cache.
+// the built neighbor-color counts and free-color rows (a bit flips when
+// its count crosses zero), the dirty stamps and the score cache.
 func (s *selector) recolorTo(n ig.NodeID, c int) {
 	k, old := s.ctx.K(), s.color[n]
 	s.color[n] = c
@@ -305,14 +393,21 @@ func (s *selector) recolorTo(n ig.NodeID, c int) {
 	}
 	for wi, w := range s.ctx.Graph.OrigRow(n) {
 		base := wi << 6
-		for w != 0 {
-			cnt := s.nbCounts(ig.NodeID(base + bits.TrailingZeros64(w)))
-			w &= w - 1
+		for ; w != 0; w &= w - 1 {
+			nb := ig.NodeID(base + bits.TrailingZeros64(w))
+			if !s.rcRowOK[nb] {
+				continue
+			}
+			cnt, free := s.nbCounts(nb), s.freeRow(nb)
 			if old >= 0 && old < k {
-				cnt[old]--
+				if cnt[old]--; cnt[old] == 0 {
+					bitset.Set(free, old)
+				}
 			}
 			if c >= 0 && c < k {
-				cnt[c]++
+				if cnt[c]++; cnt[c] == 1 {
+					bitset.Clear(free, c)
+				}
 			}
 		}
 	}
@@ -347,35 +442,72 @@ func (s *selector) noteRecolored(n ig.NodeID) {
 	}
 }
 
-// currentScore is nodeScore(n, colorOf(n), nil), cached per node
+// currentScore is n's score under its current color, cached per node
 // outside the reference selector; noteRecolored drops the entries a
 // recoloring changes.
 func (s *selector) currentScore(n ig.NodeID) float64 {
 	if s.refSelect {
-		return s.nodeScore(n, s.colorOf(n), nil)
+		return s.nodeScore(n, s.colorOf(n), false)
 	}
 	if !s.rcScoreOK[n] {
-		s.rcScore[n], s.rcScoreOK[n] = s.nodeScore(n, s.colorOf(n), nil), true
+		s.rcScore[n], s.rcScoreOK[n] = s.nodeScore(n, s.colorOf(n), false), true
 	}
 	return s.rcScore[n]
 }
 
 // nbCounts returns n's row of rcNbCount: entry c is how many of n's
-// original-graph neighbors currently wear color c < k.
+// original-graph neighbors currently wear color c < k. The row must be
+// built (ensureRows).
 func (s *selector) nbCounts(n ig.NodeID) []int32 {
 	k := s.ctx.K()
 	return s.rcNbCount[int(n)*k : int(n)*k+k]
+}
+
+// freeRow returns n's row of rcFree: bit c set for each color c < k no
+// original-graph neighbor of n currently wears (its count is zero). The
+// row must be built (ensureRows).
+func (s *selector) freeRow(n ig.NodeID) []uint64 {
+	kw := s.kwords
+	return s.rcFree[int(n)*kw : int(n)*kw+kw]
+}
+
+// ensureRows fills n's count and free-color rows from its neighbors'
+// current colors unless they are built already this fixup; recolorTo
+// keeps built rows current. tryPlans builds its move's endpoints and
+// compPlanDeltas the component members — the only nodes whose rows are
+// read — so the rows of nodes no plan touches are never built.
+func (s *selector) ensureRows(n ig.NodeID) {
+	if s.rcRowOK[n] {
+		return
+	}
+	k, kw := s.ctx.K(), s.kwords
+	cnt := s.rcNbCount[int(n)*k : int(n)*k+k]
+	free := s.rcFree[int(n)*kw : int(n)*kw+kw]
+	clear(cnt)
+	copy(free, s.allRegs)
+	for wi, w := range s.ctx.Graph.OrigRow(n) {
+		base := wi << 6
+		for ; w != 0; w &= w - 1 {
+			if c := s.colorOf(ig.NodeID(base + bits.TrailingZeros64(w))); c >= 0 && c < k {
+				cnt[c]++
+				free[c>>6] &^= 1 << uint(c&63)
+			}
+		}
+	}
+	s.rcRowOK[n] = true
 }
 
 // maxCompPlan bounds the component-migration plan size.
 const maxCompPlan = 12
 
 // buildRecolorIndex prepares the two structures the recolor pass
-// queries constantly: the per-node neighbor-color counts (the
-// reference selector's per-color occupancy bitsets instead) and the
-// copy components bucketed by root in CSR form. Both stay valid for the
-// whole pass — recolorTo updates the counts or bitsets, and the colored
-// set itself is static (plans change colors, never colored-ness).
+// queries constantly: room for the per-node neighbor-color counts and
+// free-color rows, built on first use (ensureRows; the reference
+// selector's per-color occupancy bitsets instead, built at once), and
+// the copy components bucketed by root in CSR form. Both stay valid for
+// the whole pass — recolorTo updates the built rows or the bitsets, and
+// the colored set itself is static (plans change colors, never
+// colored-ness).
 func (s *selector) buildRecolorIndex() {
 	g, k := s.ctx.Graph, s.ctx.K()
 	n := g.NumNodes()
@@ -384,19 +516,8 @@ func (s *selector) buildRecolorIndex() {
 		s.buildColorRows()
 	} else {
 		s.rcNbCount = scratch.Slice(s.rcNbCount, n*k)
-		for i := 0; i < n; i++ {
-			c := s.colorOf(ig.NodeID(i))
-			if c < 0 || c >= k {
-				continue
-			}
-			for wi, w := range g.OrigRow(ig.NodeID(i)) {
-				base := wi << 6
-				for w != 0 {
-					s.rcNbCount[(base+bits.TrailingZeros64(w))*k+c]++
-					w &= w - 1
-				}
-			}
-		}
+		s.rcFree = scratch.Slice(s.rcFree, n*s.kwords)
+		s.rcRowOK = scratch.Slice(s.rcRowOK, n)
 	}
 
 	// CSR buckets: off[r+1] holds component r's member count during the
@@ -438,41 +559,55 @@ func (s *selector) compMembers(n ig.NodeID) []ig.NodeID {
 }
 
 // componentPlan greedily gathers into plan the members that can all
-// wear color c simultaneously, skipping those already on c.
+// wear color c simultaneously, skipping those already on c. No plan
+// member wears c now, so outside the reference selector colorFreeFor
+// reduces to the member's free-color bit and an interference test
+// against the members admitted before it.
 func (s *selector) componentPlan(members []ig.NodeID, c int, plan *planOverlay) {
+	g := s.ctx.Graph
 	plan.nodes = plan.nodes[:0]
 	plan.colors = plan.colors[:0]
+next:
 	for _, m := range members {
-		if s.color[m] == c {
+		switch {
+		case s.color[m] == c:
+			continue
+		case s.refSelect:
+			plan.add(m, c)
+			if !s.colorFreeFor(m, c, plan) {
+				plan.removeLast()
+			}
+			continue
+		case !bitset.Has(s.freeRow(m), c):
 			continue
 		}
-		plan.add(m, c)
-		if !s.colorFreeFor(m, c, plan) {
-			plan.removeLast()
+		for _, p := range plan.nodes {
+			if g.OrigInterferes(m, p) {
+				continue next
+			}
 		}
+		plan.add(m, c)
 	}
 }
 
 // colorFreeFor reports whether node n may wear color c given current
 // colors with the plan's overrides (plan members never interfere with
 // each other here, but the check stays general). The usual case is one
-// read of n's neighbor-color count: a neighbor wearing c blocks c
-// unless the plan moves it away, so the plan members among n's
-// neighbors that wear c now are taken off the count. The plan's own
+// bit of n's free-color row: a neighbor wearing c blocks c unless the
+// plan moves it away, so when c is not free the plan members among n's
+// neighbors that wear c now are taken off n's count. The plan's own
 // recolorings then get a direct interference test. Colors the counts
 // don't track (a physical neighbor's id at or above K) take the plain
-// per-neighbor walk; the reference selector takes colorFreeForRef.
+// per-neighbor walk, which reads planned colors from rcMark, so a plan
+// must be marked for them; the reference selector takes
+// colorFreeForRef below K.
 func (s *selector) colorFreeFor(n ig.NodeID, c int, plan *planOverlay) bool {
 	g := s.ctx.Graph
 	switch {
 	case c < 0 || c >= s.ctx.K():
 		row := g.OrigRow(n)
 		for i := bitset.Next(row, 0); i >= 0; i = bitset.Next(row, i+1) {
-			nbc, ok := plan.lookup(ig.NodeID(i))
-			if !ok {
-				nbc = s.colorOf(ig.NodeID(i))
-			}
-			if nbc == c {
+			if s.plannedColor(ig.NodeID(i)) == c {
 				return false
 			}
 		}
@@ -481,9 +616,10 @@ func (s *selector) colorFreeFor(n ig.NodeID, c int, plan *planOverlay) bool {
 		return s.colorFreeForRef(n, c, plan)
 	}
 	if plan == nil {
-		return s.nbCounts(n)[c] == 0
+		return bitset.Has(s.freeRow(n), c)
 	}
-	if blocked := s.nbCounts(n)[c]; blocked > 0 {
+	if !bitset.Has(s.freeRow(n), c) {
+		blocked := s.nbCounts(n)[c]
 		for _, m := range plan.nodes {
 			if s.colorOf(m) == c && g.OrigInterferes(n, m) {
 				blocked--
@@ -508,7 +644,8 @@ func (s *selector) colorFreeFor(n ig.NodeID, c int, plan *planOverlay) bool {
 // before and after of any recoloring, so only these terms matter.
 // Coalesce and sequential preferences exist in both directions, so
 // scoring only the recolored nodes still sees every affected edge.
-func (s *selector) nodeScore(n ig.NodeID, c int, plan *planOverlay) float64 {
+// With planned set, partner colors are read under the marked plan.
+func (s *selector) nodeScore(n ig.NodeID, c int, planned bool) float64 {
 	m := s.ctx.Machine
 	vol := m.IsVolatile(c)
 	total := 0.0
@@ -523,8 +660,10 @@ func (s *selector) nodeScore(n ig.NodeID, c int, plan *planOverlay) float64 {
 		honored := false
 		switch p.Kind {
 		case Coalesce, SeqPlus, SeqMinus:
-			tc, ok := plan.lookup(p.To)
-			if !ok {
+			var tc int
+			if planned {
+				tc = s.plannedColor(p.To)
+			} else {
 				tc = s.colorOf(p.To)
 			}
 			if tc < 0 {

@@ -26,7 +26,7 @@ type selector struct {
 	// itself, dense slices instead of hash tables.
 	color      []int // per node id; physical nodes preset
 	spilled    []bool
-	processed  []bool
+	done       []uint64 // bitset: physical nodes and processed webs
 	nProcessed int
 	predCount  []int
 
@@ -50,6 +50,9 @@ type selector struct {
 	// neighbor walk on every priority recompute.
 	forbid []uint64
 	kwords int
+
+	// resColors backs every round's Result.Colors (see run).
+	resColors map[ig.NodeID]int
 
 	// Every register set selection handles is a kwords-word row laid
 	// out like the forbid rows: bit r is register r. allRegs holds the
@@ -92,14 +95,20 @@ type selector struct {
 	priOK       []bool
 	prefSources [][]ig.NodeID
 
+	// forbidHook, when set, runs for every ready neighbor whose forbid
+	// bit noteColored newly sets, after its refresh, with skipped true
+	// when forbidMatters spared it the recompute; only tests set it.
+	forbidHook func(nb ig.NodeID, skipped bool)
+
 	strengths []float64
 	honorable []rankedPref
 	deferred  []*Pref
 
 	// Recolor-fixup scratch (see recolor.go): candidate moves, the
 	// per-node neighbor-color counts (k per node; the reference
-	// selector's per-color occupancy bitsets instead), the
-	// copy-component CSR buckets, the reusable plan overlays, the dirty
+	// selector's per-color occupancy bitsets instead) and free-color
+	// rows with their built marks, the copy-component CSR buckets, the
+	// planned-color marks and the reusable plan overlays, the dirty
 	// stamps that let later passes skip components nothing touched, the
 	// cached current scores, and the cached component-plan deltas
 	// (arena offset and clock per component root). rcHook, when set,
@@ -111,6 +120,9 @@ type selector struct {
 	rcCompOff   []int32
 	rcCompNext  []int32
 	rcCompMem   []ig.NodeID
+	rcFree      []uint64
+	rcRowOK     []bool
+	rcMark      []int32
 	rcPlan      planOverlay
 	rcBest      planOverlay
 	rcClock     uint32
@@ -135,6 +147,8 @@ const (
 	rowCand           // chooseReg's surviving candidates
 	rowSub            // chooseReg's screening write target
 	rowPartner        // a deferred partner's free registers
+	rowOnce           // twoTakers: colors with at least one taker
+	rowTwice          // twoTakers: colors with at least two takers
 	numRegRows
 )
 
@@ -169,7 +183,10 @@ func newSelectorIn(s *selector, ctx *regalloc.Context, rpg *RPG, cpg *CPG, mode 
 		s.color[i] = i
 	}
 	s.spilled = scratch.Slice(s.spilled, n)
-	s.processed = scratch.Slice(s.processed, n)
+	s.done = scratch.Slice(s.done, bitset.Words(n))
+	for i := 0; i < g.NumPhys(); i++ {
+		bitset.Set(s.done, i)
+	}
 	s.predCount = scratch.Slice(s.predCount, n)
 	s.readyBits = scratch.Slice(s.readyBits, bitset.Words(n))
 	s.readyCount = 0
@@ -260,7 +277,9 @@ func (s *selector) noteCompColor(n ig.NodeID, c int) {
 }
 
 // run processes every web node in a CPG-respecting order and returns
-// the round's result.
+// the round's result. Its Colors map is the selector's own, cleared
+// and refilled every round, so a pooled selector's result is valid
+// until the next round on the same scratch.
 func (s *selector) run() (*regalloc.Result, error) {
 	g, tel := s.ctx.Graph, s.ctx.Telemetry
 	numWebs := g.NumWebs()
@@ -284,7 +303,11 @@ func (s *selector) run() (*regalloc.Result, error) {
 		}
 	}
 
-	res := &regalloc.Result{Colors: make(map[ig.NodeID]int, numWebs)}
+	if s.resColors == nil {
+		s.resColors = make(map[ig.NodeID]int, numWebs)
+	}
+	clear(s.resColors)
+	res := &regalloc.Result{Colors: s.resColors}
 	for s.nProcessed < numWebs {
 		if tel.Enabled() {
 			tel.ObserveReady(s.readyCount)
@@ -347,30 +370,122 @@ func (s *selector) invalidate(n ig.NodeID) {
 }
 
 // noteColored is the incremental counterpart of invalidateAround for
-// n taking register c: it sets bit c in every original neighbor's
-// forbid mask and refreshes the cached priorities that can have
-// changed. A neighbor's priority reads only its own mask and the
-// colors and spill marks of its preference targets, so a neighbor
-// whose bit c was already set (another colored neighbor holds c) keeps
-// its priority unless it also holds a preference aimed at n — and
-// those are exactly prefSources[n], refreshed below. The mask bit lands
-// before the neighbor's recompute, so the recompute reads the post-
-// coloring candidate set — the same state the reference's next-pop
-// rebuild reads.
+// n taking register c: it sets bit c in the forbid mask of every
+// original neighbor not yet processed and refreshes the cached
+// priorities that can have changed. Physical and processed neighbors
+// are skipped: nothing reads their masks again (a node's candidates
+// are read while it is processed, and a deferred partner is
+// unprocessed). A neighbor's priority reads only its own mask and the
+// colors and spill marks of its preference targets. The nodes holding
+// a preference aimed at n (prefSources[n]) are refreshed first, so each
+// neighbor's cached priority already reflects n's color and only the
+// mask bit is left to account for. A neighbor whose bit c was already
+// set (another colored neighbor holds c) keeps its priority; a ready
+// neighbor whose bit is newly set is recomputed only when forbidMatters
+// says losing c can move it (DESIGN §16 gives why the skip is exact).
+// The mask bit lands before the recompute, so the recompute reads the
+// post-coloring candidate set — the same state the reference's
+// next-pop rebuild reads.
 func (s *selector) noteColored(n ig.NodeID, c int) {
+	s.invalidateSources(n)
 	kw := s.kwords
 	for wi, w := range s.ctx.Graph.OrigRow(n) {
-		base := int(wi << 6)
-		for w != 0 {
-			nb := base + bits.TrailingZeros64(w)
-			w &= w - 1
-			if row := s.forbid[nb*kw : nb*kw+kw]; !bitset.Has(row, c) {
-				bitset.Set(row, c)
-				s.invalidate(ig.NodeID(nb))
+		base := wi << 6
+		for w &^= s.done[wi]; w != 0; w &= w - 1 {
+			nb := ig.NodeID(base + bits.TrailingZeros64(w))
+			row := s.forbid[int(nb)*kw : int(nb)*kw+kw]
+			if bitset.Has(row, c) {
+				continue
+			}
+			ready := s.incremental() && s.isReady(nb)
+			matters := !ready || s.forbidMatters(nb, c)
+			bitset.Set(row, c)
+			if matters {
+				s.invalidate(nb)
+			}
+			if ready && s.forbidHook != nil {
+				s.forbidHook(nb, !matters)
 			}
 		}
 	}
-	s.invalidateSources(n)
+}
+
+// forbidMatters reports whether taking register c out of nb's
+// available set can change nb's priority; it reads nb's forbid mask
+// before bit c is set. Losing c changes a preference's state or
+// strength only when c is in the preference's honoring set H and is
+// the only register of its volatility class there: otherwise H stays
+// nonempty and still meets the same classes. Each kind's test is a bit
+// test or a few word ANDs instead of a full priority recompute. The
+// walk applies prefState's early exits, cheapest first: a target that
+// wears a color is not spilled, so only a coalesce's interference test
+// remains once its target is known to wear c.
+func (s *selector) forbidMatters(nb ig.NodeID, c int) bool {
+	kw := s.kwords
+	forbid := s.forbid[int(nb)*kw : int(nb)*kw+kw]
+	vol := bitset.Has(s.volRegs, c)
+	for _, pi := range s.rpg.Prefs(nb) {
+		p := s.rpg.Pref(pi)
+		switch p.Kind {
+		case Coalesce:
+			if s.color[p.To] == c && !s.ctx.Graph.OrigInterferes(p.From, p.To) {
+				return true
+			}
+		case SeqPlus, SeqMinus:
+			tc := s.color[p.To]
+			if tc < 0 {
+				continue
+			}
+			pr := s.pairRow(tc, p.Kind == SeqMinus)
+			if bitset.Has(pr, c) && !s.classPeer(pr, forbid, c, vol) {
+				return true
+			}
+		case Prefers:
+			if p.Allowed != nil {
+				if s.allowedAlone(p.Allowed, forbid, c, vol) {
+					return true
+				}
+			} else if (p.Class == ClassVolatile) == vol && !s.classPeer(s.allRegs, forbid, c, vol) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// classPeer reports whether row holds a register other than c, below k
+// and outside forbid, of c's volatility class vol.
+func (s *selector) classPeer(row, forbid []uint64, c int, vol bool) bool {
+	for i, w := range row {
+		w &= s.allRegs[i] &^ forbid[i]
+		if vol {
+			w &= s.volRegs[i]
+		} else {
+			w &^= s.volRegs[i]
+		}
+		if i == c>>6 {
+			w &^= 1 << uint(c&63)
+		}
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// allowedAlone reports whether c is in allowed and no other member of
+// allowed below k and outside forbid shares c's volatility class vol.
+func (s *selector) allowedAlone(allowed []int, forbid []uint64, c int, vol bool) bool {
+	in := false
+	for _, a := range allowed {
+		switch {
+		case a == c:
+			in = true
+		case a >= 0 && a < s.ctx.K() && !bitset.Has(forbid, a) && bitset.Has(s.volRegs, a) == vol:
+			return false
+		}
+	}
+	return in
 }
 
 // invalidateSources refreshes the priorities of the nodes holding a
@@ -629,7 +744,7 @@ func rowRegs(row []uint64) []int {
 func (s *selector) processNode(n ig.NodeID, res *regalloc.Result) {
 	tel := s.ctx.Telemetry
 	s.dropReady(n)
-	s.processed[n] = true
+	bitset.Set(s.done, int(n))
 	s.nProcessed++
 
 	chosen, active := -1, false
@@ -699,7 +814,7 @@ func (s *selector) processNode(n ig.NodeID, res *regalloc.Result) {
 	for j := bitset.Next(succs, cpgIdx(0)); j >= 0; j = bitset.Next(succs, j+1) {
 		succ := ig.NodeID(j - 2)
 		s.predCount[succ]--
-		if s.predCount[succ] == 0 && !s.processed[succ] {
+		if s.predCount[succ] == 0 && !bitset.Has(s.done, int(succ)) {
 			s.pushReady(succ)
 		}
 	}

@@ -37,6 +37,7 @@ type RenumberScratch struct {
 	cur       []int32 // per register: the node current at the walk position
 	opNode    []int32 // node of every virtual operand, in walk order
 	webOf     []int32
+	origins   []ir.Reg // arena of info.Origins rows
 	uf        unionFind
 	info      RenumberInfo
 }
@@ -232,32 +233,30 @@ func RenumberInto(f *ir.Func, ws *RenumberScratch) (*RenumberInfo, error) {
 	ws.webOf = scratch.Fill(ws.webOf, len(uf.parent), int32(-1))
 	webOf := ws.webOf
 	info := &ws.info
-	recycled := info.Origins // previous run's rows, recycled by index
 	info.NumWebs = 0
-	info.Origins = recycled[:0]
+	info.Origins = info.Origins[:0]
+	// Origins rows are cap-limited slices of one arena the scratch keeps
+	// across runs; a row gaining an origin is copied to the arena's end,
+	// so no row ever appends into another's elements.
+	arena := ws.origins[:0]
 	webFor := func(node int32, orig ir.Reg) ir.Reg {
 		root := uf.find(int(node))
 		w := webOf[root]
 		if w < 0 {
 			w = int32(info.NumWebs)
 			webOf[root] = w
-			var row []ir.Reg
-			if info.NumWebs < len(recycled) {
-				row = recycled[info.NumWebs][:0]
-			}
 			info.NumWebs++
-			info.Origins = append(info.Origins, row)
+			info.Origins = append(info.Origins, nil)
 		}
-		found := false
-		for _, r := range info.Origins[w] {
+		row := info.Origins[w]
+		for _, r := range row {
 			if r == orig {
-				found = true
-				break
+				return ir.Virt(int(w))
 			}
 		}
-		if !found {
-			info.Origins[w] = append(info.Origins[w], orig)
-		}
+		lo := len(arena)
+		arena = append(append(arena, row...), orig)
+		info.Origins[w] = arena[lo:len(arena):len(arena)]
 		return ir.Virt(int(w))
 	}
 
@@ -285,6 +284,7 @@ func RenumberInto(f *ir.Func, ws *RenumberScratch) (*RenumberInfo, error) {
 		}
 	}
 
+	ws.origins = arena
 	f.Params = newParams
 	f.NumVirt = info.NumWebs
 	return info, nil

@@ -139,7 +139,9 @@ type Allocator interface {
 
 	// Allocate colors ctx.Graph. It may coalesce and remove graph
 	// nodes. If it returns spills, the driver inserts spill code and
-	// starts a fresh round.
+	// starts a fresh round. The result may share storage with the
+	// allocator's scratch on ctx.Workspace, so it is valid until the
+	// next Allocate on the same workspace.
 	Allocate(ctx *Context) (*Result, error)
 }
 

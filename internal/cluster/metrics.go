@@ -1,10 +1,10 @@
 package cluster
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
+
+	"prefcolor/internal/promtext"
 )
 
 // routerMetrics is the router's counter registry, rendered as
@@ -13,14 +13,14 @@ import (
 // ratio (hits vs misses), and rehash counts are one scrape away.
 type routerMetrics struct {
 	mu       sync.Mutex
-	ids      []string                 // stable label order
-	requests map[string]map[int]int64 // endpoint -> status -> count (router's own)
-	forwards map[string]map[int]int64 // replica -> status -> count
-	hits     map[string]int64         // replica -> cache hits observed
-	misses   map[string]int64         // replica -> cache misses observed
-	rehashes map[string]int64         // replica -> non-home serves
-	retries  map[string]int64         // reason -> count
-	states   map[string]int32         // replica -> health state
+	ids      []string         // stable label order
+	requests promtext.Codes   // endpoint -> status -> count (router's own)
+	forwards promtext.Codes   // replica -> status -> count
+	hits     map[string]int64 // replica -> cache hits observed
+	misses   map[string]int64 // replica -> cache misses observed
+	rehashes map[string]int64 // replica -> non-home serves
+	retries  map[string]int64 // reason -> count
+	states   map[string]int32 // replica -> health state
 
 	bodyHits   int64 // JSON allocate bodies routed from the body memo
 	bodyParses int64 // JSON allocate bodies that needed a full parse
@@ -29,8 +29,8 @@ type routerMetrics struct {
 func newRouterMetrics(ids []string) *routerMetrics {
 	m := &routerMetrics{
 		ids:      append([]string(nil), ids...),
-		requests: make(map[string]map[int]int64),
-		forwards: make(map[string]map[int]int64),
+		requests: promtext.Codes{},
+		forwards: promtext.Codes{},
 		hits:     make(map[string]int64),
 		misses:   make(map[string]int64),
 		rehashes: make(map[string]int64),
@@ -44,25 +44,15 @@ func newRouterMetrics(ids []string) *routerMetrics {
 // CountRequest tallies one finished router HTTP request.
 func (m *routerMetrics) CountRequest(endpoint string, code int) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	byCode := m.requests[endpoint]
-	if byCode == nil {
-		byCode = make(map[int]int64)
-		m.requests[endpoint] = byCode
-	}
-	byCode[code]++
+	m.requests.Add(endpoint, code)
+	m.mu.Unlock()
 }
 
 // CountForward tallies one response obtained from a replica.
 func (m *routerMetrics) CountForward(replica string, code int) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	byCode := m.forwards[replica]
-	if byCode == nil {
-		byCode = make(map[int]int64)
-		m.forwards[replica] = byCode
-	}
-	byCode[code]++
+	m.forwards.Add(replica, code)
+	m.mu.Unlock()
 }
 
 // CountCache tallies a replica-reported cache disposition.
@@ -126,37 +116,18 @@ func (m *routerMetrics) Counters(replica string) (forwards, hits, misses, rehash
 func (m *routerMetrics) Render() string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var b strings.Builder
-
-	labeled := func(name, help string, byKey map[string]map[int]int64, keyLabel string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		keys := make([]string, 0, len(byKey))
-		for k := range byKey {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			codes := make([]int, 0, len(byKey[k]))
-			for c := range byKey[k] {
-				codes = append(codes, c)
-			}
-			sort.Ints(codes)
-			for _, c := range codes {
-				fmt.Fprintf(&b, "%s{%s=%q,code=\"%d\"} %d\n", name, keyLabel, k, c, byKey[k][c])
-			}
-		}
-	}
+	var w promtext.Writer
 	perReplica := func(name, help string, vals map[string]int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+		w.Family(name, "counter", help)
 		for _, id := range m.ids {
-			fmt.Fprintf(&b, "%s{replica=%q} %d\n", name, id, vals[id])
+			w.Int(name, vals[id], "replica", id)
 		}
 	}
 
-	labeled("prefgcd_router_requests_total",
-		"Router HTTP requests by endpoint and status code.", m.requests, "endpoint")
-	labeled("prefgcd_router_forwards_total",
-		"Responses obtained from replicas, by replica and status code.", m.forwards, "replica")
+	w.Family("prefgcd_router_requests_total", "counter", "Router HTTP requests by endpoint and status code.")
+	w.ByCode("prefgcd_router_requests_total", "endpoint", m.requests)
+	w.Family("prefgcd_router_forwards_total", "counter", "Responses obtained from replicas, by replica and status code.")
+	w.ByCode("prefgcd_router_forwards_total", "replica", m.forwards)
 	perReplica("prefgcd_router_cache_hits_total",
 		"Forwarded requests the replica served from its result cache.", m.hits)
 	perReplica("prefgcd_router_cache_misses_total",
@@ -164,26 +135,16 @@ func (m *routerMetrics) Render() string {
 	perReplica("prefgcd_router_rehash_total",
 		"Requests served by a non-home shard after failover.", m.rehashes)
 
-	b.WriteString("# HELP prefgcd_router_retries_total Forwarding retries by reason.\n")
-	b.WriteString("# TYPE prefgcd_router_retries_total counter\n")
-	reasons := make([]string, 0, len(m.retries))
-	for r := range m.retries {
-		reasons = append(reasons, r)
-	}
-	sort.Strings(reasons)
-	for _, r := range reasons {
-		fmt.Fprintf(&b, "prefgcd_router_retries_total{reason=%q} %d\n", r, m.retries[r])
-	}
+	w.Family("prefgcd_router_retries_total", "counter", "Forwarding retries by reason.")
+	w.ByKey("prefgcd_router_retries_total", "reason", m.retries)
 
-	fmt.Fprintf(&b, "# HELP prefgcd_router_body_memo_total JSON allocate routing decisions by source.\n"+
-		"# TYPE prefgcd_router_body_memo_total counter\n"+
-		"prefgcd_router_body_memo_total{outcome=\"hit\"} %d\n"+
-		"prefgcd_router_body_memo_total{outcome=\"parse\"} %d\n", m.bodyHits, m.bodyParses)
+	w.Family("prefgcd_router_body_memo_total", "counter", "JSON allocate routing decisions by source.")
+	w.Int("prefgcd_router_body_memo_total", m.bodyHits, "outcome", "hit")
+	w.Int("prefgcd_router_body_memo_total", m.bodyParses, "outcome", "parse")
 
-	b.WriteString("# HELP prefgcd_router_replica_state Router's belief about each replica (0 healthy, 1 draining, 2 down).\n")
-	b.WriteString("# TYPE prefgcd_router_replica_state gauge\n")
+	w.Family("prefgcd_router_replica_state", "gauge", "Router's belief about each replica (0 healthy, 1 draining, 2 down).")
 	for _, id := range m.ids {
-		fmt.Fprintf(&b, "prefgcd_router_replica_state{replica=%q} %d\n", id, m.states[id])
+		w.Int("prefgcd_router_replica_state", int64(m.states[id]), "replica", id)
 	}
-	return b.String()
+	return w.String()
 }

@@ -16,6 +16,8 @@ import (
 	"time"
 
 	"prefcolor/internal/ir"
+	"prefcolor/internal/lru"
+	"prefcolor/internal/promtext"
 	"prefcolor/internal/server"
 )
 
@@ -153,7 +155,7 @@ type Router struct {
 	ring     *ring
 	replicas map[string]*replica
 	keys     *server.KeyResolver
-	bodies   *bodyMemo
+	bodies   *lru.Cache[[sha256.Size]byte, routeInfo] // raw JSON body hash -> route
 	metrics  *routerMetrics
 	client   *http.Client
 	mux      *http.ServeMux
@@ -195,15 +197,15 @@ func New(cfg Config) (*Router, error) {
 		ring:     newRing(ids, cfg.Vnodes),
 		replicas: replicas,
 		keys:     server.NewKeyResolver(cfg.KeyMemoEntries),
-		bodies:   newBodyMemo(cfg.KeyMemoEntries),
+		bodies:   lru.New[[sha256.Size]byte, routeInfo](cfg.KeyMemoEntries),
 		metrics:  newRouterMetrics(ids),
 		client:   client,
 	}
 	rt.mux = http.NewServeMux()
-	rt.mux.HandleFunc("POST /v1/allocate", rt.counted("allocate", rt.handleAllocate))
-	rt.mux.HandleFunc("POST /v1/batch", rt.counted("batch", rt.handleBatch))
-	rt.mux.HandleFunc("GET /healthz", rt.counted("healthz", rt.handleHealthz))
-	rt.mux.HandleFunc("GET /metrics", rt.counted("metrics", rt.handleMetrics))
+	rt.mux.HandleFunc("POST /v1/allocate", server.Counted("allocate", rt.metrics.CountRequest, rt.handleAllocate))
+	rt.mux.HandleFunc("POST /v1/batch", server.Counted("batch", rt.metrics.CountRequest, rt.handleBatch))
+	rt.mux.HandleFunc("GET /healthz", server.Counted("healthz", rt.metrics.CountRequest, rt.handleHealthz))
+	rt.mux.HandleFunc("GET /metrics", server.Counted("metrics", rt.metrics.CountRequest, rt.handleMetrics))
 	if cfg.HealthInterval > 0 {
 		ctx, cancel := context.WithCancel(context.Background())
 		rt.stopProbe = cancel
@@ -306,78 +308,6 @@ func (rt *Router) probe(ctx context.Context, rep *replica) {
 	}
 }
 
-// counted wraps a handler so every router response lands in the
-// endpoint counters.
-func (rt *Router) counted(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		h(rec, r)
-		rt.metrics.CountRequest(endpoint, rec.code)
-	}
-}
-
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.code = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorResponse{Error: err.Error()})
-}
-
-// allocateBody mirrors the server's /v1/allocate request so the
-// router can extract the source and spec for keying while forwarding
-// the original bytes untouched.
-type allocateBody struct {
-	server.Spec
-	Source    string `json:"source"`
-	TimeoutMS int    `json:"timeout_ms,omitempty"`
-}
-
-// batchBody mirrors the server's textual /v1/batch request.
-type batchBody struct {
-	server.Spec
-	Functions []string `json:"functions"`
-	TimeoutMS int      `json:"timeout_ms,omitempty"`
-}
-
-func (rt *Router) readRawBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
-	if err != nil {
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, code, fmt.Errorf("reading body: %w", err))
-		return nil, false
-	}
-	return body, true
-}
-
-func isBinaryRequest(r *http.Request) bool {
-	ct := r.Header.Get("Content-Type")
-	return ct == server.BinaryContentType ||
-		len(ct) > len(server.BinaryContentType) && ct[:len(server.BinaryContentType)+1] == server.BinaryContentType+";"
-}
-
 // handleAllocate routes one allocation to its home shard. The router
 // resolves the same canonical content key the replica will cache
 // under (both the JSON parse and the IR decode are memoized, so the
@@ -385,7 +315,7 @@ func isBinaryRequest(r *http.Request) bool {
 // and forwards the original body verbatim — stamping the resolved key
 // into the KeyHeader so a trusting replica need not parse it either.
 func (rt *Router) handleAllocate(w http.ResponseWriter, r *http.Request) {
-	body, ok := rt.readRawBody(w, r)
+	body, ok := server.ReadRawBody(w, r, rt.cfg.MaxBodyBytes)
 	if !ok {
 		return
 	}
@@ -396,26 +326,26 @@ func (rt *Router) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		code        int
 		err         error
 	)
-	if isBinaryRequest(r) {
+	if server.IsBinaryRequest(r) {
 		if len(body) == 0 {
-			writeError(w, http.StatusBadRequest, errors.New("empty source"))
+			server.WriteError(w, http.StatusBadRequest, errors.New("empty source"))
 			return
 		}
 		if !ir.IsBinary(body) {
-			writeError(w, http.StatusBadRequest, errors.New("body is not binary IR (bad magic)"))
+			server.WriteError(w, http.StatusBadRequest, errors.New("body is not binary IR (bad magic)"))
 			return
 		}
 		if spec, _, err = server.SpecFromQuery(r); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			server.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		contentType = server.BinaryContentType
 		if canon, code, err = rt.keys.ResolveBinary(body); err != nil {
-			writeError(w, code, err)
+			server.WriteError(w, code, err)
 			return
 		}
 		if _, err = spec.Normalize(); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			server.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 	} else {
@@ -423,25 +353,33 @@ func (rt *Router) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		canon, spec, code, err = rt.routeJSON(body)
 	}
 	if err != nil {
-		writeError(w, code, err)
+		server.WriteError(w, code, err)
 		return
 	}
 	key := server.KeyFor(canon, spec)
 	rt.forward(w, r, key, canon, body, contentType, r.URL.RawQuery)
 }
 
+// routeInfo is one JSON allocate body's routing decision: the canonical
+// content hash of its function and its normalized spec.
+type routeInfo struct {
+	canon [sha256.Size]byte
+	spec  server.Spec
+}
+
 // routeJSON resolves a JSON allocate body to its canonical content
 // hash and normalized spec, memoized on the raw bytes: a repeat body
-// costs one hash and one map probe, not a JSON parse. Only fully
-// validated bodies enter the memo, so the hit path needs no re-checks.
+// costs one hash and one map probe, not a JSON parse. Only bodies that
+// validated end to end (parse, key resolution, spec normalization)
+// enter the memo, so the hit path needs no re-checks.
 func (rt *Router) routeJSON(body []byte) (canon [32]byte, spec server.Spec, code int, err error) {
 	raw := sha256.Sum256(body)
-	if info, ok := rt.bodies.get(raw); ok {
+	if info, ok := rt.bodies.Get(raw); ok {
 		rt.metrics.CountBody(true)
 		return info.canon, info.spec, 0, nil
 	}
 	rt.metrics.CountBody(false)
-	var req allocateBody
+	var req server.AllocateRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		return canon, spec, http.StatusBadRequest, fmt.Errorf("parsing request: %w", err)
 	}
@@ -454,7 +392,7 @@ func (rt *Router) routeJSON(body []byte) (canon [32]byte, spec server.Spec, code
 	if _, err := req.Spec.Normalize(); err != nil {
 		return canon, spec, http.StatusBadRequest, err
 	}
-	rt.bodies.add(raw, routeInfo{canon: canon, spec: req.Spec})
+	rt.bodies.Add(raw, routeInfo{canon: canon, spec: req.Spec})
 	return canon, req.Spec, 0, nil
 }
 
@@ -467,7 +405,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request,
 
 	resp, servedBy, err := rt.tryReplicas(r.Context(), key, canon, body, contentType, rawQuery)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, err)
+		server.WriteError(w, http.StatusBadGateway, err)
 		return
 	}
 	defer resp.Body.Close()
@@ -628,30 +566,30 @@ func (rt *Router) accountResponse(key server.Key, servedBy string, resp *http.Re
 // of the cluster is that no single replica owns a batch's key
 // range), and the responses reassemble in order.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if isBinaryRequest(r) {
+	if server.IsBinaryRequest(r) {
 		rt.handleBatchBinary(w, r)
 		return
 	}
-	body, ok := rt.readRawBody(w, r)
+	body, ok := server.ReadRawBody(w, r, rt.cfg.MaxBodyBytes)
 	if !ok {
 		return
 	}
-	var req batchBody
+	var req server.BatchRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing request: %w", err))
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("parsing request: %w", err))
 		return
 	}
 	if len(req.Functions) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("empty batch"))
+		server.WriteError(w, http.StatusBadRequest, errors.New("empty batch"))
 		return
 	}
 	if len(req.Functions) > rt.cfg.MaxBatch {
-		writeError(w, http.StatusBadRequest,
+		server.WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("batch of %d exceeds limit %d", len(req.Functions), rt.cfg.MaxBatch))
 		return
 	}
 	if _, err := req.Spec.Normalize(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	items := make([]batchItem, len(req.Functions))
@@ -660,7 +598,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			items[i] = batchItem{err: "empty source", code: http.StatusBadRequest}
 			continue
 		}
-		one, _ := json.Marshal(allocateBody{
+		one, _ := json.Marshal(server.AllocateRequest{
 			Spec: req.Spec, Source: src, TimeoutMS: req.TimeoutMS,
 		})
 		canon, code, err := rt.keys.ResolveText(src)
@@ -678,11 +616,11 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleBatchBinary(w http.ResponseWriter, r *http.Request) {
 	spec, _, err := server.SpecFromQuery(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if _, err := spec.Normalize(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	dec := ir.NewStreamDecoder(bufio.NewReader(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)))
@@ -694,23 +632,23 @@ func (rt *Router) handleBatchBinary(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("frame %d: %w", n, err))
+			server.WriteError(w, http.StatusBadRequest, fmt.Errorf("frame %d: %w", n, err))
 			return
 		}
 		if n >= rt.cfg.MaxBatch {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("batch exceeds limit %d", rt.cfg.MaxBatch))
+			server.WriteError(w, http.StatusBadRequest, fmt.Errorf("batch exceeds limit %d", rt.cfg.MaxBatch))
 			return
 		}
 		enc := ir.EncodeBinary(f)
 		canon, _, err := rt.keys.ResolveBinary(enc)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("frame %d: %w", n, err))
+			server.WriteError(w, http.StatusBadRequest, fmt.Errorf("frame %d: %w", n, err))
 			return
 		}
 		items = append(items, batchItem{body: enc, key: server.KeyFor(canon, spec), canon: canon})
 	}
 	if len(items) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("empty batch"))
+		server.WriteError(w, http.StatusBadRequest, errors.New("empty batch"))
 		return
 	}
 	rt.fanOut(w, r, items, server.BinaryContentType, r.URL.RawQuery)
@@ -760,7 +698,7 @@ func (rt *Router) fanOut(w http.ResponseWriter, r *http.Request,
 				return
 			}
 			if resp.StatusCode != http.StatusOK {
-				var e errorResponse
+				var e server.ErrorResponse
 				_ = json.Unmarshal(payload, &e)
 				if e.Error == "" {
 					e.Error = fmt.Sprintf("HTTP %d", resp.StatusCode)
@@ -813,7 +751,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if healthy == 0 {
 		code, status = http.StatusServiceUnavailable, "no healthy replicas"
 	}
-	writeJSON(w, code, map[string]any{
+	server.WriteJSON(w, code, map[string]any{
 		"status":   status,
 		"healthy":  healthy,
 		"replicas": states,
@@ -821,6 +759,6 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	w.Header().Set("Content-Type", promtext.ContentType)
 	_, _ = io.WriteString(w, rt.metrics.Render())
 }

@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
 
+	"prefcolor/internal/lru"
 	"prefcolor/internal/server"
 )
 
@@ -45,7 +47,7 @@ func benchRouter(b *testing.B) *Router {
 // parse + IR parse every time, the cost of every request before this
 // change.
 func BenchmarkRouterRouteJSON(b *testing.B) {
-	body, _ := json.Marshal(allocateBody{Source: benchFunc(40)})
+	body, _ := json.Marshal(server.AllocateRequest{Source: benchFunc(40)})
 	b.Logf("body: %d bytes", len(body))
 
 	b.Run("memo", func(b *testing.B) {
@@ -64,8 +66,8 @@ func BenchmarkRouterRouteJSON(b *testing.B) {
 	})
 	b.Run("reparse", func(b *testing.B) {
 		rt := benchRouter(b)
-		rt.bodies = newBodyMemo(0)         // capacity 0: every get misses
-		rt.keys = server.NewKeyResolver(0) // 0 entries: every resolve parses
+		rt.bodies = lru.New[[sha256.Size]byte, routeInfo](0) // capacity 0: every Get misses
+		rt.keys = server.NewKeyResolver(0)                   // 0 entries: every resolve parses
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		b.ResetTimer()

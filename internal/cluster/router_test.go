@@ -71,7 +71,7 @@ func newTestRouter(t *testing.T, reps []*testReplica, cfg Config) (*Router, *htt
 
 func postAllocate(t *testing.T, url, src string) (*http.Response, []byte) {
 	t.Helper()
-	body, _ := json.Marshal(allocateBody{Source: src})
+	body, _ := json.Marshal(server.AllocateRequest{Source: src})
 	resp, err := http.Post(url+"/v1/allocate", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -398,7 +398,7 @@ func TestRouter429Propagates(t *testing.T) {
 	_, front := newTestRouter(t, []*testReplica{{s: s, ts: ts}}, Config{Retry429: -1})
 
 	fire := func(i int) { // fire-and-forget saturating request
-		body, _ := json.Marshal(allocateBody{Source: distinctFunc(i)})
+		body, _ := json.Marshal(server.AllocateRequest{Source: distinctFunc(i)})
 		resp, err := http.Post(front.URL+"/v1/allocate", "application/json", bytes.NewReader(body))
 		if err == nil {
 			io.Copy(io.Discard, resp.Body)
@@ -414,7 +414,7 @@ func TestRouter429Propagates(t *testing.T) {
 	probe := &http.Client{Timeout: 200 * time.Millisecond}
 	deadline := time.Now().Add(5 * time.Second)
 	for i := 1; ; i++ {
-		body, _ := json.Marshal(allocateBody{Source: distinctFunc(i)})
+		body, _ := json.Marshal(server.AllocateRequest{Source: distinctFunc(i)})
 		resp, err := probe.Post(front.URL+"/v1/allocate", "application/json", bytes.NewReader(body))
 		if err == nil {
 			code := resp.StatusCode
@@ -613,7 +613,7 @@ func TestRouterBodyMemoAndKeyHeader(t *testing.T) {
 	// The memo routes by raw bytes, so the decision must match a fresh
 	// parse: same canonical key both times.
 	want := keyOf(t, src)
-	bodyJSON, _ := json.Marshal(allocateBody{Source: src})
+	bodyJSON, _ := json.Marshal(server.AllocateRequest{Source: src})
 	canon, spec, _, err := rt.routeJSON(bodyJSON)
 	if err != nil {
 		t.Fatal(err)

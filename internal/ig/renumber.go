@@ -37,7 +37,7 @@ type RenumberScratch struct {
 	cur       []int32 // per register: the node current at the walk position
 	opNode    []int32 // node of every virtual operand, in walk order
 	webOf     []int32
-	origins   []ir.Reg // arena of info.Origins rows
+	origins   []ir.Reg // origin register of each web; backs info.Origins
 	uf        unionFind
 	info      RenumberInfo
 }
@@ -49,9 +49,9 @@ type RenumberInfo struct {
 	// uses exactly the virtual registers Virt(0)..Virt(NumWebs-1).
 	NumWebs int
 
-	// Origins[w] lists the original virtual registers merged into web
-	// w (deduplicated, in first-seen order). Most webs come from a
-	// single original register; a register with several defs feeding
+	// Origins[w] holds the original virtual register web w came from:
+	// always exactly one, since a web only joins definitions and uses
+	// of a single register. A register with several defs feeding
 	// common uses produces one web from many sites, and a register
 	// with disjoint def/use regions produces several webs.
 	Origins [][]ir.Reg
@@ -232,32 +232,14 @@ func RenumberInto(f *ir.Func, ws *RenumberScratch) (*RenumberInfo, error) {
 	// rewrite the operands.
 	ws.webOf = scratch.Fill(ws.webOf, len(uf.parent), int32(-1))
 	webOf := ws.webOf
-	info := &ws.info
-	info.NumWebs = 0
-	info.Origins = info.Origins[:0]
-	// Origins rows are cap-limited slices of one arena the scratch keeps
-	// across runs; a row gaining an origin is copied to the arena's end,
-	// so no row ever appends into another's elements.
-	arena := ws.origins[:0]
+	origins := ws.origins[:0]
 	webFor := func(node int32, orig ir.Reg) ir.Reg {
 		root := uf.find(int(node))
-		w := webOf[root]
-		if w < 0 {
-			w = int32(info.NumWebs)
-			webOf[root] = w
-			info.NumWebs++
-			info.Origins = append(info.Origins, nil)
+		if webOf[root] < 0 {
+			webOf[root] = int32(len(origins))
+			origins = append(origins, orig)
 		}
-		row := info.Origins[w]
-		for _, r := range row {
-			if r == orig {
-				return ir.Virt(int(w))
-			}
-		}
-		lo := len(arena)
-		arena = append(append(arena, row...), orig)
-		info.Origins[w] = arena[lo:len(arena):len(arena)]
-		return ir.Virt(int(w))
+		return ir.Virt(int(webOf[root]))
 	}
 
 	newParams := make([]ir.Reg, len(f.Params))
@@ -284,7 +266,15 @@ func RenumberInto(f *ir.Func, ws *RenumberScratch) (*RenumberInfo, error) {
 		}
 	}
 
-	ws.origins = arena
+	// Each Origins row is a one-register, cap-limited window on the
+	// scratch's origins slice.
+	ws.origins = origins
+	info := &ws.info
+	info.NumWebs = len(origins)
+	info.Origins = info.Origins[:0]
+	for w := range origins {
+		info.Origins = append(info.Origins, origins[w:w+1:w+1])
+	}
 	f.Params = newParams
 	f.NumVirt = info.NumWebs
 	return info, nil

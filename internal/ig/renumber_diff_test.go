@@ -150,3 +150,54 @@ func TestRenumberMatchesReference(t *testing.T) {
 	}
 	t.Logf("%d renumberings matched", checked)
 }
+
+// TestRenumberOneOriginPerWeb pins the invariant RenumberInto's
+// numbering relies on: the union-find only joins nodes of one
+// register, so every web has exactly one origin, and it is the
+// register every operand renamed to that web held before. Same corpus
+// and two passes as TestRenumberMatchesReference.
+func TestRenumberOneOriginPerWeb(t *testing.T) {
+	ws := &RenumberScratch{}
+	rows := 0
+	for i, f := range renumberCorpus(t) {
+		g := f.Clone()
+		for pass := 1; pass <= 2; pass++ {
+			before := g.Clone()
+			info, err := RenumberInto(g, ws)
+			if err != nil {
+				t.Fatalf("func %d (%s) pass %d: %v", i, f.Name, pass, err)
+			}
+			where := fmt.Sprintf("func %d (%s) pass %d", i, f.Name, pass)
+			if len(info.Origins) != info.NumWebs {
+				t.Fatalf("%s: %d Origins rows for %d webs", where, len(info.Origins), info.NumWebs)
+			}
+			for w, row := range info.Origins {
+				if len(row) != 1 {
+					t.Fatalf("%s: web %d has origins %v, want exactly one", where, w, row)
+				}
+			}
+			check := func(web, orig ir.Reg) {
+				if web.IsVirt() && info.Origins[web.VirtNum()][0] != orig {
+					t.Fatalf("%s: operand %v renamed to %v, whose origin is %v",
+						where, orig, web, info.Origins[web.VirtNum()][0])
+				}
+			}
+			for pi, p := range g.Params {
+				check(p, before.Params[pi])
+			}
+			for bi, b := range g.Blocks {
+				for ii := range b.Instrs {
+					in, old := &b.Instrs[ii], &before.Blocks[bi].Instrs[ii]
+					for ui, u := range in.Uses {
+						check(u, old.Uses[ui])
+					}
+					for di, d := range in.Defs {
+						check(d, old.Defs[di])
+					}
+				}
+			}
+			rows += len(info.Origins)
+		}
+	}
+	t.Logf("%d webs, one origin each", rows)
+}

@@ -57,7 +57,7 @@ func TestAllocateBinaryMatchesTextAndSharesCache(t *testing.T) {
 		t.Error("first (binary) request reported cached")
 	}
 
-	resp, body = postJSON(t, ts.URL+"/v1/allocate", allocateRequest{Source: smallFunc})
+	resp, body = postJSON(t, ts.URL+"/v1/allocate", AllocateRequest{Source: smallFunc})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("text status %d: %s", resp.StatusCode, body)
 	}
@@ -148,7 +148,7 @@ func TestBatchBinary(t *testing.T) {
 		t.Fatalf("binary batch returned %d results, want %d", len(binOut.Results), len(sources))
 	}
 
-	resp, body = postJSON(t, ts.URL+"/v1/batch", batchRequest{Functions: sources})
+	resp, body = postJSON(t, ts.URL+"/v1/batch", BatchRequest{Functions: sources})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("text batch status %d: %s", resp.StatusCode, body)
 	}
@@ -186,7 +186,7 @@ func TestBatchBinaryCorruptFrame(t *testing.T) {
 // requests both compute, and the result never lands in the LRU.
 func TestNoCacheBypass(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
-	req := allocateRequest{Source: smallFunc}
+	req := AllocateRequest{Source: smallFunc}
 	req.NoCache = true
 
 	for i := 0; i < 2; i++ {
@@ -207,7 +207,7 @@ func TestNoCacheBypass(t *testing.T) {
 	}
 
 	// A cached entry must not leak into a no_cache request either.
-	resp, _ := postJSON(t, ts.URL+"/v1/allocate", allocateRequest{Source: smallFunc})
+	resp, _ := postJSON(t, ts.URL+"/v1/allocate", AllocateRequest{Source: smallFunc})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatal("warm-up request failed")
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"fmt"
 	"sync"
@@ -29,63 +28,6 @@ func KeyFor(canonHash [sha256.Size]byte, spec Spec) Key {
 		spec.Optimize, spec.Rematerialize, spec.BlockLocalSpills, spec.MaxRounds)))
 }
 
-// keyMemo remembers the canonical-encoding hash for raw request bytes
-// already seen (keyed by a hash of the raw text or binary body), so
-// repeat requests reach the result cache without re-parsing or
-// re-decoding. It is an optimization only — a missing or evicted memo
-// entry just costs one parse — and it is spec-independent, since the
-// canonicalization of a function does not depend on how it will be
-// allocated.
-type keyMemo struct {
-	mu       sync.Mutex
-	capacity int
-	order    *list.List // front = most recent; values are *memoItem
-	items    map[[sha256.Size]byte]*list.Element
-}
-
-type memoItem struct {
-	raw   [sha256.Size]byte
-	canon [sha256.Size]byte
-}
-
-func newKeyMemo(capacity int) *keyMemo {
-	return &keyMemo{
-		capacity: capacity,
-		order:    list.New(),
-		items:    make(map[[sha256.Size]byte]*list.Element),
-	}
-}
-
-func (m *keyMemo) get(raw [sha256.Size]byte) ([sha256.Size]byte, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el, ok := m.items[raw]
-	if !ok {
-		return [sha256.Size]byte{}, false
-	}
-	m.order.MoveToFront(el)
-	return el.Value.(*memoItem).canon, true
-}
-
-func (m *keyMemo) add(raw, canon [sha256.Size]byte) {
-	if m.capacity <= 0 {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if el, ok := m.items[raw]; ok {
-		el.Value.(*memoItem).canon = canon
-		m.order.MoveToFront(el)
-		return
-	}
-	if m.order.Len() >= m.capacity {
-		oldest := m.order.Back()
-		m.order.Remove(oldest)
-		delete(m.items, oldest.Value.(*memoItem).raw)
-	}
-	m.items[raw] = m.order.PushFront(&memoItem{raw: raw, canon: canon})
-}
-
 // entry is one cached allocation outcome. Entries are immutable after
 // insertion, so readers share them without copying — a tier upgrade
 // swaps the whole entry via Add, never mutates one in place.
@@ -95,95 +37,6 @@ type entry struct {
 	Stats    statsJSON // allocation statistics
 	Tier     string    // tier mode: "fast" or "full"; else empty
 	Cycles   float64   // tier mode: perfmodel cycle estimate of Function
-}
-
-// lruCache is a fixed-capacity least-recently-used result cache. A
-// zero capacity disables caching (every Get misses, Add drops).
-type lruCache struct {
-	mu       sync.Mutex
-	capacity int
-	order    *list.List // front = most recent; values are *lruItem
-	items    map[Key]*list.Element
-
-	hits, misses, evictions int64
-}
-
-type lruItem struct {
-	key  Key
-	val  *entry
-	hits int64 // Get count for this entry; hotness signal for upgrades
-}
-
-func newLRUCache(capacity int) *lruCache {
-	return &lruCache{
-		capacity: capacity,
-		order:    list.New(),
-		items:    make(map[Key]*list.Element),
-	}
-}
-
-// Get returns the cached entry for key, refreshing its recency.
-func (c *lruCache) Get(key Key) (*entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	it := el.Value.(*lruItem)
-	it.hits++
-	c.order.MoveToFront(el)
-	return it.val, true
-}
-
-// Hits returns how many Gets key's entry has served — the upgrade
-// queue's hotness signal. Unlike Get it neither refreshes recency nor
-// counts as a hit; an absent (or evicted) key reports zero.
-func (c *lruCache) Hits(key Key) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		return el.Value.(*lruItem).hits
-	}
-	return 0
-}
-
-// Add inserts (or refreshes) key's entry, evicting the least recently
-// used entry when the cache is at capacity.
-func (c *lruCache) Add(key Key, val *entry) {
-	if c.capacity <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*lruItem).val = val
-		c.order.MoveToFront(el)
-		return
-	}
-	if c.order.Len() >= c.capacity {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruItem).key)
-		c.evictions++
-	}
-	c.items[key] = c.order.PushFront(&lruItem{key: key, val: val})
-}
-
-// Len is the current entry count.
-func (c *lruCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// Counters returns the hit/miss/eviction totals.
-func (c *lruCache) Counters() (hits, misses, evictions int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions
 }
 
 // flightGroup deduplicates concurrent identical computations: the

@@ -16,62 +16,6 @@ func testEntry(i int) *entry {
 	return &entry{Function: fmt.Sprintf("f%d", i), Digest: fmt.Sprintf("d%d", i)}
 }
 
-func TestLRUEvictionOrder(t *testing.T) {
-	c := newLRUCache(2)
-	kA, kB, kC := testKey(0), testKey(1), testKey(2)
-	c.Add(kA, testEntry(0))
-	c.Add(kB, testEntry(1))
-
-	// Touch A so B becomes the least recently used entry.
-	if _, ok := c.Get(kA); !ok {
-		t.Fatal("A missing before eviction")
-	}
-	c.Add(kC, testEntry(2))
-
-	if _, ok := c.Get(kB); ok {
-		t.Error("B survived eviction; LRU order ignored the Get(A) refresh")
-	}
-	if _, ok := c.Get(kA); !ok {
-		t.Error("A evicted despite being most recently used")
-	}
-	if e, ok := c.Get(kC); !ok || e.Function != "f2" {
-		t.Errorf("C missing or wrong after insert: %+v ok=%v", e, ok)
-	}
-	if n := c.Len(); n != 2 {
-		t.Errorf("len = %d, want 2", n)
-	}
-	hits, misses, evictions := c.Counters()
-	if evictions != 1 {
-		t.Errorf("evictions = %d, want 1", evictions)
-	}
-	if hits == 0 || misses == 0 {
-		t.Errorf("hits=%d misses=%d, want both non-zero", hits, misses)
-	}
-}
-
-func TestLRURefreshOnAdd(t *testing.T) {
-	c := newLRUCache(2)
-	kA, kB, kC := testKey(0), testKey(1), testKey(2)
-	c.Add(kA, testEntry(0))
-	c.Add(kB, testEntry(1))
-	c.Add(kA, testEntry(10)) // refresh A: B is now oldest
-	c.Add(kC, testEntry(2))
-	if _, ok := c.Get(kB); ok {
-		t.Error("B survived; re-Add of A did not refresh recency")
-	}
-	if e, ok := c.Get(kA); !ok || e.Function != "f10" {
-		t.Errorf("A = %+v ok=%v, want refreshed value f10", e, ok)
-	}
-}
-
-func TestLRUDisabled(t *testing.T) {
-	c := newLRUCache(0)
-	c.Add(testKey(0), testEntry(0))
-	if _, ok := c.Get(testKey(0)); ok {
-		t.Error("zero-capacity cache returned a hit")
-	}
-}
-
 // TestFlightGroupSingleLeader floods one key from many goroutines and
 // asserts exactly one caller computes per flight; run under -race this
 // also exercises the publication path.

@@ -6,6 +6,7 @@ import (
 	"net/http"
 
 	"prefcolor/internal/ir"
+	"prefcolor/internal/lru"
 )
 
 // KeyResolver maps request payloads — textual or binary IR — to the
@@ -15,15 +16,20 @@ import (
 // server itself keys its cache with; the cluster router uses one to
 // route a request to the shard that owns its cache entry without
 // disagreeing with the replica about what "the same function" means.
+//
+// The memo is an optimization only — a missing or evicted entry just
+// costs one parse — and it is spec-independent, since the
+// canonicalization of a function does not depend on how it will be
+// allocated.
 type KeyResolver struct {
-	memo *keyMemo
+	memo *lru.Cache[[sha256.Size]byte, [sha256.Size]byte] // raw-bytes hash -> canonical hash
 }
 
 // NewKeyResolver builds a resolver whose raw-bytes memo holds up to
 // entries mappings (entries <= 0 disables memoization; every call
 // then parses or decodes).
 func NewKeyResolver(entries int) *KeyResolver {
-	return &KeyResolver{memo: newKeyMemo(entries)}
+	return &KeyResolver{memo: lru.New[[sha256.Size]byte, [sha256.Size]byte](entries)}
 }
 
 // resolve canonicalizes in: it ensures in.canonHash holds the sha256
@@ -55,7 +61,7 @@ func (kr *KeyResolver) resolve(in *srcInput) (int, error) {
 	}
 	var raw [32]byte
 	h.Sum(raw[:0])
-	if canon, ok := kr.memo.get(raw); ok {
+	if canon, ok := kr.memo.Get(raw); ok {
 		in.canonHash = canon
 		return 0, nil
 	}
@@ -65,7 +71,7 @@ func (kr *KeyResolver) resolve(in *srcInput) (int, error) {
 	}
 	in.f = f
 	in.canonHash = sha256.Sum256(ir.EncodeBinary(f))
-	kr.memo.add(raw, in.canonHash)
+	kr.memo.Add(raw, in.canonHash)
 	return 0, nil
 }
 

@@ -1,13 +1,11 @@
 package server
 
 import (
-	"fmt"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
+	"prefcolor/internal/promtext"
 	"prefcolor/internal/telemetry"
 )
 
@@ -18,10 +16,10 @@ import (
 // service lifetime are one scrape away.
 type metrics struct {
 	mu       sync.Mutex
-	requests map[string]map[int]int64 // endpoint -> status code -> count
-	dropped  int64                    // jobs whose deadline expired while queued
-	executed int64                    // jobs actually run by the pool
-	tel      telemetry.Snapshot       // merged across all completed allocations
+	requests promtext.Codes     // endpoint -> status code -> count
+	dropped  int64              // jobs whose deadline expired while queued
+	executed int64              // jobs actually run by the pool
+	tel      telemetry.Snapshot // merged across all completed allocations
 
 	// Tier-mode counters (all zero when tiering is off).
 	tierServed      map[string]int64 // responses by serving tier
@@ -35,7 +33,7 @@ type metrics struct {
 
 func newMetrics() *metrics {
 	return &metrics{
-		requests:   make(map[string]map[int]int64),
+		requests:   promtext.Codes{},
 		tierServed: make(map[string]int64),
 	}
 }
@@ -43,13 +41,8 @@ func newMetrics() *metrics {
 // CountRequest tallies one finished HTTP request.
 func (m *metrics) CountRequest(endpoint string, code int) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	byCode := m.requests[endpoint]
-	if byCode == nil {
-		byCode = make(map[int]int64)
-		m.requests[endpoint] = byCode
-	}
-	byCode[code]++
+	m.requests.Add(endpoint, code)
+	m.mu.Unlock()
 }
 
 // CountDropped tallies a job abandoned in the queue past its deadline.
@@ -110,113 +103,73 @@ func (m *metrics) Render(queueDepth, queueCapacity, cacheEntries int,
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var b strings.Builder
+	var w promtext.Writer
 
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
+	w.Family("prefgcd_requests_total", "counter", "HTTP requests by endpoint and status code.")
+	w.ByCode("prefgcd_requests_total", "endpoint", m.requests)
 
-	b.WriteString("# HELP prefgcd_requests_total HTTP requests by endpoint and status code.\n")
-	b.WriteString("# TYPE prefgcd_requests_total counter\n")
-	endpoints := make([]string, 0, len(m.requests))
-	for ep := range m.requests {
-		endpoints = append(endpoints, ep)
-	}
-	sort.Strings(endpoints)
-	for _, ep := range endpoints {
-		codes := make([]int, 0, len(m.requests[ep]))
-		for c := range m.requests[ep] {
-			codes = append(codes, c)
-		}
-		sort.Ints(codes)
-		for _, c := range codes {
-			fmt.Fprintf(&b, "prefgcd_requests_total{endpoint=%q,code=\"%d\"} %d\n", ep, c, m.requests[ep][c])
-		}
-	}
-
-	gauge("prefgcd_queue_depth", "Admitted jobs not yet finished.", queueDepth)
-	gauge("prefgcd_queue_capacity", "Admission bound of the work queue.", queueCapacity)
-	gauge("prefgcd_cache_entries", "Entries resident in the result cache.", cacheEntries)
-	counter("prefgcd_cache_hits_total", "Allocate requests served from the result cache.", cacheHits)
-	counter("prefgcd_cache_misses_total", "Allocate requests that missed the result cache.", cacheMisses)
-	counter("prefgcd_cache_evictions_total", "Entries evicted from the result cache.", cacheEvictions)
-	counter("prefgcd_singleflight_shared_total", "Requests served by another request's in-flight computation.", flightShared)
-	counter("prefgcd_jobs_executed_total", "Allocation jobs run by the worker pool.", m.executed)
-	counter("prefgcd_jobs_deadline_dropped_total", "Queued jobs abandoned because their deadline expired before a worker picked them up.", m.dropped)
+	w.Gauge("prefgcd_queue_depth", "Admitted jobs not yet finished.", int64(queueDepth))
+	w.Gauge("prefgcd_queue_capacity", "Admission bound of the work queue.", int64(queueCapacity))
+	w.Gauge("prefgcd_cache_entries", "Entries resident in the result cache.", int64(cacheEntries))
+	w.Counter("prefgcd_cache_hits_total", "Allocate requests served from the result cache.", cacheHits)
+	w.Counter("prefgcd_cache_misses_total", "Allocate requests that missed the result cache.", cacheMisses)
+	w.Counter("prefgcd_cache_evictions_total", "Entries evicted from the result cache.", cacheEvictions)
+	w.Counter("prefgcd_singleflight_shared_total", "Requests served by another request's in-flight computation.", flightShared)
+	w.Counter("prefgcd_jobs_executed_total", "Allocation jobs run by the worker pool.", m.executed)
+	w.Counter("prefgcd_jobs_deadline_dropped_total", "Queued jobs abandoned because their deadline expired before a worker picked them up.", m.dropped)
 
 	// Workspace pool economics: a "hit" is a get that found a pooled
 	// arena instead of constructing one.
-	counter("prefgcd_workspace_pool_gets_total", "Workspace borrows by allocation jobs.", wsGets)
-	counter("prefgcd_workspace_pool_news_total", "Workspace borrows that had to construct a fresh arena.", wsNews)
+	w.Counter("prefgcd_workspace_pool_gets_total", "Workspace borrows by allocation jobs.", wsGets)
+	w.Counter("prefgcd_workspace_pool_news_total", "Workspace borrows that had to construct a fresh arena.", wsNews)
 	hitRate := 0.0
 	if wsGets > 0 {
 		hitRate = float64(wsGets-wsNews) / float64(wsGets)
 	}
-	fmt.Fprintf(&b, "# HELP prefgcd_workspace_pool_hit_ratio Fraction of workspace borrows served from the pool.\n"+
-		"# TYPE prefgcd_workspace_pool_hit_ratio gauge\nprefgcd_workspace_pool_hit_ratio %g\n", hitRate)
+	w.GaugeFloat("prefgcd_workspace_pool_hit_ratio", "Fraction of workspace borrows served from the pool.", hitRate)
 
 	// Tiered allocation: the fast/full serving mix, the background
 	// escalation pipeline, and the quality delta the fast tier trades
 	// for its latency (ratio of the two cycle counters).
-	b.WriteString("# HELP prefgcd_tier_served_total Responses by the tier of the allocation served.\n")
-	b.WriteString("# TYPE prefgcd_tier_served_total counter\n")
-	tiers := make([]string, 0, len(m.tierServed))
-	for t := range m.tierServed {
-		tiers = append(tiers, t)
-	}
-	sort.Strings(tiers)
-	for _, t := range tiers {
-		fmt.Fprintf(&b, "prefgcd_tier_served_total{tier=%q} %d\n", t, m.tierServed[t])
-	}
-	counter("prefgcd_tier_upgrades_total", "Cache entries escalated from fast to full tier.", m.tierUpgrades)
-	counter("prefgcd_tier_upgrade_failures_total", "Upgrades whose full re-computation errored.", m.tierUpgradeFail)
-	counter("prefgcd_tier_upgrade_sheds_total", "Upgrades dropped because the upgrade queue was full.", m.tierSheds)
-	fmt.Fprintf(&b, "# HELP prefgcd_tier_upgrade_seconds_total Cumulative enqueue-to-swap upgrade latency.\n"+
-		"# TYPE prefgcd_tier_upgrade_seconds_total counter\nprefgcd_tier_upgrade_seconds_total %g\n", m.tierUpgradeSec)
-	gauge("prefgcd_tier_upgrade_queue_depth", "Upgrade jobs waiting for the background worker.", upgradeDepth)
-	gauge("prefgcd_tier_upgrade_queue_capacity", "Admission bound of the upgrade queue.", upgradeCapacity)
-	fmt.Fprintf(&b, "# HELP prefgcd_tier_fast_cycles_total Estimated cycles of upgraded entries as served by the fast tier.\n"+
-		"# TYPE prefgcd_tier_fast_cycles_total counter\nprefgcd_tier_fast_cycles_total %g\n", m.tierFastCycles)
-	fmt.Fprintf(&b, "# HELP prefgcd_tier_full_cycles_total Estimated cycles of the same entries after their full-tier upgrade.\n"+
-		"# TYPE prefgcd_tier_full_cycles_total counter\nprefgcd_tier_full_cycles_total %g\n", m.tierFullCycles)
+	w.Family("prefgcd_tier_served_total", "counter", "Responses by the tier of the allocation served.")
+	w.ByKey("prefgcd_tier_served_total", "tier", m.tierServed)
+	w.Counter("prefgcd_tier_upgrades_total", "Cache entries escalated from fast to full tier.", m.tierUpgrades)
+	w.Counter("prefgcd_tier_upgrade_failures_total", "Upgrades whose full re-computation errored.", m.tierUpgradeFail)
+	w.Counter("prefgcd_tier_upgrade_sheds_total", "Upgrades dropped because the upgrade queue was full.", m.tierSheds)
+	w.CounterFloat("prefgcd_tier_upgrade_seconds_total", "Cumulative enqueue-to-swap upgrade latency.", m.tierUpgradeSec)
+	w.Gauge("prefgcd_tier_upgrade_queue_depth", "Upgrade jobs waiting for the background worker.", int64(upgradeDepth))
+	w.Gauge("prefgcd_tier_upgrade_queue_capacity", "Admission bound of the upgrade queue.", int64(upgradeCapacity))
+	w.CounterFloat("prefgcd_tier_fast_cycles_total", "Estimated cycles of upgraded entries as served by the fast tier.", m.tierFastCycles)
+	w.CounterFloat("prefgcd_tier_full_cycles_total", "Estimated cycles of the same entries after their full-tier upgrade.", m.tierFullCycles)
 
 	// Process-wide memory gauges, read at scrape time (go_memstats
 	// style): live heap and completed GC cycles, putting the per-job
 	// allocation counters below in context.
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	fmt.Fprintf(&b, "# HELP prefgcd_heap_inuse_bytes Bytes in in-use heap spans at scrape time.\n"+
-		"# TYPE prefgcd_heap_inuse_bytes gauge\nprefgcd_heap_inuse_bytes %d\n", ms.HeapInuse)
-	fmt.Fprintf(&b, "# HELP prefgcd_heap_alloc_bytes_total Cumulative bytes allocated on the heap by the process.\n"+
-		"# TYPE prefgcd_heap_alloc_bytes_total counter\nprefgcd_heap_alloc_bytes_total %d\n", ms.TotalAlloc)
-	counter("prefgcd_gc_cycles_total", "Completed GC cycles over the process lifetime.", int64(ms.NumGC))
+	w.Gauge("prefgcd_heap_inuse_bytes", "Bytes in in-use heap spans at scrape time.", int64(ms.HeapInuse))
+	w.Counter("prefgcd_heap_alloc_bytes_total", "Cumulative bytes allocated on the heap by the process.", int64(ms.TotalAlloc))
+	w.Counter("prefgcd_gc_cycles_total", "Completed GC cycles over the process lifetime.", int64(ms.NumGC))
 
-	counter("prefgcd_alloc_functions_total", "Functions allocated.", int64(m.tel.Funcs))
-	counter("prefgcd_alloc_rounds_total", "Spill rounds run.", int64(m.tel.Rounds))
-	counter("prefgcd_alloc_selections_total", "CPG selection steps processed.", m.tel.Selections)
-	counter("prefgcd_alloc_select_spills_total", "Selections spilled for want of a candidate register.", m.tel.SelectSpills)
-	counter("prefgcd_alloc_active_spills_total", "Would-rather-be-in-memory active spills.", m.tel.ActiveSpills)
-	counter("prefgcd_alloc_recolors_total", "Recoloring plans applied.", m.tel.Recolors)
-	counter("prefgcd_alloc_heap_bytes_total", "Heap bytes charged to allocation runs (telemetry deltas; over-approximates under concurrency).", int64(m.tel.BytesAllocated))
-	counter("prefgcd_alloc_gc_cycles_total", "GC cycles completed during allocation runs (telemetry deltas).", int64(m.tel.GCCycles))
+	w.Counter("prefgcd_alloc_functions_total", "Functions allocated.", int64(m.tel.Funcs))
+	w.Counter("prefgcd_alloc_rounds_total", "Spill rounds run.", int64(m.tel.Rounds))
+	w.Counter("prefgcd_alloc_selections_total", "CPG selection steps processed.", m.tel.Selections)
+	w.Counter("prefgcd_alloc_select_spills_total", "Selections spilled for want of a candidate register.", m.tel.SelectSpills)
+	w.Counter("prefgcd_alloc_active_spills_total", "Would-rather-be-in-memory active spills.", m.tel.ActiveSpills)
+	w.Counter("prefgcd_alloc_recolors_total", "Recoloring plans applied.", m.tel.Recolors)
+	w.Counter("prefgcd_alloc_heap_bytes_total", "Heap bytes charged to allocation runs (telemetry deltas; over-approximates under concurrency).", int64(m.tel.BytesAllocated))
+	w.Counter("prefgcd_alloc_gc_cycles_total", "GC cycles completed during allocation runs (telemetry deltas).", int64(m.tel.GCCycles))
 
-	b.WriteString("# HELP prefgcd_alloc_phase_wall_seconds Cumulative wall time per allocation phase.\n")
-	b.WriteString("# TYPE prefgcd_alloc_phase_wall_seconds counter\n")
+	w.Family("prefgcd_alloc_phase_wall_seconds", "counter", "Cumulative wall time per allocation phase.")
 	for p := telemetry.Phase(0); p < telemetry.NumPhases; p++ {
-		fmt.Fprintf(&b, "prefgcd_alloc_phase_wall_seconds{phase=%q} %g\n",
-			p.String(), m.tel.Phases[p].Wall.Seconds())
+		w.Float("prefgcd_alloc_phase_wall_seconds", m.tel.Phases[p].Wall.Seconds(), "phase", p.String())
 	}
 
-	b.WriteString("# HELP prefgcd_alloc_prefs_total Preference dispositions by kind and outcome.\n")
-	b.WriteString("# TYPE prefgcd_alloc_prefs_total counter\n")
+	w.Family("prefgcd_alloc_prefs_total", "counter", "Preference dispositions by kind and outcome.")
 	for c := telemetry.PrefClass(0); c < telemetry.NumPrefClasses; c++ {
 		for o := telemetry.Outcome(0); o < telemetry.NumOutcomes; o++ {
-			fmt.Fprintf(&b, "prefgcd_alloc_prefs_total{kind=%q,outcome=%q} %d\n",
-				c.String(), o.String(), m.tel.Prefs[c][o])
+			w.Int("prefgcd_alloc_prefs_total", m.tel.Prefs[c][o], "kind", c.String(), "outcome", o.String())
 		}
 	}
-	return b.String()
+	return w.String()
 }

@@ -37,8 +37,10 @@ import (
 	"prefcolor/internal/bench"
 	"prefcolor/internal/ir"
 	"prefcolor/internal/linearscan"
+	"prefcolor/internal/lru"
 	"prefcolor/internal/opt"
 	"prefcolor/internal/perfmodel"
+	"prefcolor/internal/promtext"
 	"prefcolor/internal/regalloc"
 	"prefcolor/internal/ssa"
 	"prefcolor/internal/target"
@@ -145,7 +147,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg        Config
 	queue      *queue
-	cache      *lruCache
+	cache      *lru.Cache[Key, *entry]
 	keys       *KeyResolver
 	flights    *flightGroup
 	metrics    *metrics
@@ -166,7 +168,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		queue:      newQueue(cfg.QueueSize, cfg.Workers),
-		cache:      newLRUCache(cfg.CacheEntries),
+		cache:      lru.New[Key, *entry](cfg.CacheEntries),
 		keys:       NewKeyResolver(4 * cfg.CacheEntries),
 		flights:    newFlightGroup(),
 		metrics:    newMetrics(),
@@ -268,16 +270,17 @@ func (spec *Spec) Normalize() (*target.Machine, error) {
 	return nil, fmt.Errorf("unknown machine %q (want ia64, x86, or s390)", spec.Machine)
 }
 
-// allocateRequest is the /v1/allocate body.
-type allocateRequest struct {
+// AllocateRequest is the textual /v1/allocate body. The router decodes
+// it to key a request and encodes it to forward one batch item.
+type AllocateRequest struct {
 	Spec
 	Source    string `json:"source"`
 	TimeoutMS int    `json:"timeout_ms,omitempty"`
 }
 
-// batchRequest is the /v1/batch body; the spec and timeout apply to
-// every function.
-type batchRequest struct {
+// BatchRequest is the textual /v1/batch body; the spec and timeout
+// apply to every function.
+type BatchRequest struct {
 	Spec
 	Functions []string `json:"functions"`
 	TimeoutMS int      `json:"timeout_ms,omitempty"`
@@ -328,20 +331,31 @@ type batchResponse struct {
 	Results []allocateResponse `json:"results"`
 }
 
-type errorResponse struct {
+// ErrorResponse is the body of every error reply.
+type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
 // counted wraps a handler so every response lands in the request
 // counters (and, in replica mode, carries the replica's identity).
 func (s *Server) counted(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.cfg.ReplicaID != "" {
-			w.Header().Set(ReplicaHeader, s.cfg.ReplicaID)
+	if id := s.cfg.ReplicaID; id != "" {
+		inner := h
+		h = func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set(ReplicaHeader, id)
+			inner(w, r)
 		}
+	}
+	return Counted(endpoint, s.metrics.CountRequest, h)
+}
+
+// Counted wraps h so that the status code of every response it writes
+// reaches count, under endpoint.
+func Counted(endpoint string, count func(endpoint string, code int), h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		h(rec, r)
-		s.metrics.CountRequest(endpoint, rec.code)
+		count(endpoint, rec.code)
 	}
 }
 
@@ -355,7 +369,8 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as a JSON reply with the given status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -363,8 +378,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorResponse{Error: err.Error()})
+// WriteError writes err as an ErrorResponse with the given status code.
+func WriteError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, ErrorResponse{Error: err.Error()})
 }
 
 // timeout clamps a request's timeout_ms to the configured bounds.
@@ -379,19 +395,14 @@ func (s *Server) timeout(ms int) time.Duration {
 	return d
 }
 
+// readBody reads a JSON request body under the size limit into v.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		code := http.StatusBadRequest // e.g. client went away mid-body
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, code, fmt.Errorf("reading body: %w", err))
+	body, ok := ReadRawBody(w, r, s.cfg.MaxBodyBytes)
+	if !ok {
 		return false
 	}
 	if err := json.Unmarshal(body, v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing request: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("parsing request: %w", err))
 		return false
 	}
 	return true
@@ -404,7 +415,8 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, v any) bool {
 // itself.
 const BinaryContentType = "application/x-prefgcd-ir"
 
-func isBinaryRequest(r *http.Request) bool {
+// IsBinaryRequest reports whether r's body is binary IR.
+func IsBinaryRequest(r *http.Request) bool {
 	ct := r.Header.Get("Content-Type")
 	return ct == BinaryContentType || strings.HasPrefix(ct, BinaryContentType+";")
 }
@@ -448,16 +460,18 @@ func SpecFromQuery(r *http.Request) (Spec, int, error) {
 	return spec, timeoutMS, nil
 }
 
-// readRawBody reads a binary request body under the size limit.
-func (s *Server) readRawBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+// ReadRawBody reads r's body under the limit of limit bytes. On failure
+// it has already written the error reply (413 past the limit, else 400)
+// and returns false.
+func ReadRawBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
-		code := http.StatusBadRequest
+		code := http.StatusBadRequest // e.g. client went away mid-body
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			code = http.StatusRequestEntityTooLarge
 		}
-		writeError(w, code, fmt.Errorf("reading body: %w", err))
+		WriteError(w, code, fmt.Errorf("reading body: %w", err))
 		return nil, false
 	}
 	return body, true
@@ -467,32 +481,32 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	var in srcInput
 	var spec Spec
 	var timeoutMS int
-	if isBinaryRequest(r) {
-		body, ok := s.readRawBody(w, r)
+	if IsBinaryRequest(r) {
+		body, ok := ReadRawBody(w, r, s.cfg.MaxBodyBytes)
 		if !ok {
 			return
 		}
 		if len(body) == 0 {
-			writeError(w, http.StatusBadRequest, errors.New("empty source"))
+			WriteError(w, http.StatusBadRequest, errors.New("empty source"))
 			return
 		}
 		if !ir.IsBinary(body) {
-			writeError(w, http.StatusBadRequest, errors.New("body is not binary IR (bad magic)"))
+			WriteError(w, http.StatusBadRequest, errors.New("body is not binary IR (bad magic)"))
 			return
 		}
 		var err error
 		if spec, timeoutMS, err = SpecFromQuery(r); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		in = srcInput{binary: body}
 	} else {
-		var req allocateRequest
+		var req AllocateRequest
 		if !s.readBody(w, r, &req) {
 			return
 		}
 		if req.Source == "" {
-			writeError(w, http.StatusBadRequest, errors.New("empty source"))
+			WriteError(w, http.StatusBadRequest, errors.New("empty source"))
 			return
 		}
 		spec, timeoutMS = req.Spec, req.TimeoutMS
@@ -500,7 +514,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	}
 	machine, err := spec.Normalize()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if s.cfg.TrustKeyHeader {
@@ -513,7 +527,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, errQueueFull) {
 			w.Header().Set("Retry-After", "1")
 		}
-		writeError(w, code, err)
+		WriteError(w, code, err)
 		return
 	}
 	if resp.Cached {
@@ -524,29 +538,29 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	if resp.Tier != "" {
 		w.Header().Set(TierHeader, resp.Tier)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if isBinaryRequest(r) {
+	if IsBinaryRequest(r) {
 		s.handleBatchBinary(w, r)
 		return
 	}
-	var req batchRequest
+	var req BatchRequest
 	if !s.readBody(w, r, &req) {
 		return
 	}
 	machine, err := req.Normalize()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if len(req.Functions) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("empty batch"))
+		WriteError(w, http.StatusBadRequest, errors.New("empty batch"))
 		return
 	}
 	if len(req.Functions) > s.cfg.MaxBatch {
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("batch of %d exceeds limit %d", len(req.Functions), s.cfg.MaxBatch))
 		return
 	}
@@ -577,7 +591,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}(i, src)
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, batchResponse{Results: results})
+	WriteJSON(w, http.StatusOK, batchResponse{Results: results})
 }
 
 // handleBatchBinary serves a /v1/batch request whose body is a stream
@@ -589,12 +603,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleBatchBinary(w http.ResponseWriter, r *http.Request) {
 	spec, timeoutMS, err := SpecFromQuery(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	machine, err := spec.Normalize()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	d := s.timeout(timeoutMS)
@@ -643,14 +657,14 @@ func (s *Server) handleBatchBinary(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	if decErr != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("frame %d: %w", n, decErr))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("frame %d: %w", n, decErr))
 		return
 	}
 	if n == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("empty batch"))
+		WriteError(w, http.StatusBadRequest, errors.New("empty batch"))
 		return
 	}
-	writeJSON(w, http.StatusOK, batchResponse{Results: results})
+	WriteJSON(w, http.StatusOK, batchResponse{Results: results})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -668,14 +682,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.cfg.ReplicaID != "" {
 		health["replica"] = s.cfg.ReplicaID
 	}
-	writeJSON(w, code, health)
+	WriteJSON(w, code, health)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	hits, misses, evictions := s.cache.Counters()
 	wsGets, wsNews := s.workspaces.counters()
 	upDepth, upCap := s.upgradeDepth()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	w.Header().Set("Content-Type", promtext.ContentType)
 	_, _ = io.WriteString(w, s.metrics.Render(
 		s.queue.Depth(), s.queue.Capacity(), s.cache.Len(),
 		hits, misses, evictions, s.flights.Shared(), wsGets, wsNews,

@@ -75,7 +75,7 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 
 func TestAllocateEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, body := postJSON(t, ts.URL+"/v1/allocate", allocateRequest{Source: smallFunc})
+	resp, body := postJSON(t, ts.URL+"/v1/allocate", AllocateRequest{Source: smallFunc})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -114,7 +114,7 @@ func TestAllocateEndpoint(t *testing.T) {
 // computed allocation.
 func TestCachedResponseDeterminism(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	req := allocateRequest{Source: smallFunc, Spec: Spec{Allocator: "pref-full"}}
+	req := AllocateRequest{Source: smallFunc, Spec: Spec{Allocator: "pref-full"}}
 
 	_, body1 := postJSON(t, ts.URL+"/v1/allocate", req)
 	_, body2 := postJSON(t, ts.URL+"/v1/allocate", req)
@@ -173,13 +173,13 @@ func TestAllocateBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {
 		name string
-		req  allocateRequest
+		req  AllocateRequest
 	}{
-		{"empty source", allocateRequest{}},
-		{"parse error", allocateRequest{Source: "func broken(... xxx"}},
-		{"bad allocator", allocateRequest{Source: smallFunc, Spec: Spec{Allocator: "nope"}}},
-		{"bad machine", allocateRequest{Source: smallFunc, Spec: Spec{Machine: "vax"}}},
-		{"bad k", allocateRequest{Source: smallFunc, Spec: Spec{K: 1}}},
+		{"empty source", AllocateRequest{}},
+		{"parse error", AllocateRequest{Source: "func broken(... xxx"}},
+		{"bad allocator", AllocateRequest{Source: smallFunc, Spec: Spec{Allocator: "nope"}}},
+		{"bad machine", AllocateRequest{Source: smallFunc, Spec: Spec{Machine: "vax"}}},
+		{"bad k", AllocateRequest{Source: smallFunc, Spec: Spec{K: 1}}},
 	}
 	for _, tc := range cases {
 		resp, body := postJSON(t, ts.URL+"/v1/allocate", tc.req)
@@ -207,7 +207,7 @@ func TestQueueSaturation429(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, _ := postJSON(t, ts.URL+"/v1/allocate", allocateRequest{Source: distinctFunc(i)})
+			resp, _ := postJSON(t, ts.URL+"/v1/allocate", AllocateRequest{Source: distinctFunc(i)})
 			codes[i] = resp.StatusCode
 		}(i)
 	}
@@ -221,7 +221,7 @@ func TestQueueSaturation429(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	resp, body := postJSON(t, ts.URL+"/v1/allocate", allocateRequest{Source: distinctFunc(99)})
+	resp, body := postJSON(t, ts.URL+"/v1/allocate", AllocateRequest{Source: distinctFunc(99)})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated queue returned %d, want 429 (%s)", resp.StatusCode, body)
 	}
@@ -249,7 +249,7 @@ func TestDeadlineDropsQueuedJob(t *testing.T) {
 	defer s.Close()
 
 	resp, body := postJSON(t, ts.URL+"/v1/allocate",
-		allocateRequest{Source: smallFunc, TimeoutMS: 1})
+		AllocateRequest{Source: smallFunc, TimeoutMS: 1})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (%s)", resp.StatusCode, body)
 	}
@@ -280,7 +280,7 @@ func TestSingleFlightHTTP(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, body := postJSON(t, ts.URL+"/v1/allocate", allocateRequest{Source: smallFunc})
+			resp, body := postJSON(t, ts.URL+"/v1/allocate", AllocateRequest{Source: smallFunc})
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("caller %d: status %d: %s", i, resp.StatusCode, body)
 				return
@@ -318,7 +318,7 @@ func TestSingleFlightHTTP(t *testing.T) {
 
 func TestBatchEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, QueueSize: 8})
-	req := batchRequest{Functions: []string{
+	req := BatchRequest{Functions: []string{
 		distinctFunc(1), "func broken(", distinctFunc(2), distinctFunc(1),
 	}}
 	resp, body := postJSON(t, ts.URL+"/v1/batch", req)
@@ -347,8 +347,8 @@ func TestBatchEndpoint(t *testing.T) {
 
 func TestHealthzAndMetrics(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	postJSON(t, ts.URL+"/v1/allocate", allocateRequest{Source: smallFunc})
-	postJSON(t, ts.URL+"/v1/allocate", allocateRequest{Source: smallFunc})
+	postJSON(t, ts.URL+"/v1/allocate", AllocateRequest{Source: smallFunc})
+	postJSON(t, ts.URL+"/v1/allocate", AllocateRequest{Source: smallFunc})
 
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -390,7 +390,7 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	defer ts.Close()
 	s.Close()
 
-	resp, _ := postJSON(t, ts.URL+"/v1/allocate", allocateRequest{Source: smallFunc})
+	resp, _ := postJSON(t, ts.URL+"/v1/allocate", AllocateRequest{Source: smallFunc})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("draining server returned %d, want 503", resp.StatusCode)
 	}

@@ -251,10 +251,10 @@ func (s *Server) upgradeLoop(ctx context.Context) {
 }
 
 // runUpgrade re-computes one entry through the standard full pipeline
-// and atomically swaps the cache entry (lruCache.Add refreshes in
-// place under the cache lock). An entry evicted between fast compute
-// and upgrade completion is simply re-inserted at full quality —
-// harmless, and the next request hits it.
+// and atomically swaps the cache entry (lru.Cache.Add refreshes in
+// place under the cache lock, keeping the entry's hit count). An entry
+// evicted between fast compute and upgrade completion is simply
+// re-inserted at full quality — harmless, and the next request hits it.
 func (s *Server) runUpgrade(ctx context.Context, job upgradeJob) {
 	u := s.upgrades
 	defer func() {

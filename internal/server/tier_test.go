@@ -11,6 +11,7 @@ import (
 	"prefcolor/internal/bench"
 	"prefcolor/internal/ir"
 	"prefcolor/internal/linearscan"
+	"prefcolor/internal/lru"
 	"prefcolor/internal/regalloc"
 	"prefcolor/internal/target"
 )
@@ -39,7 +40,7 @@ func oracleDigest(t *testing.T, src, allocator string) string {
 func TestTierFastThenUpgrade(t *testing.T) {
 	_, ts := newTestServer(t, Config{Tier: true})
 
-	resp, body := postJSON(t, ts.URL+"/v1/allocate", allocateRequest{Source: smallFunc})
+	resp, body := postJSON(t, ts.URL+"/v1/allocate", AllocateRequest{Source: smallFunc})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -78,7 +79,7 @@ func TestTierFastThenUpgrade(t *testing.T) {
 	var full allocateResponse
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, body = postJSON(t, ts.URL+"/v1/allocate", allocateRequest{Source: smallFunc})
+		resp, body = postJSON(t, ts.URL+"/v1/allocate", AllocateRequest{Source: smallFunc})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("poll status %d: %s", resp.StatusCode, body)
 		}
@@ -141,7 +142,7 @@ func get(t *testing.T, url string) (*http.Response, string) {
 // take the ordinary path and carry no tier.
 func TestTierScope(t *testing.T) {
 	_, ts := newTestServer(t, Config{Tier: true})
-	for _, req := range []allocateRequest{
+	for _, req := range []AllocateRequest{
 		{Spec: Spec{Allocator: "chaitin"}, Source: smallFunc},
 		{Spec: Spec{NoCache: true}, Source: smallFunc},
 	} {
@@ -188,7 +189,7 @@ func TestTierDrainStopsUpgrades(t *testing.T) {
 // while untouched keys keep their arrival (FIFO) order.
 func TestTierUpgradeHotFirst(t *testing.T) {
 	u := &upgrader{qcap: 8, notify: make(chan struct{}, 1), pending: map[Key]struct{}{}}
-	cache := newLRUCache(8)
+	cache := lru.New[Key, *entry](8)
 	for i := 0; i < 5; i++ {
 		key := Key{byte(i)}
 		cache.Add(key, &entry{Tier: tierFast})
@@ -250,7 +251,7 @@ func TestTrustKeyHeader(t *testing.T) {
 
 	post := func(body string) (*http.Response, allocateResponse) {
 		t.Helper()
-		buf, _ := json.Marshal(allocateRequest{Source: body})
+		buf, _ := json.Marshal(AllocateRequest{Source: body})
 		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/allocate", strings.NewReader(string(buf)))
 		if err != nil {
 			t.Fatal(err)
@@ -331,7 +332,7 @@ func TestTierFallsBackToFull(t *testing.T) {
 	}
 	want := bench.FuncDigest(f.Name, stats, out)
 
-	resp, body := postJSON(t, ts.URL+"/v1/allocate", allocateRequest{Spec: Spec{K: 2}, Source: entryLoopFunc})
+	resp, body := postJSON(t, ts.URL+"/v1/allocate", AllocateRequest{Spec: Spec{K: 2}, Source: entryLoopFunc})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -362,7 +363,7 @@ func TestLinearScanRejectsSpillOptions(t *testing.T) {
 		{Allocator: "linearscan", Rematerialize: true},
 		{Allocator: "linearscan", BlockLocalSpills: true},
 	} {
-		resp, body := postJSON(t, ts.URL+"/v1/allocate", allocateRequest{Spec: spec, Source: smallFunc})
+		resp, body := postJSON(t, ts.URL+"/v1/allocate", AllocateRequest{Spec: spec, Source: smallFunc})
 		if resp.StatusCode != http.StatusUnprocessableEntity {
 			t.Errorf("%+v: status %d, want 422: %s", spec, resp.StatusCode, body)
 		}

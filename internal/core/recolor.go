@@ -62,6 +62,42 @@ func (p *planOverlay) len() int {
 	return len(p.nodes)
 }
 
+// firstMoves marks, for each unordered endpoint pair of moves (n
+// nodes), the pair's first move in slice order. The move indices are
+// bucketed by lower endpoint with a counting sort, which keeps index
+// order within a bucket; walking each bucket, a per-node stamp on the
+// upper endpoint recognizes the pair's later moves.
+func (s *selector) firstMoves(moves []ig.Move, n int) []bool {
+	end := scratch.Slice(s.rcPairEnd, n+1)
+	for _, m := range moves {
+		end[min(m.X, m.Y)+1]++
+	}
+	for i := 1; i <= n; i++ {
+		end[i] += end[i-1]
+	}
+	order := scratch.Slice(s.rcPairOrder, len(moves))
+	for i, m := range moves {
+		lo := min(m.X, m.Y)
+		order[end[lo]] = int32(i)
+		end[lo]++
+	}
+	// end[lo] now ends lo's bucket, which starts where lo-1's ended.
+	stamp := scratch.Fill(s.rcPairStamp, n, -1)
+	first := scratch.Slice(s.rcPairFirst, len(moves))
+	begin := int32(0)
+	for lo := range ig.NodeID(n) {
+		for _, i := range order[begin:end[lo]] {
+			if hi := max(moves[i].X, moves[i].Y); stamp[hi] != lo {
+				stamp[hi] = lo
+				first[i] = true
+			}
+		}
+		begin = end[lo]
+	}
+	s.rcPairEnd, s.rcPairOrder, s.rcPairStamp, s.rcPairFirst = end, order, stamp, first
+	return first
+}
+
 // recolorFixup is a post-selection cleanup in the direction of the
 // paper's closing remark ("we are working on a heuristic algorithm …
 // that allows aggressive preference resolutions"): after the CPG
@@ -91,21 +127,12 @@ func (s *selector) recolorFixup() {
 	s.rcPlanDelta = s.rcPlanDelta[:0]
 	s.rcMark = scratch.Slice(s.rcMark, g.NumNodes())
 	moves := s.rcMoves[:0]
-	if s.rcSeen == nil {
-		s.rcSeen = map[[2]ig.NodeID]bool{}
-	}
-	seen := s.rcSeen
-	clear(seen)
-	for _, m := range g.Moves() {
-		key := [2]ig.NodeID{m.X, m.Y}
-		if m.Y < m.X {
-			key = [2]ig.NodeID{m.Y, m.X}
+	all := g.Moves()
+	first := s.firstMoves(all, g.NumNodes())
+	for i, m := range all {
+		if first[i] && !g.OrigInterferes(m.X, m.Y) {
+			moves = append(moves, recolorCand{x: m.X, y: m.Y, w: m.Weight})
 		}
-		if seen[key] || g.OrigInterferes(m.X, m.Y) {
-			continue
-		}
-		seen[key] = true
-		moves = append(moves, recolorCand{x: m.X, y: m.Y, w: m.Weight})
 	}
 	s.rcMoves = moves
 	slices.SortStableFunc(moves, func(a, b recolorCand) int {

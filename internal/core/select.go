@@ -104,7 +104,8 @@ type selector struct {
 	honorable []rankedPref
 	deferred  []*Pref
 
-	// Recolor-fixup scratch (see recolor.go): candidate moves, the
+	// Recolor-fixup scratch (see recolor.go): candidate moves and the
+	// buckets and stamps that keep one per endpoint pair, the
 	// per-node neighbor-color counts (k per node; the reference
 	// selector's per-color occupancy bitsets instead) and free-color
 	// rows with their built marks, the copy-component CSR buckets, the
@@ -114,7 +115,10 @@ type selector struct {
 	// (arena offset and clock per component root). rcHook, when set,
 	// runs after every incremental recolorTo; only tests set it.
 	rcMoves     []recolorCand
-	rcSeen      map[[2]ig.NodeID]bool
+	rcPairEnd   []int32
+	rcPairOrder []int32
+	rcPairStamp []ig.NodeID
+	rcPairFirst []bool
 	rcNbCount   []int32
 	rcColorBits []uint64
 	rcCompOff   []int32

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"sync"
 )
 
@@ -28,15 +30,42 @@ func KeyFor(canonHash [sha256.Size]byte, spec Spec) Key {
 		spec.Optimize, spec.Rematerialize, spec.BlockLocalSpills, spec.MaxRounds)))
 }
 
-// entry is one cached allocation outcome. Entries are immutable after
-// insertion, so readers share them without copying — a tier upgrade
-// swaps the whole entry via Add, never mutates one in place.
+// entry is one cached allocation outcome, held as the reply a cache
+// hit writes. Entries are immutable after insertion, so readers share
+// them without copying — a tier upgrade swaps the whole entry via Add,
+// never mutates one in place.
 type entry struct {
-	Function string    // rewritten code, textual IR
-	Digest   string    // bench.FuncDigest fingerprint
-	Stats    statsJSON // allocation statistics
-	Tier     string    // tier mode: "fast" or "full"; else empty
-	Cycles   float64   // tier mode: perfmodel cycle estimate of Function
+	// Reply is the /v1/allocate reply object of a hit ("cached":true,
+	// no trailing newline), rendered once when the entry is made; the
+	// function text lives only here. CachedAt is the offset of that
+	// "true", which a miss reply writes as "false".
+	Reply    []byte
+	CachedAt int
+	Tier     string  // tier mode: "fast" or "full"; else empty
+	Cycles   float64 // tier mode: perfmodel cycle estimate of the function
+}
+
+// newEntry renders the reply of one allocation result.
+func newEntry(text, digest string, stats statsJSON, tier string, cycles float64) *entry {
+	reply := render(allocateResponse{Function: text, Digest: digest, Stats: stats,
+		Cached: true, Tier: tier, Cycles: cycles})
+	// Quotes inside JSON strings are escaped, so these bytes occur only
+	// as the field itself.
+	at := bytes.Index(reply, []byte(`"cached":true`)) + len(`"cached":`)
+	return &entry{Reply: reply, CachedAt: at, Tier: tier, Cycles: cycles}
+}
+
+// writeObject writes e's reply object with its cached field set to
+// cached: the stored bytes for a hit, and for a miss the same bytes
+// with "false" spliced in.
+func (e *entry) writeObject(w io.Writer, cached bool) {
+	if cached {
+		_, _ = w.Write(e.Reply)
+		return
+	}
+	_, _ = w.Write(e.Reply[:e.CachedAt])
+	_, _ = io.WriteString(w, "false")
+	_, _ = w.Write(e.Reply[e.CachedAt+len("true"):])
 }
 
 // flightGroup deduplicates concurrent identical computations: the

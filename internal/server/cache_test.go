@@ -13,7 +13,7 @@ func testKey(i int) Key {
 }
 
 func testEntry(i int) *entry {
-	return &entry{Function: fmt.Sprintf("f%d", i), Digest: fmt.Sprintf("d%d", i)}
+	return newEntry(fmt.Sprintf("f%d", i), fmt.Sprintf("d%d", i), statsJSON{}, "", 0)
 }
 
 // TestFlightGroupSingleLeader floods one key from many goroutines and
@@ -24,6 +24,7 @@ func TestFlightGroupSingleLeader(t *testing.T) {
 	key := testKey(0)
 	const callers = 32
 
+	want := testEntry(7)
 	var leaders, computes atomic.Int64
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -36,10 +37,10 @@ func TestFlightGroupSingleLeader(t *testing.T) {
 			if leader {
 				leaders.Add(1)
 				computes.Add(1)
-				g.complete(key, call, testEntry(7), nil, 0)
+				g.complete(key, call, want, nil, 0)
 			}
 			<-call.done
-			if call.val == nil || call.val.Function != "f7" {
+			if call.val != want {
 				t.Errorf("caller saw %+v, want shared f7", call.val)
 			}
 		}()

@@ -12,17 +12,18 @@ import (
 // KeyResolver maps request payloads — textual or binary IR — to the
 // canonical content hash the cache key is built from: sha256 over the
 // function's ir.EncodeBinary encoding. It memoizes raw-bytes→hash so
-// repeat payloads resolve without re-parsing, exactly the memo the
-// server itself keys its cache with; the cluster router uses one to
-// route a request to the shard that owns its cache entry without
+// repeat payloads resolve without re-parsing; the cluster router uses
+// one to route a request to the shard that owns its cache entry without
 // disagreeing with the replica about what "the same function" means.
 //
 // The memo is an optimization only — a missing or evicted entry just
-// costs one parse — and it is spec-independent, since the
+// costs one parse — and its IR entries are spec-independent, since the
 // canonicalization of a function does not depend on how it will be
-// allocated.
+// allocated. The server's resolver is its one request memo: beside IR
+// payloads it maps whole JSON /v1/allocate bodies, spec included, to
+// the cache key they resolve to (see Server.handleAllocate).
 type KeyResolver struct {
-	memo *lru.Cache[[sha256.Size]byte, [sha256.Size]byte] // raw-bytes hash -> canonical hash
+	memo *lru.Cache[[sha256.Size]byte, [sha256.Size]byte] // memoKey -> canonical hash, or cache Key for formJSON
 }
 
 // NewKeyResolver builds a resolver whose raw-bytes memo holds up to
@@ -30,6 +31,24 @@ type KeyResolver struct {
 // then parses or decodes).
 func NewKeyResolver(entries int) *KeyResolver {
 	return &KeyResolver{memo: lru.New[[sha256.Size]byte, [sha256.Size]byte](entries)}
+}
+
+// Wire forms that separate memo keys: the same bytes mean different
+// things as IR text, as binary IR and as a JSON /v1/allocate body.
+const (
+	formText   = 't'
+	formBinary = 'b'
+	formJSON   = 'j'
+)
+
+// memoKey is the memo's key for raw bytes b arriving in wire form form.
+func memoKey(form byte, b []byte) [sha256.Size]byte {
+	h := sha256.New()
+	h.Write([]byte{form, 0})
+	h.Write(b)
+	var k [sha256.Size]byte
+	h.Sum(k[:0])
+	return k
 }
 
 // resolve canonicalizes in: it ensures in.canonHash holds the sha256
@@ -40,7 +59,8 @@ func NewKeyResolver(entries int) *KeyResolver {
 func (kr *KeyResolver) resolve(in *srcInput) (int, error) {
 	if in.canonKnown {
 		// A trusted router already resolved this payload's identity
-		// (X-Prefgcd-Key); the cache-hit path stays parse-free.
+		// (X-Prefgcd-Key), or the handler did; the cache-hit path
+		// stays parse-free.
 		return 0, nil
 	}
 	if in.f != nil && in.binary != nil {
@@ -49,18 +69,12 @@ func (kr *KeyResolver) resolve(in *srcInput) (int, error) {
 		in.canonHash = sha256.Sum256(in.binary)
 		return 0, nil
 	}
-	// The raw-bytes memo key is domain-separated by wire form: the
-	// same bytes mean different things as text and as binary.
-	h := sha256.New()
+	var raw [sha256.Size]byte
 	if in.binary != nil {
-		h.Write([]byte("b\x00"))
-		h.Write(in.binary)
+		raw = memoKey(formBinary, in.binary)
 	} else {
-		h.Write([]byte("t\x00"))
-		h.Write([]byte(in.text))
+		raw = memoKey(formText, []byte(in.text))
 	}
-	var raw [32]byte
-	h.Sum(raw[:0])
 	if canon, ok := kr.memo.Get(raw); ok {
 		in.canonHash = canon
 		return 0, nil

@@ -21,6 +21,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -51,6 +52,9 @@ var ErrQueueClosed = errors.New("server: queue closed")
 
 // errQueueFull reports a refused admission.
 var errQueueFull = errors.New("server: queue full")
+
+// errDraining refuses new allocation work once a drain has begun.
+var errDraining = errors.New("server draining")
 
 // Config sizes the daemon. The zero value of any field selects its
 // default.
@@ -327,8 +331,13 @@ type allocateResponse struct {
 	Code     int       `json:"code,omitempty"`   // batch items only
 }
 
-type batchResponse struct {
-	Results []allocateResponse `json:"results"`
+// batchItem is one /v1/batch result: an entry, served as a hit or a
+// miss, or an item error.
+type batchItem struct {
+	e      *entry
+	cached bool
+	err    string
+	code   int
 }
 
 // ErrorResponse is the body of every error reply.
@@ -383,6 +392,53 @@ func WriteError(w http.ResponseWriter, code int, err error) {
 	WriteJSON(w, code, ErrorResponse{Error: err.Error()})
 }
 
+// render encodes v as WriteJSON does, without the trailing newline.
+func render(v any) []byte {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(v)
+	return bytes.TrimSuffix(b.Bytes(), []byte("\n"))
+}
+
+// writeEntry writes e as a 200 /v1/allocate reply, byte for byte what
+// WriteJSON would write for it, with the cache and tier headers.
+func writeEntry(w http.ResponseWriter, e *entry, cached bool) {
+	h := w.Header()
+	if cached {
+		h.Set(CacheHeader, "hit")
+	} else {
+		h.Set(CacheHeader, "miss")
+	}
+	if e.Tier != "" {
+		h.Set(TierHeader, e.Tier)
+	}
+	h.Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	e.writeObject(w, cached)
+	_, _ = io.WriteString(w, "\n")
+}
+
+// writeBatch writes a 200 /v1/batch reply, byte for byte what WriteJSON
+// would write for {"results":[...]}: json.Encoder writes a slice's
+// elements as it writes each alone, comma-separated.
+func writeBatch(w http.ResponseWriter, items []batchItem) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = io.WriteString(w, `{"results":[`)
+	for i, it := range items {
+		if i > 0 {
+			_, _ = io.WriteString(w, ",")
+		}
+		if it.e == nil {
+			_, _ = w.Write(render(allocateResponse{Error: it.err, Code: it.code}))
+			continue
+		}
+		it.e.writeObject(w, it.cached)
+	}
+	_, _ = io.WriteString(w, "]}\n")
+}
+
 // timeout clamps a request's timeout_ms to the configured bounds.
 func (s *Server) timeout(ms int) time.Duration {
 	d := s.cfg.DefaultTimeout
@@ -398,9 +454,12 @@ func (s *Server) timeout(ms int) time.Duration {
 // readBody reads a JSON request body under the size limit into v.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	body, ok := ReadRawBody(w, r, s.cfg.MaxBodyBytes)
-	if !ok {
-		return false
-	}
+	return ok && decodeJSON(w, body, v)
+}
+
+// decodeJSON unmarshals a JSON request body into v, answering 400 when
+// it does not parse.
+func decodeJSON(w http.ResponseWriter, body []byte, v any) bool {
 	if err := json.Unmarshal(body, v); err != nil {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("parsing request: %w", err))
 		return false
@@ -460,11 +519,25 @@ func SpecFromQuery(r *http.Request) (Spec, int, error) {
 	return spec, timeoutMS, nil
 }
 
+// sizedBodyMax bounds the buffer ReadRawBody allocates from a declared
+// Content-Length before any of the body has arrived, so a client that
+// declares a large body and sends nothing pins little memory.
+const sizedBodyMax = 64 << 10
+
 // ReadRawBody reads r's body under the limit of limit bytes. On failure
 // it has already written the error reply (413 past the limit, else 400)
-// and returns false.
+// and returns false. A body whose Content-Length is known, within the
+// limit and at most sizedBodyMax is read into one buffer of that size;
+// any other body is read through http.MaxBytesReader.
 func ReadRawBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	var body []byte
+	var err error
+	if n := r.ContentLength; n >= 0 && n <= min(limit, sizedBodyMax) {
+		body = make([]byte, n)
+		_, err = io.ReadFull(r.Body, body)
+	} else {
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	}
 	if err != nil {
 		code := http.StatusBadRequest // e.g. client went away mid-body
 		var tooBig *http.MaxBytesError
@@ -477,15 +550,47 @@ func ReadRawBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, b
 	return body, true
 }
 
+// handleAllocate serves /v1/allocate. A JSON body seen before resolves
+// through the request memo to the cache key it resolved to then; when
+// that entry is resident its stored reply is written without decoding
+// the body or encoding anything. Every other request takes the full
+// path: decode, normalize, resolve, then doOne.
 func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
+	body, ok := ReadRawBody(w, r, s.cfg.MaxBodyBytes)
+	if !ok {
+		return
+	}
+	binary := IsBinaryRequest(r)
+	var trusted [32]byte
+	isTrusted := false
+	if s.cfg.TrustKeyHeader {
+		trusted, isTrusted = DecodeKeyHeader(r.Header.Get(KeyHeader))
+	}
+	// Only JSON bodies resolved from their own bytes enter the memo: a
+	// trusted key header names an identity the body was never checked
+	// against.
+	memoable := !binary && !isTrusted
+	var bodyKey [32]byte
+	var memoized Key
+	memoHit := false
+	if memoable {
+		bodyKey = memoKey(formJSON, body)
+		if memoized, memoHit = s.keys.memo.Get(bodyKey); memoHit {
+			if s.draining.Load() {
+				WriteError(w, http.StatusServiceUnavailable, errDraining)
+				return
+			}
+			if e, ok := s.lookup(memoized); ok {
+				writeEntry(w, e, true)
+				return
+			}
+		}
+	}
+
 	var in srcInput
 	var spec Spec
 	var timeoutMS int
-	if IsBinaryRequest(r) {
-		body, ok := ReadRawBody(w, r, s.cfg.MaxBodyBytes)
-		if !ok {
-			return
-		}
+	if binary {
 		if len(body) == 0 {
 			WriteError(w, http.StatusBadRequest, errors.New("empty source"))
 			return
@@ -502,7 +607,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		in = srcInput{binary: body}
 	} else {
 		var req AllocateRequest
-		if !s.readBody(w, r, &req) {
+		if !decodeJSON(w, body, &req) {
 			return
 		}
 		if req.Source == "" {
@@ -517,12 +622,31 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	if s.cfg.TrustKeyHeader {
-		if canon, ok := DecodeKeyHeader(r.Header.Get(KeyHeader)); ok {
-			in.canonHash, in.canonKnown = canon, true
+	d := s.timeout(timeoutMS)
+
+	var e *entry
+	var cached bool
+	var code int
+	if memoHit {
+		// The memoized entry was evicted. The body is valid and
+		// cacheable, or it would not be in the memo, and the probe
+		// above counted the miss: recompute without probing again.
+		e, code, err = s.fill(r.Context(), memoized, in, spec, machine, d, false)
+	} else {
+		if isTrusted {
+			in.canonHash, in.canonKnown = trusted, true
+		} else if memoable && !spec.NoCache && !s.draining.Load() {
+			// Resolved here rather than in doOne, so that a body enters
+			// the memo only once it has resolved.
+			if code, err := s.keys.resolve(&in); err != nil {
+				WriteError(w, code, err)
+				return
+			}
+			in.canonKnown = true
+			s.keys.memo.Add(bodyKey, KeyFor(in.canonHash, spec))
 		}
+		e, cached, code, err = s.doOne(r.Context(), in, spec, machine, d, false)
 	}
-	resp, code, err := s.doOne(r.Context(), in, spec, machine, s.timeout(timeoutMS), false)
 	if err != nil {
 		if errors.Is(err, errQueueFull) {
 			w.Header().Set("Retry-After", "1")
@@ -530,15 +654,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, code, err)
 		return
 	}
-	if resp.Cached {
-		w.Header().Set(CacheHeader, "hit")
-	} else {
-		w.Header().Set(CacheHeader, "miss")
-	}
-	if resp.Tier != "" {
-		w.Header().Set(TierHeader, resp.Tier)
-	}
-	WriteJSON(w, http.StatusOK, resp)
+	writeEntry(w, e, cached)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -569,7 +685,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Items run through the same cache/flight/queue path as single
 	// allocations, but submission blocks (backpressure) and fan-out is
 	// capped so one batch cannot occupy every queue slot at once.
-	results := make([]allocateResponse, len(req.Functions))
+	items := make([]batchItem, len(req.Functions))
 	sem := make(chan struct{}, min(s.cfg.Workers, 8))
 	var wg sync.WaitGroup
 	for i, src := range req.Functions {
@@ -579,19 +695,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			if src == "" {
-				results[i] = allocateResponse{Error: "empty source", Code: http.StatusBadRequest}
+				items[i] = batchItem{err: "empty source", code: http.StatusBadRequest}
 				return
 			}
-			resp, code, err := s.doOne(r.Context(), srcInput{text: src}, req.Spec, machine, d, true)
-			if err != nil {
-				results[i] = allocateResponse{Error: err.Error(), Code: code}
-				return
-			}
-			results[i] = *resp
+			items[i] = s.batchOne(r.Context(), srcInput{text: src}, req.Spec, machine, d)
 		}(i, src)
 	}
 	wg.Wait()
-	WriteJSON(w, http.StatusOK, batchResponse{Results: results})
+	writeBatch(w, items)
+}
+
+// batchOne serves one /v1/batch item.
+func (s *Server) batchOne(ctx context.Context, in srcInput, spec Spec,
+	machine *target.Machine, d time.Duration) batchItem {
+
+	e, cached, code, err := s.doOne(ctx, in, spec, machine, d, true)
+	if err != nil {
+		return batchItem{err: err.Error(), code: code}
+	}
+	return batchItem{e: e, cached: cached}
 }
 
 // handleBatchBinary serves a /v1/batch request whose body is a stream
@@ -617,11 +739,11 @@ func (s *Server) handleBatchBinary(w http.ResponseWriter, r *http.Request) {
 	dec.MaxFrame = int(s.cfg.MaxBodyBytes)
 
 	var (
-		mu      sync.Mutex
-		results []allocateResponse
-		sem     = make(chan struct{}, min(s.cfg.Workers, 8))
-		wg      sync.WaitGroup
-		decErr  error
+		mu     sync.Mutex
+		items  []batchItem
+		sem    = make(chan struct{}, min(s.cfg.Workers, 8))
+		wg     sync.WaitGroup
+		decErr error
 	)
 	n := 0
 	for ; ; n++ {
@@ -638,21 +760,17 @@ func (s *Server) handleBatchBinary(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		mu.Lock()
-		results = append(results, allocateResponse{})
+		items = append(items, batchItem{})
 		mu.Unlock()
 		wg.Add(1)
 		go func(i int, in srcInput) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			resp, code, err := s.doOne(r.Context(), in, spec, machine, d, true)
+			it := s.batchOne(r.Context(), in, spec, machine, d)
 			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				results[i] = allocateResponse{Error: err.Error(), Code: code}
-				return
-			}
-			results[i] = *resp
+			items[i] = it
+			mu.Unlock()
 		}(n, srcInput{binary: ir.EncodeBinary(f), f: f})
 	}
 	wg.Wait()
@@ -664,7 +782,7 @@ func (s *Server) handleBatchBinary(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, errors.New("empty batch"))
 		return
 	}
-	WriteJSON(w, http.StatusOK, batchResponse{Results: results})
+	writeBatch(w, items)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -706,8 +824,9 @@ type srcInput struct {
 	f      *ir.Func // decoded form, when already known
 
 	// canonHash is sha256 over the function's canonical binary
-	// encoding, filled in by resolveKey — or, when canonKnown is set,
-	// taken on trust from the X-Prefgcd-Key request header.
+	// encoding, filled in by KeyResolver.resolve. canonKnown marks it
+	// set before doOne: resolved by the handler, or taken on trust
+	// from the X-Prefgcd-Key request header.
 	canonHash  [32]byte
 	canonKnown bool
 }
@@ -736,24 +855,50 @@ func (in *srcInput) decode() (*ir.Func, int, error) {
 // so one impatient caller cannot poison the shared flight. block
 // selects the batch endpoint's blocking submission. Requests with
 // spec.NoCache skip the cache and flight entirely (but still queue).
+// cached reports whether the entry came from the cache.
 func (s *Server) doOne(reqCtx context.Context, in srcInput, spec Spec,
-	machine *target.Machine, d time.Duration, block bool) (*allocateResponse, int, error) {
+	machine *target.Machine, d time.Duration, block bool) (e *entry, cached bool, code int, err error) {
 
 	if s.draining.Load() {
-		return nil, http.StatusServiceUnavailable, errors.New("server draining")
+		return nil, false, http.StatusServiceUnavailable, errDraining
 	}
 	if spec.NoCache {
-		return s.doUncached(reqCtx, in, spec, machine, d, block)
+		e, code, err = s.doUncached(reqCtx, in, spec, machine, d, block)
+		return e, false, code, err
 	}
 	if code, err := s.keys.resolve(&in); err != nil {
-		return nil, code, err
+		return nil, false, code, err
 	}
 	key := KeyFor(in.canonHash, spec)
-	if e, ok := s.cache.Get(key); ok {
-		return s.respFrom(e, true), 0, nil
+	if e, ok := s.lookup(key); ok {
+		return e, true, 0, nil
 	}
-	tier := s.tierApplies(spec)
+	e, code, err = s.fill(reqCtx, key, in, spec, machine, d, block)
+	return e, false, code, err
+}
 
+// lookup probes the result cache, tallying the serving tier of a hit.
+func (s *Server) lookup(key Key) (*entry, bool) {
+	e, ok := s.cache.Get(key)
+	if ok {
+		s.countTier(e)
+	}
+	return e, ok
+}
+
+// countTier tallies the tier that served e, when it carries one.
+func (s *Server) countTier(e *entry) {
+	if e.Tier != "" {
+		s.metrics.CountTierServed(e.Tier)
+	}
+}
+
+// fill computes key's entry after a cache miss: it joins the key's
+// flight, or leads one through the work queue and caches the result.
+func (s *Server) fill(reqCtx context.Context, key Key, in srcInput, spec Spec,
+	machine *target.Machine, d time.Duration, block bool) (*entry, int, error) {
+
+	tier := s.tierApplies(spec)
 	call, leader := s.flights.join(key)
 	if leader {
 		// The job's deadline starts at admission, so time spent queued
@@ -792,10 +937,8 @@ func (s *Server) doOne(reqCtx context.Context, in srcInput, spec Spec,
 			}
 			s.flights.complete(key, call, e, err, code)
 		}
-		var admitted bool
 		if block {
 			err := s.queue.Submit(reqCtx, job)
-			admitted = err == nil
 			if errors.Is(err, ErrQueueClosed) {
 				cancel()
 				s.flights.complete(key, call, nil, err, http.StatusServiceUnavailable)
@@ -806,13 +949,10 @@ func (s *Server) doOne(reqCtx context.Context, in srcInput, spec Spec,
 				s.flights.complete(key, call, nil, err, http.StatusGatewayTimeout)
 				return nil, http.StatusGatewayTimeout, err
 			}
-		} else {
-			admitted = s.queue.TrySubmit(job)
-			if !admitted {
-				cancel()
-				s.flights.complete(key, call, nil, errQueueFull, http.StatusTooManyRequests)
-				return nil, http.StatusTooManyRequests, errQueueFull
-			}
+		} else if !s.queue.TrySubmit(job) {
+			cancel()
+			s.flights.complete(key, call, nil, errQueueFull, http.StatusTooManyRequests)
+			return nil, http.StatusTooManyRequests, errQueueFull
 		}
 	}
 
@@ -826,17 +966,8 @@ func (s *Server) doOne(reqCtx context.Context, in srcInput, spec Spec,
 	if call.err != nil {
 		return nil, call.code, call.err
 	}
-	return s.respFrom(call.val, false), 0, nil
-}
-
-// respFrom shapes a cache entry into the wire response and tallies the
-// serving tier when the entry carries one.
-func (s *Server) respFrom(e *entry, cached bool) *allocateResponse {
-	if e.Tier != "" {
-		s.metrics.CountTierServed(e.Tier)
-	}
-	return &allocateResponse{Function: e.Function, Digest: e.Digest, Stats: e.Stats,
-		Cached: cached, Tier: e.Tier, Cycles: e.Cycles}
+	s.countTier(call.val)
+	return call.val, 0, nil
 }
 
 // doUncached runs one allocation through the admission queue without
@@ -844,7 +975,7 @@ func (s *Server) respFrom(e *entry, cached bool) *allocateResponse {
 // parse/decode and allocation both happen in the worker, so the
 // measured latency is the whole cold path.
 func (s *Server) doUncached(reqCtx context.Context, in srcInput, spec Spec,
-	machine *target.Machine, d time.Duration, block bool) (*allocateResponse, int, error) {
+	machine *target.Machine, d time.Duration, block bool) (*entry, int, error) {
 
 	jobCtx, cancel := context.WithTimeout(context.Background(), d)
 	done := make(chan struct{})
@@ -888,7 +1019,7 @@ func (s *Server) doUncached(reqCtx context.Context, in srcInput, spec Spec,
 	if err != nil {
 		return nil, code, err
 	}
-	return &allocateResponse{Function: e.Function, Digest: e.Digest, Stats: e.Stats, Cached: false}, 0, nil
+	return e, 0, nil
 }
 
 // statusClientGone is nginx's 499 "client closed request", reported
@@ -937,14 +1068,10 @@ func (s *Server) compute(ctx context.Context, in srcInput, spec Spec,
 	}
 	s.metrics.CountExecuted(stats.Telemetry)
 	text := out.String()
-	e := &entry{
-		Function: text,
-		Digest:   bench.TextDigest(f.Name, stats, text),
-		Stats:    statsFrom(stats),
-	}
+	var tierName string
+	var cycles float64
 	if tier {
-		e.Tier = tierFull
-		e.Cycles = perfmodel.Estimate(out, machine).Cycles
+		tierName, cycles = tierFull, perfmodel.Estimate(out, machine).Cycles
 	}
-	return e, 0, nil
+	return newEntry(text, bench.TextDigest(f.Name, stats, text), statsFrom(stats), tierName, cycles), 0, nil
 }

@@ -32,6 +32,11 @@ b2:
 }
 `
 
+// batchResponse is the /v1/batch reply.
+type batchResponse struct {
+	Results []allocateResponse `json:"results"`
+}
+
 // distinctFunc returns a unique small function per i, for tests that
 // must bypass the cache and single-flight dedup.
 func distinctFunc(i int) string {

@@ -84,13 +84,8 @@ func (s *Server) computeFast(ctx context.Context, in srcInput, spec Spec,
 		return nil, http.StatusUnprocessableEntity, err
 	}
 	text := out.String()
-	return &entry{
-		Function: text,
-		Digest:   bench.TextDigest(f.Name, stats, text),
-		Stats:    statsFrom(stats),
-		Tier:     tierFast,
-		Cycles:   perfmodel.Estimate(out, machine).Cycles,
-	}, 0, nil
+	return newEntry(text, bench.TextDigest(f.Name, stats, text), statsFrom(stats),
+		tierFast, perfmodel.Estimate(out, machine).Cycles), 0, nil
 }
 
 // upgrader is the background escalation pipeline: a bounded

@@ -82,9 +82,13 @@ func TestSelectorMatchesReference(t *testing.T) {
 // FuzzSelectorDifferential parses its input as IR, allocates it with
 // pref-full at k = 4 + kb%29 on the usage model under RunChecked, and
 // requires the incremental selector to give the reference selector's
-// digest, or its error. The seeds are the metamorph corpus at k = 4
-// and 8. Functions past a small size are skipped: the interference
-// graph is quadratic in the number of webs.
+// digest, or its error. It also requires the same of the incremental
+// selector with the recolor fixup run on spilling rounds too: the
+// driver's CheckResult then passes on every round's fixed-up colors,
+// and the equal digest shows the fixup changed no spill set. The seeds
+// are the metamorph corpus at k = 4 and 8. Functions past a small size
+// are skipped: the interference graph is quadratic in the number of
+// webs.
 func FuzzSelectorDifferential(f *testing.F) {
 	dir := filepath.Join("..", "metamorph", "testdata", "corpus")
 	entries, err := os.ReadDir(dir)
@@ -107,13 +111,19 @@ func FuzzSelectorDifferential(f *testing.F) {
 		m := target.UsageModel(4 + int(kb%29))
 		outF, statsF, errF := regalloc.RunChecked(fn, m, core.New(), regalloc.Options{})
 		outR, statsR, errR := regalloc.RunChecked(fn, m, core.New().WithReferenceSelector(), regalloc.Options{})
+		outS, statsS, errS := regalloc.RunChecked(fn, m, core.New().WithSpillRoundRecolor(), regalloc.Options{})
 		switch {
-		case errF != nil || errR != nil:
+		case errF != nil || errR != nil || errS != nil:
 			if fmt.Sprint(errF) != fmt.Sprint(errR) {
 				t.Fatalf("k=%d: errors differ:\n  incremental %v\n  reference   %v", m.NumRegs, errF, errR)
 			}
+			if fmt.Sprint(errF) != fmt.Sprint(errS) {
+				t.Fatalf("k=%d: errors differ:\n  incremental          %v\n  spill-round recolor  %v", m.NumRegs, errF, errS)
+			}
 		case FuncDigest(fn.Name, statsF, outF) != FuncDigest(fn.Name, statsR, outR):
 			t.Fatalf("k=%d: digest diverged from reference selector", m.NumRegs)
+		case FuncDigest(fn.Name, statsF, outF) != FuncDigest(fn.Name, statsS, outS):
+			t.Fatalf("k=%d: recoloring spilling rounds changed the digest", m.NumRegs)
 		}
 	})
 }

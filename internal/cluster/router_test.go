@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,8 @@ import (
 
 	"prefcolor/internal/ir"
 	"prefcolor/internal/server"
+	"prefcolor/internal/target"
+	"prefcolor/internal/workload"
 )
 
 // distinctFunc returns a unique small function per i, so tests can
@@ -658,5 +661,33 @@ func TestRouterConfigErrors(t *testing.T) {
 	}
 	if _, ok := rt.ReplicaState("nope"); ok {
 		t.Error("unknown replica state: want ok=false")
+	}
+}
+
+// TestRouterAllocateContentLength checks that a replica's miss and hit
+// replies reach the client through the router with their Content-Length
+// and unchunked, for a function whose reply is well past net/http's
+// 2 KiB chunking threshold.
+func TestRouterAllocateContentLength(t *testing.T) {
+	reps := startReplicas(t, 2, server.Config{Workers: 2, QueueSize: 16, CacheEntries: 64})
+	_, front := newTestRouter(t, reps, Config{})
+	src := workload.Generate(workload.Benchmarks()[0], target.UsageModel(16))[0].String()
+	for _, cache := range []string{"miss", "hit"} {
+		resp, body := postAllocate(t, front.URL, src)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", cache, resp.StatusCode, body)
+		}
+		if len(body) < 4096 {
+			t.Fatalf("%s: reply of %d bytes is too small to be chunked", cache, len(body))
+		}
+		if got := resp.Header.Get(server.CacheHeader); got != cache {
+			t.Errorf("cache header %q, want %q", got, cache)
+		}
+		if got, want := resp.Header.Get("Content-Length"), strconv.Itoa(len(body)); got != want {
+			t.Errorf("%s: Content-Length %q, body %s bytes", cache, got, want)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: ContentLength %d, TransferEncoding %v, body %d bytes", cache, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
 	}
 }

@@ -20,6 +20,9 @@ type Allocator struct {
 	// Name() is unchanged so stats and digests stay comparable — the
 	// two paths are pinned bit-identical.
 	refSelect bool
+
+	// recolorSpills runs the recolor fixup on spilling rounds too.
+	recolorSpills bool
 }
 
 // New returns the full-preference allocator ("full preferences" in
@@ -36,6 +39,16 @@ func NewCoalesceOnly() *Allocator { return &Allocator{mode: CoalesceOnly} }
 func (a *Allocator) WithReferenceSelector() *Allocator {
 	c := *a
 	c.refSelect = true
+	return &c
+}
+
+// WithSpillRoundRecolor returns a copy of a that also runs the recolor
+// fixup on rounds that spill, whose colors the driver discards. It
+// spends time for nothing; the tests use it to show that skipping the
+// fixup there changes no spill set and so no output.
+func (a *Allocator) WithSpillRoundRecolor() *Allocator {
+	c := *a
+	c.recolorSpills = true
 	return &c
 }
 
@@ -76,6 +89,7 @@ func (a *Allocator) Allocate(ctx *regalloc.Context) (*regalloc.Result, error) {
 	s := newSelectorIn(&cs.sel, ctx, rpg, cpg, a.mode)
 	s.ab = a.ablation
 	s.refSelect = a.refSelect
+	s.recolorSpills = a.recolorSpills
 	return s.run()
 }
 

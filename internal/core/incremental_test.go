@@ -159,17 +159,24 @@ func runHooked(t *testing.T, cases []hookCase, newAlloc func() *Allocator, insta
 	}
 }
 
+// withSpillRoundRecolor returns newAlloc's allocator with the recolor
+// fixup run on spilling rounds too, so the fixup checks below see every
+// round, not only the final one.
+func withSpillRoundRecolor(newAlloc func() *Allocator) func() *Allocator {
+	return func() *Allocator { return newAlloc().WithSpillRoundRecolor() }
+}
+
 // TestRecolorCountsMatchRecount checks the recolor fixup's built
 // neighbor-color count rows against a from-scratch recount, and each
 // built free-color row against its counts (bit c set exactly when count
 // c is zero, no bit at or above k), after every recolorTo, over every
 // round of pref-full and pref-coalesce on the nine profiles at k = 16
-// and 32.
+// and 32, spilling rounds included.
 func TestRecolorCountsMatchRecount(t *testing.T) {
 	recolors, rows := 0, 0
 	cases := suiteCases(16, 32)
 	for _, newAlloc := range []func() *Allocator{New, NewCoalesceOnly} {
-		runHooked(t, cases, newAlloc, func(s *selector) {
+		runHooked(t, cases, withSpillRoundRecolor(newAlloc), func(s *selector) {
 			s.rcHook = func() {
 				recolors++
 				g, k := s.ctx.Graph, s.ctx.K()
@@ -252,7 +259,8 @@ func TestForbidSkipExact(t *testing.T) {
 // members, each color below k — after every recolorTo and on each
 // run's final state, and requires each plan of two or more nodes to
 // pass planDelta's validation with a delta bit-equal to planGain's,
-// over pref-full on the nine profiles at k = 16/24/32 and Large.
+// over every round, spilling rounds included, of pref-full on the nine
+// profiles at k = 16/24/32 and Large.
 func TestComponentPlanScoreMatches(t *testing.T) {
 	plans := 0
 	check := func(s *selector) {
@@ -284,13 +292,81 @@ func TestComponentPlanScoreMatches(t *testing.T) {
 		}
 	}
 	cases := append(suiteCases(16, 24, 32), largeCases()...)
-	runHooked(t, cases, New, func(s *selector) {
+	runHooked(t, cases, withSpillRoundRecolor(New), func(s *selector) {
 		s.rcHook = func() { check(s) }
 	}, check)
 	if plans == 0 {
 		t.Fatal("no component plan was built; the check saw nothing")
 	}
 	t.Logf("%d component plans checked", plans)
+}
+
+// fixupOnSpill allocates with its Allocator and, on every round that
+// spills, runs the recolor fixup that selection skipped there. It
+// requires CheckResult to pass before and after the fixup and the
+// spill set, all the driver reads of such a round, to stay the same.
+// The round's Colors are the selector's color array, so they show the
+// fixup's recolorings.
+type fixupOnSpill struct {
+	*Allocator
+	t       *testing.T
+	rounds  int // spilling rounds checked
+	changed int // of them, rounds whose colors the fixup changed
+}
+
+func (a *fixupOnSpill) Allocate(ctx *regalloc.Context) (*regalloc.Result, error) {
+	res, err := a.Allocator.Allocate(ctx)
+	if err != nil || len(res.Spilled) == 0 {
+		return res, err
+	}
+	a.rounds++
+	if err := regalloc.CheckResult(ctx, res); err != nil {
+		a.t.Fatalf("%s/%s k=%d: without the fixup: %v", a.Name(), ctx.F.Name, ctx.K(), err)
+	}
+	spilled, colors := slices.Clone(res.Spilled), slices.Clone(res.Colors)
+	coreScratchFor(ctx).sel.recolorFixup()
+	if !slices.Equal(res.Spilled, spilled) {
+		a.t.Fatalf("%s/%s k=%d: the fixup changed the spill set %v to %v", a.Name(), ctx.F.Name, ctx.K(), spilled, res.Spilled)
+	}
+	if err := regalloc.CheckResult(ctx, res); err != nil {
+		a.t.Fatalf("%s/%s k=%d: with the fixup: %v", a.Name(), ctx.F.Name, ctx.K(), err)
+	}
+	if !slices.Equal(res.Colors, colors) {
+		a.changed++
+	}
+	return res, nil
+}
+
+// TestSpillRoundFixupKeepsSpills shows that skipping the recolor fixup
+// on spilling rounds is exact: on every spilling round of pref-full and
+// pref-coalesce over the nine profiles at k = 16/24/32, Large at k = 16
+// and workload.Fuzz() seeds 1–200 at k = 4 and 8, running the fixup
+// leaves the spill set unchanged and CheckResult passing.
+func TestSpillRoundFixupKeepsSpills(t *testing.T) {
+	corpora := []struct {
+		name  string
+		cases []hookCase
+	}{
+		{"suite", suiteCases(16, 24, 32)},
+		{"large", largeCases()},
+		{"fuzz", fuzzCases(4, 8)},
+	}
+	changed := 0
+	for _, corpus := range corpora {
+		for _, newAlloc := range []func() *Allocator{New, NewCoalesceOnly} {
+			a := &fixupOnSpill{Allocator: newAlloc(), t: t}
+			for _, c := range corpus.cases {
+				if _, _, err := regalloc.Run(c.f, c.m, a, regalloc.Options{}); err != nil {
+					t.Fatalf("%s/%s k=%d: %v", a.Name(), c.f.Name, c.m.NumRegs, err)
+				}
+			}
+			changed += a.changed
+			t.Logf("%s/%s: %d spilling rounds, %d recolored by the fixup", corpus.name, a.Name(), a.rounds, a.changed)
+		}
+	}
+	if changed == 0 {
+		t.Fatal("the fixup changed no spilling round's colors; the check saw nothing")
+	}
 }
 
 // TestColorFreeForMatchesRef compares the count-based colorFreeFor with

@@ -51,9 +51,6 @@ type selector struct {
 	forbid []uint64
 	kwords int
 
-	// resColors backs every round's Result.Colors (see run).
-	resColors map[ig.NodeID]int
-
 	// Every register set selection handles is a kwords-word row laid
 	// out like the forbid rows: bit r is register r. allRegs holds the
 	// registers below k and volRegs the volatile ones among them.
@@ -74,6 +71,14 @@ type selector struct {
 	// full re-evaluation loop; the differential tests pin the
 	// incremental structures against them bit for bit.
 	refSelect bool
+
+	// res is the round's result, returned by run.
+	res regalloc.Result
+
+	// recolorSpills runs the recolor fixup on spilling rounds too,
+	// whose colors the driver discards (see run); only the tests that
+	// show the skip exact set it.
+	recolorSpills bool
 
 	// comp groups copy-related nodes into components (transitive
 	// closure over non-interfering copies); compColors counts, per
@@ -180,6 +185,7 @@ func newSelectorIn(s *selector, ctx *regalloc.Context, rpg *RPG, cpg *CPG, mode 
 	s.ctx, s.rpg, s.cpg, s.mode = ctx, rpg, cpg, mode
 	s.ab = Ablation{}
 	s.refSelect = false
+	s.recolorSpills = false
 	s.nProcessed = 0
 
 	s.color = scratch.Fill(s.color, n, -1)
@@ -281,9 +287,14 @@ func (s *selector) noteCompColor(n ig.NodeID, c int) {
 }
 
 // run processes every web node in a CPG-respecting order and returns
-// the round's result. Its Colors map is the selector's own, cleared
-// and refilled every round, so a pooled selector's result is valid
-// until the next round on the same scratch.
+// the round's result. Its Colors are the selector's own color array,
+// so a pooled selector's result is valid until the next round on the
+// same scratch.
+//
+// The recolor fixup runs only when selection spilled nothing. A
+// spilling round hands the driver nothing but its spill set, and the
+// fixup only moves nodes that already hold a color, so on such a round
+// its work would be thrown away (DESIGN §16).
 func (s *selector) run() (*regalloc.Result, error) {
 	g, tel := s.ctx.Graph, s.ctx.Telemetry
 	numWebs := g.NumWebs()
@@ -307,11 +318,8 @@ func (s *selector) run() (*regalloc.Result, error) {
 		}
 	}
 
-	if s.resColors == nil {
-		s.resColors = make(map[ig.NodeID]int, numWebs)
-	}
-	clear(s.resColors)
-	res := &regalloc.Result{Colors: s.resColors}
+	s.res = regalloc.Result{Colors: s.color, Spilled: s.res.Spilled[:0]}
+	res := &s.res
 	for s.nProcessed < numWebs {
 		if tel.Enabled() {
 			tel.ObserveReady(s.readyCount)
@@ -323,15 +331,10 @@ func (s *selector) run() (*regalloc.Result, error) {
 		s.processNode(n, res)
 	}
 	tel.End(telemetry.PhaseSelect, sp)
-	if !s.ab.NoRecolor {
+	if !s.ab.NoRecolor && (len(res.Spilled) == 0 || s.recolorSpills) {
 		sp = tel.Begin()
 		s.recolorFixup()
 		tel.End(telemetry.PhaseRecolor, sp)
-	}
-	for n := ig.NodeID(g.NumPhys()); int(n) < g.NumNodes(); n++ {
-		if c := s.color[n]; c >= 0 {
-			res.Colors[n] = c
-		}
 	}
 	return res, nil
 }

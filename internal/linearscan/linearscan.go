@@ -59,9 +59,10 @@
 package linearscan
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"prefcolor/internal/bitset"
 	"prefcolor/internal/ir"
@@ -400,18 +401,17 @@ func (ws *Workspace) prepare(f *ir.Func, live *liveness.Info, nw int, volMask []
 	}
 }
 
-// sortOrder sorts the scan order by (start, end, web).
+// sortOrder sorts the scan order by (start, end, web). The key is a
+// strict total order, so the unstable sort has one possible result.
 func (ws *Workspace) sortOrder() {
-	order := ws.order
-	sort.Slice(order, func(i, j int) bool {
-		wi, wj := order[i], order[j]
-		if ws.start[wi] != ws.start[wj] {
-			return ws.start[wi] < ws.start[wj]
+	slices.SortFunc(ws.order, func(wi, wj int32) int {
+		if c := cmp.Compare(ws.start[wi], ws.start[wj]); c != 0 {
+			return c
 		}
-		if ws.end[wi] != ws.end[wj] {
-			return ws.end[wi] < ws.end[wj]
+		if c := cmp.Compare(ws.end[wi], ws.end[wj]); c != 0 {
+			return c
 		}
-		return wi < wj
+		return cmp.Compare(wi, wj)
 	})
 }
 
@@ -578,7 +578,7 @@ func checkRound(f *ir.Func, m *target.Machine, colors []int, spilled []int, temp
 	if err != nil {
 		return nil, nil, err
 	}
-	res := regalloc.NewResult()
+	res := regalloc.NewResult(ctx.Graph)
 	for w, c := range colors {
 		if c >= 0 {
 			res.Colors[ctx.Graph.NodeOf(ir.Virt(w))] = c

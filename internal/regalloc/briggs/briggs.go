@@ -117,7 +117,7 @@ func OptimisticSimplify(g *ig.Graph, k int) []ig.NodeID {
 // coloring); nodes with no color become actual spills. Shared with
 // the call-cost allocator's fallback path.
 func SelectBiased(g *ig.Graph, k int, stack []ig.NodeID) (*regalloc.Result, error) {
-	res := regalloc.NewResult()
+	res := regalloc.NewResult(g)
 	coloring := regalloc.NewColoring(g)
 	for i := len(stack) - 1; i >= 0; i-- {
 		n := stack[i]

@@ -81,8 +81,14 @@ func TestSelectBiasedSpillsOnlyWhenStuck(t *testing.T) {
 	if len(res.Spilled) != 2 {
 		t.Errorf("spilled %d of K5 at K=3, want 2", len(res.Spilled))
 	}
-	if len(res.Colors) != 3 {
-		t.Errorf("colored %d, want 3", len(res.Colors))
+	colored := 0
+	for _, c := range res.Colors {
+		if c >= 0 {
+			colored++
+		}
+	}
+	if colored != 3 {
+		t.Errorf("colored %d, want 3", colored)
 	}
 }
 

@@ -30,7 +30,7 @@ func (*Allocator) Allocate(ctx *regalloc.Context) (*regalloc.Result, error) {
 	// nodes, push the lowest-priority node first so high-benefit nodes
 	// pop earlier and get first pick of registers. Still pessimistic:
 	// blocked graphs spill the cheapest candidate, ending the round.
-	res := regalloc.NewResult()
+	res := regalloc.NewResult(g)
 	var stack []ig.NodeID
 	for {
 		best := ig.NodeID(-1)

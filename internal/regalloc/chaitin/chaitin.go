@@ -27,7 +27,7 @@ func (*Allocator) Allocate(ctx *regalloc.Context) (*regalloc.Result, error) {
 	g, k := ctx.Graph, ctx.K()
 	regalloc.AggressiveCoalesce(g)
 
-	res := regalloc.NewResult()
+	res := regalloc.NewResult(g)
 	var stack []ig.NodeID
 	for {
 		progress := false

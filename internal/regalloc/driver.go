@@ -169,14 +169,11 @@ func Run(input *ir.Func, machine *target.Machine, alloc Allocator, opts Options)
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	if ws.tempRegs == nil {
-		ws.tempRegs = map[ir.Reg]bool{}
-		ws.blockLocalRegs = map[ir.Reg]bool{}
-	}
-	tempRegs := ws.tempRegs
-	blockLocalRegs := ws.blockLocalRegs
-	clear(tempRegs)
-	clear(blockLocalRegs)
+	// tempRegs[v] and blockLocalRegs[v] mark virtual register v, in
+	// the function's current numbering, as spill traffic and as a
+	// block-local spill temporary.
+	tempRegs := ws.tempRegs[:0]
+	blockLocalRegs := ws.blockLocalRegs[:0]
 	// Spill code only adds instructions and registers, never a block or
 	// an edge, so the dominator tree and loops of round 1 hold for every
 	// round.
@@ -200,10 +197,10 @@ func Run(input *ir.Func, machine *target.Machine, alloc Allocator, opts Options)
 		blockLocal := ws.blockLocal
 		for w, origins := range info.Origins {
 			for _, o := range origins {
-				if tempRegs[o] {
+				if flagged(tempRegs, o) {
 					spillTemp[w] = true
 				}
-				if blockLocalRegs[o] {
+				if flagged(blockLocalRegs, o) {
 					blockLocal[w] = true
 				}
 			}
@@ -246,29 +243,19 @@ func Run(input *ir.Func, machine *target.Machine, alloc Allocator, opts Options)
 		spillSpan := tel.Begin()
 		webs := expandSpills(ws, ctx.Graph, res.Spilled)
 		stats.SpilledWebs += len(webs)
-		// Re-key the carried-over marker sets to this round's naming:
+		// Re-key the carried-over flags to this round's naming:
 		// virtual-register numbers are reassigned by every renumber.
-		// The old keys were fully consumed by the Origins loop above,
-		// so clearing and refilling the maps in place is safe.
-		clear(tempRegs)
-		for w, isTemp := range spillTemp {
-			if isTemp {
-				tempRegs[ir.Virt(w)] = true
-			}
-		}
-		clear(blockLocalRegs)
-		for w, isLocal := range blockLocal {
-			if isLocal {
-				blockLocalRegs[ir.Virt(w)] = true
-			}
-		}
+		// The old flags were fully consumed by the Origins loop above,
+		// so refilling them in place is safe.
+		tempRegs = append(tempRegs[:0], spillTemp...)
+		blockLocalRegs = append(blockLocalRegs[:0], blockLocal...)
 		if opts.Rematerialize {
 			var kept []int
 			for _, w := range webs {
 				if imm, ok := rematerializable(f, w); ok {
 					stats.Remats++
 					for _, t := range rematerialize(f, w, imm) {
-						tempRegs[t] = true
+						tempRegs = flag(tempRegs, t)
 					}
 				} else {
 					kept = append(kept, w)
@@ -284,17 +271,33 @@ func Run(input *ir.Func, machine *target.Machine, alloc Allocator, opts Options)
 					continue
 				}
 				for _, t := range insertBlockLocalSpill(f, w, &ws.spill) {
-					blockLocalRegs[t] = true
+					blockLocalRegs = flag(blockLocalRegs, t)
 				}
 			}
 			webs = everywhere
 		}
 		for _, t := range insertSpillCode(f, webs, &ws.spill) {
-			tempRegs[t] = true
+			tempRegs = flag(tempRegs, t)
 		}
+		ws.tempRegs, ws.blockLocalRegs = tempRegs, blockLocalRegs
 		tel.End(telemetry.PhaseSpill, spillSpan)
 	}
 	return nil, nil, fmt.Errorf("regalloc: %s did not converge in %d rounds", alloc.Name(), maxRounds)
+}
+
+// flagged reports whether flags, indexed by virtual-register number,
+// marks r.
+func flagged(flags []bool, r ir.Reg) bool {
+	return r.IsVirt() && r.VirtNum() < len(flags) && flags[r.VirtNum()]
+}
+
+// flag marks virtual register r in flags, growing it as needed.
+func flag(flags []bool, r ir.Reg) []bool {
+	if v := r.VirtNum(); v >= len(flags) {
+		flags = append(flags, make([]bool, v+1-len(flags))...)
+	}
+	flags[r.VirtNum()] = true
+	return flags
 }
 
 // spillScratch holds the tables the spill inserters borrow for one
@@ -759,7 +762,9 @@ func RewriteColored(f *ir.Func, m *target.Machine, live *liveness.Info, colors [
 		webs []int
 	}
 	var pts []savePoint
-	saveSlot := map[int]int64{}
+	// saveSlot[w] is web w's caller-save slot, or -1; it is made when
+	// the first save is.
+	var saveSlot []int64
 	for _, b := range f.Blocks {
 		if live == nil {
 			break
@@ -791,9 +796,12 @@ func RewriteColored(f *ir.Func, m *target.Machine, live *liveness.Info, colors [
 				webs = pts[next].webs
 				next--
 			}
+			if len(webs) > 0 && saveSlot == nil {
+				saveSlot = scratch.Fill[int64](nil, len(colors), -1)
+			}
 			for _, w := range webs {
-				s, ok := saveSlot[w]
-				if !ok {
+				s := saveSlot[w]
+				if s < 0 {
 					s = f.NewSpillSlot()
 					saveSlot[w] = s
 				}
@@ -809,19 +817,19 @@ func RewriteColored(f *ir.Func, m *target.Machine, live *liveness.Info, colors [
 		b.Instrs = out
 	}
 
-	// Map webs to physical registers.
-	usedRegs := map[int]bool{}
+	// Map webs to physical registers, marking each register used.
+	usedRegs := make([]uint64, bitset.Words(m.NumRegs))
 	f.ForEachInstr(func(_ *ir.Block, _ int, in *ir.Instr) {
 		for di, d := range in.Defs {
 			if d.IsVirt() {
 				in.Defs[di] = ir.Phys(colors[d.VirtNum()])
-				usedRegs[colors[d.VirtNum()]] = true
+				bitset.Set(usedRegs, colors[d.VirtNum()])
 			}
 		}
 		for ui, u := range in.Uses {
 			if u.IsVirt() {
 				in.Uses[ui] = ir.Phys(colors[u.VirtNum()])
-				usedRegs[colors[u.VirtNum()]] = true
+				bitset.Set(usedRegs, colors[u.VirtNum()])
 			}
 		}
 	})
@@ -850,7 +858,7 @@ func RewriteColored(f *ir.Func, m *target.Machine, live *liveness.Info, colors [
 			stats.SpillStores++
 		}
 	})
-	for r := range usedRegs {
+	for r := bitset.Next(usedRegs, 0); r >= 0; r = bitset.Next(usedRegs, r+1) {
 		stats.UsedRegs++
 		if !m.IsVolatile(r) {
 			stats.UsedNonVolatile++

@@ -17,8 +17,8 @@ type alwaysSpill struct{}
 func (alwaysSpill) Name() string { return "always-spill" }
 
 func (alwaysSpill) Allocate(ctx *regalloc.Context) (*regalloc.Result, error) {
-	res := regalloc.NewResult()
 	g := ctx.Graph
+	res := regalloc.NewResult(g)
 	best := ig.NodeID(-1)
 	for _, n := range g.ActiveNodes() {
 		w := int(n) - g.NumPhys()
@@ -80,8 +80,8 @@ type badAllocator struct{}
 func (badAllocator) Name() string { return "bad" }
 
 func (badAllocator) Allocate(ctx *regalloc.Context) (*regalloc.Result, error) {
-	res := regalloc.NewResult()
 	g := ctx.Graph
+	res := regalloc.NewResult(g)
 	for _, n := range g.ActiveNodes() {
 		res.Colors[n] = 0 // everyone gets r0, interference be damned
 	}

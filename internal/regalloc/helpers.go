@@ -190,12 +190,10 @@ func (c *Coloring) AvailableOrig(n ig.NodeID, k int) []int {
 	return out
 }
 
-// Fill copies the coloring into a Result, assigning each colored node.
+// Fill copies the coloring of every web node into a Result.
 func (c *Coloring) Fill(res *Result) {
 	for n := c.g.NumPhys(); n < c.g.NumNodes(); n++ {
-		if c.Color[n] >= 0 {
-			res.Colors[ig.NodeID(n)] = c.Color[n]
-		}
+		res.Colors[n] = c.Color[n]
 	}
 }
 

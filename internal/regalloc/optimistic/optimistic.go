@@ -47,7 +47,7 @@ func (*Allocator) Allocate(ctx *regalloc.Context) (*regalloc.Result, error) {
 		}
 	}
 
-	res := regalloc.NewResult()
+	res := regalloc.NewResult(g)
 
 	availFor := func(members []ig.NodeID) []int {
 		used := make([]bool, k)

@@ -25,8 +25,8 @@ type monochromeAllocator struct{}
 func (monochromeAllocator) Name() string { return "monochrome" }
 
 func (monochromeAllocator) Allocate(ctx *regalloc.Context) (*regalloc.Result, error) {
-	res := regalloc.NewResult()
 	g := ctx.Graph
+	res := regalloc.NewResult(g)
 	for w := 0; w < g.NumWebs(); w++ {
 		res.Colors[ig.NodeID(g.NumPhys()+w)] = 0
 	}

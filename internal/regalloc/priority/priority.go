@@ -33,7 +33,7 @@ func (*Allocator) Name() string { return "priority" }
 // Allocate implements regalloc.Allocator.
 func (*Allocator) Allocate(ctx *regalloc.Context) (*regalloc.Result, error) {
 	g, k := ctx.Graph, ctx.K()
-	res := regalloc.NewResult()
+	res := regalloc.NewResult(g)
 	coloring := regalloc.NewColoring(g)
 
 	// Live-range size: the number of instructions at which the web is

@@ -101,32 +101,35 @@ func newContext(ws *Workspace, f *ir.Func, m *target.Machine, spillTemp []bool, 
 // K returns the machine's register count.
 func (ctx *Context) K() int { return ctx.Machine.NumRegs }
 
-// Result is one round's allocation outcome. Colors maps web nodes to
-// register numbers; the rewrite resolves a web's color by looking up
-// the web node itself first and then its coalescing representative,
-// so allocators that split coalesced nodes (optimistic coalescing)
-// can color members individually. Spilled lists web nodes (originals,
-// not representatives) whose live ranges get spill code.
+// Result is one round's allocation outcome. Colors holds, per graph
+// node id, the node's register number, or -1 for none; the rewrite
+// resolves a web's color by reading the web node itself first and then
+// its coalescing representative, so allocators that split coalesced
+// nodes (optimistic coalescing) can color members individually.
+// Spilled lists web nodes (originals, not representatives) whose live
+// ranges get spill code.
 type Result struct {
-	Colors  map[ig.NodeID]int
+	Colors  []int
 	Spilled []ig.NodeID
 }
 
-// NewResult returns an empty result.
-func NewResult() *Result { return &Result{Colors: map[ig.NodeID]int{}} }
+// NewResult returns a result over g's nodes with nothing colored.
+func NewResult(g *ig.Graph) *Result {
+	return &Result{Colors: scratch.Fill(nil, g.NumNodes(), -1)}
+}
 
 // ColorOf resolves the color of original web node n, following the
 // graph's coalescing aliases; a web coalesced into a physical register
 // gets that register. ok is false for spilled nodes.
 func (r *Result) ColorOf(g *ig.Graph, n ig.NodeID) (int, bool) {
-	if c, ok := r.Colors[n]; ok {
+	if c := r.Colors[n]; c >= 0 {
 		return c, true
 	}
 	rep := g.Find(n)
 	if g.IsPhys(rep) {
 		return g.PhysColor(rep), true
 	}
-	if c, ok := r.Colors[rep]; ok {
+	if c := r.Colors[rep]; c >= 0 {
 		return c, true
 	}
 	return -1, false

@@ -151,7 +151,7 @@ func (fs *forceSpill) Name() string { return "force-spill" }
 func (fs *forceSpill) Allocate(ctx *regalloc.Context) (*regalloc.Result, error) {
 	if !fs.done {
 		fs.done = true
-		res := regalloc.NewResult()
+		res := regalloc.NewResult(ctx.Graph)
 		res.Spilled = append(res.Spilled, ctx.Graph.NodeOf(ir.Virt(fs.web)))
 		return res, nil
 	}

@@ -3,7 +3,6 @@ package regalloc
 import (
 	"prefcolor/internal/costmodel"
 	"prefcolor/internal/ig"
-	"prefcolor/internal/ir"
 	"prefcolor/internal/liveness"
 )
 
@@ -12,7 +11,7 @@ import (
 // allocators would otherwise reallocate on every spill round — the
 // liveness in/out sets, the web-numbering tables, the interference
 // graph's bitset rows, the cost model's tables, the spill inserter's
-// and CheckResult's dense tables, the driver's marker slices and maps,
+// and CheckResult's dense tables, the driver's marker slices,
 // and (via the opaque allocator slot) the RPG/CPG/selector storage of
 // the core coloring engine.
 //
@@ -24,8 +23,8 @@ import (
 //   - Everything handed out from workspace storage — the Context's
 //     Graph, Live and Costs, RenumberInfo, the allocator scratch — is valid
 //     only until the next Run (or the next round) borrows the buffers
-//     again. Results that outlive the call (the rewritten function,
-//     Stats, Result) are always freshly allocated.
+//     again, and so is a round's Result. What outlives the call (the
+//     rewritten function, Stats) is always freshly allocated.
 //   - Buffers are cleared on borrow, not on return: every round
 //     re-zeroes or re-fills what it takes, so a Workspace never leaks
 //     one function's state into the next and an abandoned (errored)
@@ -43,8 +42,8 @@ type Workspace struct {
 
 	spillTemp      []bool
 	blockLocal     []bool
-	tempRegs       map[ir.Reg]bool
-	blockLocalRegs map[ir.Reg]bool
+	tempRegs       []bool // Run: per-virtual-register flags
+	blockLocalRegs []bool
 	colors         []int
 	spillSeen      []bool // expandSpills: web already listed
 	spillWebs      []int

@@ -43,16 +43,64 @@ type entry struct {
 	CachedAt int
 	Tier     string  // tier mode: "fast" or "full"; else empty
 	Cycles   float64 // tier mode: perfmodel cycle estimate of the function
+
+	// buf, set only on a transient entry, is the pooled buffer Reply
+	// lies in; release returns it.
+	buf *bytes.Buffer
 }
 
-// newEntry renders the reply of one allocation result.
+// replyBufs recycles the buffers replies are rendered into.
+var replyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledReply bounds the buffers release returns to replyBufs, so a
+// rare huge reply does not stay pinned in the pool.
+const maxPooledReply = 1 << 20
+
+// newEntry renders the reply of one allocation result into an entry
+// the cache may keep: its Reply is an exact-size copy of its own.
 func newEntry(text, digest string, stats statsJSON, tier string, cycles float64) *entry {
-	reply := render(allocateResponse{Function: text, Digest: digest, Stats: stats,
+	e := newTransientEntry(text, digest, stats, tier, cycles)
+	reply := bytes.Clone(e.Reply)
+	e.release()
+	e.Reply = reply
+	return e
+}
+
+// newTransientEntry is newEntry for a reply that is written once and
+// dropped (a no_cache request): Reply lies in a pooled buffer, so the
+// request renders its reply without allocating one, and release hands
+// the buffer back after the write.
+func newTransientEntry(text, digest string, stats statsJSON, tier string, cycles float64) *entry {
+	b := replyBufs.Get().(*bytes.Buffer)
+	b.Reset()
+	reply := render(b, allocateResponse{Function: text, Digest: digest, Stats: stats,
 		Cached: true, Tier: tier, Cycles: cycles})
 	// Quotes inside JSON strings are escaped, so these bytes occur only
 	// as the field itself.
 	at := bytes.Index(reply, []byte(`"cached":true`)) + len(`"cached":`)
-	return &entry{Reply: reply, CachedAt: at, Tier: tier, Cycles: cycles}
+	return &entry{Reply: reply, CachedAt: at, Tier: tier, Cycles: cycles, buf: b}
+}
+
+// release returns a transient entry's buffer to the pool; the entry
+// must not be written after it. On a kept entry it does nothing.
+func (e *entry) release() {
+	if e.buf == nil {
+		return
+	}
+	if e.buf.Cap() <= maxPooledReply {
+		replyBufs.Put(e.buf)
+	}
+	e.buf, e.Reply = nil, nil
+}
+
+// replyLen is the length of the reply writeEntry writes for e: the
+// object, "false" in place of "true" on a miss, and a newline.
+func (e *entry) replyLen(cached bool) int {
+	n := len(e.Reply) + len("\n")
+	if !cached {
+		n += len("false") - len("true")
+	}
+	return n
 }
 
 // writeObject writes e's reply object with its cached field set to

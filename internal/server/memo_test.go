@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -196,7 +197,7 @@ func TestEntryRepliesMatchEncoder(t *testing.T) {
 		for _, cached := range []bool{true, false} {
 			var got strings.Builder
 			e.writeObject(&got, cached)
-			want := render(allocateResponse{Function: tc.text, Digest: "d", Stats: stats,
+			want := render(new(bytes.Buffer), allocateResponse{Function: tc.text, Digest: "d", Stats: stats,
 				Cached: cached, Tier: tc.tier, Cycles: tc.cycles})
 			if got.String() != string(want) {
 				t.Errorf("cached=%v:\n got %s\nwant %s", cached, got.String(), want)

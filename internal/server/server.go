@@ -392,17 +392,18 @@ func WriteError(w http.ResponseWriter, code int, err error) {
 	WriteJSON(w, code, ErrorResponse{Error: err.Error()})
 }
 
-// render encodes v as WriteJSON does, without the trailing newline.
-func render(v any) []byte {
-	var b bytes.Buffer
-	enc := json.NewEncoder(&b)
+// render encodes v into b as WriteJSON does, and returns b's bytes
+// without the trailing newline.
+func render(b *bytes.Buffer, v any) []byte {
+	enc := json.NewEncoder(b)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
 	return bytes.TrimSuffix(b.Bytes(), []byte("\n"))
 }
 
 // writeEntry writes e as a 200 /v1/allocate reply, byte for byte what
-// WriteJSON would write for it, with the cache and tier headers.
+// WriteJSON would write for it, with the cache and tier headers. It
+// sets Content-Length, so a large reply is not sent chunked.
 func writeEntry(w http.ResponseWriter, e *entry, cached bool) {
 	h := w.Header()
 	if cached {
@@ -414,6 +415,7 @@ func writeEntry(w http.ResponseWriter, e *entry, cached bool) {
 		h.Set(TierHeader, e.Tier)
 	}
 	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(e.replyLen(cached)))
 	w.WriteHeader(http.StatusOK)
 	e.writeObject(w, cached)
 	_, _ = io.WriteString(w, "\n")
@@ -431,7 +433,7 @@ func writeBatch(w http.ResponseWriter, items []batchItem) {
 			_, _ = io.WriteString(w, ",")
 		}
 		if it.e == nil {
-			_, _ = w.Write(render(allocateResponse{Error: it.err, Code: it.code}))
+			_, _ = w.Write(render(new(bytes.Buffer), allocateResponse{Error: it.err, Code: it.code}))
 			continue
 		}
 		it.e.writeObject(w, it.cached)
@@ -655,6 +657,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeEntry(w, e, cached)
+	e.release()
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -924,10 +927,10 @@ func (s *Server) fill(reqCtx context.Context, key Key, in srcInput, spec Spec,
 				// Fast tier first; any fast-path failure falls back to
 				// the full pipeline so tiering never loses a request.
 				if e, code, err = s.computeFast(jobCtx, in, spec, machine); err != nil && jobCtx.Err() == nil {
-					e, code, err = s.compute(jobCtx, in, spec, machine, true)
+					e, code, err = s.compute(jobCtx, in, spec, machine, true, false)
 				}
 			} else {
-				e, code, err = s.compute(jobCtx, in, spec, machine, false)
+				e, code, err = s.compute(jobCtx, in, spec, machine, false, false)
 			}
 			if err == nil {
 				s.cache.Add(key, e)
@@ -973,7 +976,9 @@ func (s *Server) fill(reqCtx context.Context, key Key, in srcInput, spec Spec,
 // doUncached runs one allocation through the admission queue without
 // consulting or filling the cache and without single-flight joining:
 // parse/decode and allocation both happen in the worker, so the
-// measured latency is the whole cold path.
+// measured latency is the whole cold path. The entry is transient:
+// handleAllocate releases it after writing, and a batch leaves it to
+// the collector.
 func (s *Server) doUncached(reqCtx context.Context, in srcInput, spec Spec,
 	machine *target.Machine, d time.Duration, block bool) (*entry, int, error) {
 
@@ -996,7 +1001,7 @@ func (s *Server) doUncached(reqCtx context.Context, in srcInput, spec Spec,
 				fmt.Errorf("dropped after %v in queue: %w", d, jobCtx.Err())
 			return
 		}
-		e, code, err = s.compute(jobCtx, in, spec, machine, false)
+		e, code, err = s.compute(jobCtx, in, spec, machine, false, true)
 	}
 	if block {
 		if serr := s.queue.Submit(reqCtx, job); serr != nil {
@@ -1029,9 +1034,10 @@ const statusClientGone = 499
 // compute parses or decodes, optionally optimizes, and allocates one
 // function under ctx, which regalloc.Run polls at its phase
 // boundaries. tier stamps the entry as a full-tier result (with its
-// estimated cycle count) for responses that must name their tier.
+// estimated cycle count) for responses that must name their tier;
+// transient makes an entry that is written once and never cached.
 func (s *Server) compute(ctx context.Context, in srcInput, spec Spec,
-	machine *target.Machine, tier bool) (*entry, int, error) {
+	machine *target.Machine, tier, transient bool) (*entry, int, error) {
 
 	f, code, err := in.decode()
 	if err != nil {
@@ -1073,5 +1079,9 @@ func (s *Server) compute(ctx context.Context, in srcInput, spec Spec,
 	if tier {
 		tierName, cycles = tierFull, perfmodel.Estimate(out, machine).Cycles
 	}
-	return newEntry(text, bench.TextDigest(f.Name, stats, text), statsFrom(stats), tierName, cycles), 0, nil
+	mk := newEntry
+	if transient {
+		mk = newTransientEntry
+	}
+	return mk(text, bench.TextDigest(f.Name, stats, text), statsFrom(stats), tierName, cycles), 0, nil
 }

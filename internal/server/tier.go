@@ -259,7 +259,7 @@ func (s *Server) runUpgrade(ctx context.Context, job upgradeJob) {
 	}()
 	jobCtx, cancel := context.WithTimeout(ctx, s.cfg.MaxTimeout)
 	defer cancel()
-	e, _, err := s.compute(jobCtx, job.in, job.spec, job.machine, true)
+	e, _, err := s.compute(jobCtx, job.in, job.spec, job.machine, true, false)
 	if err != nil {
 		if ctx.Err() != nil {
 			return // shutdown, not a failed upgrade

@@ -22,10 +22,10 @@ import (
 	"sort"
 )
 
-// defaultVnodes is the virtual-node count per replica: enough that
+// vnodesPerReplica is the virtual-node count per replica: enough that
 // three replicas split the key space within a few percent of evenly,
 // small enough that ring rebuilds are trivially cheap.
-const defaultVnodes = 128
+const vnodesPerReplica = 128
 
 // ring is an immutable consistent-hash ring over replica IDs. Lookup
 // walks the ring clockwise from the key's point and returns replicas
@@ -46,9 +46,6 @@ type ringPoint struct {
 
 // newRing builds the ring for the given replica IDs.
 func newRing(ids []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVnodes
-	}
 	r := &ring{ids: append([]string(nil), ids...)}
 	sort.Strings(r.ids)
 	r.points = make([]ringPoint, 0, len(r.ids)*vnodes)

@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,8 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"prefcolor/internal/ir"
-	"prefcolor/internal/lru"
 	"prefcolor/internal/promtext"
 	"prefcolor/internal/server"
 )
@@ -33,17 +29,10 @@ type Config struct {
 	// Replicas is the shard set; at least one is required.
 	Replicas []ReplicaConfig
 
-	// Vnodes is the virtual-node count per replica; 0 means 128.
-	Vnodes int
-
 	// MaxAttempts bounds how many distinct replicas one request may
 	// be forwarded to before the router gives up; 0 means 3 (capped
 	// at the replica count).
 	MaxAttempts int
-
-	// RetryBackoff is the base delay between failover attempts,
-	// doubling per attempt; 0 means 2ms.
-	RetryBackoff time.Duration
 
 	// Retry429 is how many times a 429 admission refusal is retried
 	// against the same replica (honoring its Retry-After) before the
@@ -61,35 +50,22 @@ type Config struct {
 	// simulator runs this way so no wall-clock prober races the
 	// scripted schedule).
 	HealthInterval time.Duration
-
-	// MaxBodyBytes bounds a routed request body; 0 means 4 MiB.
-	MaxBodyBytes int64
-
-	// KeyMemoEntries sizes the raw-payload→canonical-hash memo; 0
-	// means 4096.
-	KeyMemoEntries int
-
-	// MaxBatch bounds the functions of one routed /v1/batch; 0 means
-	// 256.
-	MaxBatch int
-
-	// Client overrides the forwarding HTTP client; nil uses a pooled
-	// default.
-	Client *http.Client
 }
 
+// retryBackoff is the base delay between failover attempts, doubling
+// per attempt.
+const retryBackoff = 2 * time.Millisecond
+
+// keyMemoEntries sizes the router's request memo: room for 4,096
+// repeat JSON bodies, each with its source.
+const keyMemoEntries = 8192
+
 func (c Config) withDefaults() Config {
-	if c.Vnodes <= 0 {
-		c.Vnodes = defaultVnodes
-	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
 	}
 	if c.MaxAttempts > len(c.Replicas) {
 		c.MaxAttempts = len(c.Replicas)
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 2 * time.Millisecond
 	}
 	if c.Retry429 == 0 {
 		c.Retry429 = 2
@@ -102,15 +78,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HealthInterval == 0 {
 		c.HealthInterval = 250 * time.Millisecond
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 4 << 20
-	}
-	if c.KeyMemoEntries <= 0 {
-		c.KeyMemoEntries = 4096
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
 	}
 	return c
 }
@@ -155,7 +122,6 @@ type Router struct {
 	ring     *ring
 	replicas map[string]*replica
 	keys     *server.KeyResolver
-	bodies   *lru.Cache[[sha256.Size]byte, routeInfo] // raw JSON body hash -> route
 	metrics  *routerMetrics
 	client   *http.Client
 	mux      *http.ServeMux
@@ -183,23 +149,16 @@ func New(cfg Config) (*Router, error) {
 		ids = append(ids, rc.ID)
 		replicas[rc.ID] = &replica{id: rc.ID, baseURL: rc.BaseURL}
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{
-			Timeout: 3 * time.Minute,
-			Transport: &http.Transport{
-				MaxIdleConnsPerHost: 64,
-			},
-		}
-	}
 	rt := &Router{
 		cfg:      cfg,
-		ring:     newRing(ids, cfg.Vnodes),
+		ring:     newRing(ids, vnodesPerReplica),
 		replicas: replicas,
-		keys:     server.NewKeyResolver(cfg.KeyMemoEntries),
-		bodies:   lru.New[[sha256.Size]byte, routeInfo](cfg.KeyMemoEntries),
+		keys:     server.NewKeyResolver(keyMemoEntries),
 		metrics:  newRouterMetrics(ids),
-		client:   client,
+		client: &http.Client{
+			Timeout:   3 * time.Minute,
+			Transport: &http.Transport{MaxIdleConnsPerHost: 64},
+		},
 	}
 	rt.mux = http.NewServeMux()
 	rt.mux.HandleFunc("POST /v1/allocate", server.Counted("allocate", rt.metrics.CountRequest, rt.handleAllocate))
@@ -309,91 +268,30 @@ func (rt *Router) probe(ctx context.Context, rep *replica) {
 }
 
 // handleAllocate routes one allocation to its home shard. The router
-// resolves the same canonical content key the replica will cache
-// under (both the JSON parse and the IR decode are memoized, so the
-// steady state is hash-only), picks the shard by consistent hashing,
-// and forwards the original body verbatim — stamping the resolved key
-// into the KeyHeader so a trusting replica need not parse it either.
+// decodes and resolves the body through the replicas' own front end
+// (server.KeyResolver.ResolveAllocate), so it refuses what a replica
+// would refuse and shards by the key the replica caches under; a repeat
+// JSON body resolves from the memo for one hash and one probe. It
+// forwards the original body verbatim, stamping the resolved key into
+// the KeyHeader so a trusting replica need not parse it either.
 func (rt *Router) handleAllocate(w http.ResponseWriter, r *http.Request) {
-	body, ok := server.ReadRawBody(w, r, rt.cfg.MaxBodyBytes)
+	body, ok := server.ReadRawBody(w, r, server.MaxBodyBytes)
 	if !ok {
 		return
 	}
-	var (
-		spec        server.Spec
-		canon       [32]byte
-		contentType string
-		code        int
-		err         error
-	)
-	if server.IsBinaryRequest(r) {
-		if len(body) == 0 {
-			server.WriteError(w, http.StatusBadRequest, errors.New("empty source"))
-			return
-		}
-		if !ir.IsBinary(body) {
-			server.WriteError(w, http.StatusBadRequest, errors.New("body is not binary IR (bad magic)"))
-			return
-		}
-		if spec, _, err = server.SpecFromQuery(r); err != nil {
-			server.WriteError(w, http.StatusBadRequest, err)
-			return
-		}
-		contentType = server.BinaryContentType
-		if canon, code, err = rt.keys.ResolveBinary(body); err != nil {
-			server.WriteError(w, code, err)
-			return
-		}
-		if _, err = spec.Normalize(); err != nil {
-			server.WriteError(w, http.StatusBadRequest, err)
-			return
-		}
-	} else {
-		contentType = "application/json"
-		canon, spec, code, err = rt.routeJSON(body)
+	req, code, err := rt.keys.ResolveAllocate(r, body)
+	if !req.Binary {
+		rt.metrics.CountBody(req.Memoized)
 	}
 	if err != nil {
 		server.WriteError(w, code, err)
 		return
 	}
-	key := server.KeyFor(canon, spec)
-	rt.forward(w, r, key, canon, body, contentType, r.URL.RawQuery)
-}
-
-// routeInfo is one JSON allocate body's routing decision: the canonical
-// content hash of its function and its normalized spec.
-type routeInfo struct {
-	canon [sha256.Size]byte
-	spec  server.Spec
-}
-
-// routeJSON resolves a JSON allocate body to its canonical content
-// hash and normalized spec, memoized on the raw bytes: a repeat body
-// costs one hash and one map probe, not a JSON parse. Only bodies that
-// validated end to end (parse, key resolution, spec normalization)
-// enter the memo, so the hit path needs no re-checks.
-func (rt *Router) routeJSON(body []byte) (canon [32]byte, spec server.Spec, code int, err error) {
-	raw := sha256.Sum256(body)
-	if info, ok := rt.bodies.Get(raw); ok {
-		rt.metrics.CountBody(true)
-		return info.canon, info.spec, 0, nil
+	contentType := "application/json"
+	if req.Binary {
+		contentType = server.BinaryContentType
 	}
-	rt.metrics.CountBody(false)
-	var req server.AllocateRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return canon, spec, http.StatusBadRequest, fmt.Errorf("parsing request: %w", err)
-	}
-	if req.Source == "" {
-		return canon, spec, http.StatusBadRequest, errors.New("empty source")
-	}
-	if canon, code, err = rt.keys.ResolveText(req.Source); err != nil {
-		return canon, spec, code, err
-	}
-	if _, err := req.Spec.Normalize(); err != nil {
-		return canon, spec, http.StatusBadRequest, err
-	}
-	rt.bodies.Add(raw, routeInfo{canon: canon, spec: req.Spec})
-	return canon, req.Spec, 0, nil
+	rt.forward(w, r, req.Key, req.Canon, body, contentType, r.URL.RawQuery)
 }
 
 // forward sends body to the key's home shard, failing over along the
@@ -450,7 +348,7 @@ func (rt *Router) tryReplicas(ctx context.Context, key server.Key,
 	for attempt, rep := range candidates {
 		if attempt > 0 {
 			// Bounded exponential backoff between failover attempts.
-			delay := rt.cfg.RetryBackoff << (attempt - 1)
+			delay := retryBackoff << (attempt - 1)
 			select {
 			case <-time.After(delay):
 			case <-ctx.Done():
@@ -564,94 +462,39 @@ func (rt *Router) accountResponse(key server.Key, servedBy string, resp *http.Re
 // handleBatch splits a batch across shards: each function routes to
 // its own home replica as an individual allocation (the whole point
 // of the cluster is that no single replica owns a batch's key
-// range), and the responses reassemble in order.
+// range), and the responses reassemble in order. A binary frame is
+// forwarded as its canonical re-encoding.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if server.IsBinaryRequest(r) {
-		rt.handleBatchBinary(w, r)
-		return
-	}
-	body, ok := server.ReadRawBody(w, r, rt.cfg.MaxBodyBytes)
+	b, ok := server.ReadBatch(w, r)
 	if !ok {
 		return
 	}
-	var req server.BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("parsing request: %w", err))
-		return
-	}
-	if len(req.Functions) == 0 {
-		server.WriteError(w, http.StatusBadRequest, errors.New("empty batch"))
-		return
-	}
-	if len(req.Functions) > rt.cfg.MaxBatch {
-		server.WriteError(w, http.StatusBadRequest,
-			fmt.Errorf("batch of %d exceeds limit %d", len(req.Functions), rt.cfg.MaxBatch))
-		return
-	}
-	if _, err := req.Spec.Normalize(); err != nil {
-		server.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	items := make([]batchItem, len(req.Functions))
-	for i, src := range req.Functions {
-		if src == "" {
-			items[i] = batchItem{err: "empty source", code: http.StatusBadRequest}
-			continue
-		}
-		one, _ := json.Marshal(server.AllocateRequest{
-			Spec: req.Spec, Source: src, TimeoutMS: req.TimeoutMS,
-		})
-		canon, code, err := rt.keys.ResolveText(src)
-		if err != nil {
-			items[i] = batchItem{err: err.Error(), code: code}
-			continue
-		}
-		items[i] = batchItem{body: one, key: server.KeyFor(canon, req.Spec), canon: canon}
-	}
-	rt.fanOut(w, r, items, "application/json", "")
-}
-
-// handleBatchBinary splits a binary frame stream the same way: each
-// frame re-encodes canonically and routes to its home shard.
-func (rt *Router) handleBatchBinary(w http.ResponseWriter, r *http.Request) {
-	spec, _, err := server.SpecFromQuery(r)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	if _, err := spec.Normalize(); err != nil {
-		server.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	dec := ir.NewStreamDecoder(bufio.NewReader(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)))
-	dec.MaxFrame = int(rt.cfg.MaxBodyBytes)
 	var items []batchItem
-	for n := 0; ; n++ {
-		f, err := dec.Next()
+	for {
+		f, err := b.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			server.WriteError(w, http.StatusBadRequest, fmt.Errorf("frame %d: %w", n, err))
+			server.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		if n >= rt.cfg.MaxBatch {
-			server.WriteError(w, http.StatusBadRequest, fmt.Errorf("batch exceeds limit %d", rt.cfg.MaxBatch))
-			return
+		if f.Err != "" {
+			items = append(items, batchItem{err: f.Err, code: f.Code})
+			continue
 		}
-		enc := ir.EncodeBinary(f)
-		canon, _, err := rt.keys.ResolveBinary(enc)
+		canon, code, err := rt.keys.ResolveFunc(&f)
 		if err != nil {
-			server.WriteError(w, http.StatusBadRequest, fmt.Errorf("frame %d: %w", n, err))
-			return
+			items = append(items, batchItem{err: err.Error(), code: code})
+			continue
 		}
-		items = append(items, batchItem{body: enc, key: server.KeyFor(canon, spec), canon: canon})
+		items = append(items, batchItem{body: b.AllocateBody(f), key: server.KeyFor(canon, b.Spec), canon: canon})
 	}
-	if len(items) == 0 {
-		server.WriteError(w, http.StatusBadRequest, errors.New("empty batch"))
-		return
+	contentType, rawQuery := "application/json", ""
+	if b.Binary {
+		contentType, rawQuery = server.BinaryContentType, r.URL.RawQuery
 	}
-	rt.fanOut(w, r, items, server.BinaryContentType, r.URL.RawQuery)
+	rt.fanOut(w, r, items, contentType, rawQuery)
 }
 
 type batchItem struct {

@@ -1,13 +1,12 @@
 package cluster
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"prefcolor/internal/lru"
 	"prefcolor/internal/server"
 )
 
@@ -43,36 +42,36 @@ func benchRouter(b *testing.B) *Router {
 // BenchmarkRouterRouteJSON pins the routing-decision cost for a repeat
 // JSON allocate body — the router's steady state on a production
 // workload. "memo" is the shipped path (raw-body memo hit: one hash,
-// one map probe); "reparse" disables both memos and pays the full JSON
-// parse + IR parse every time, the cost of every request before this
-// change.
+// one map probe); "reparse" disables the memo and pays the full JSON
+// parse + IR parse every time.
 func BenchmarkRouterRouteJSON(b *testing.B) {
 	body, _ := json.Marshal(server.AllocateRequest{Source: benchFunc(40)})
 	b.Logf("body: %d bytes", len(body))
+	req := httptest.NewRequest("POST", "/v1/allocate", nil)
+	req.Header.Set("Content-Type", "application/json")
 
 	b.Run("memo", func(b *testing.B) {
 		rt := benchRouter(b)
-		if _, _, _, err := rt.routeJSON(body); err != nil { // warm the memo
+		if _, _, err := rt.keys.ResolveAllocate(req, body); err != nil { // warm the memo
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, _, err := rt.routeJSON(body); err != nil {
+			if _, _, err := rt.keys.ResolveAllocate(req, body); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("reparse", func(b *testing.B) {
 		rt := benchRouter(b)
-		rt.bodies = lru.New[[sha256.Size]byte, routeInfo](0) // capacity 0: every Get misses
-		rt.keys = server.NewKeyResolver(0)                   // 0 entries: every resolve parses
+		rt.keys = server.NewKeyResolver(0) // 0 entries: every resolve parses
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, _, err := rt.routeJSON(body); err != nil {
+			if _, _, err := rt.keys.ResolveAllocate(req, body); err != nil {
 				b.Fatal(err)
 			}
 		}

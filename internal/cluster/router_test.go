@@ -617,11 +617,13 @@ func TestRouterBodyMemoAndKeyHeader(t *testing.T) {
 	// parse: same canonical key both times.
 	want := keyOf(t, src)
 	bodyJSON, _ := json.Marshal(server.AllocateRequest{Source: src})
-	canon, spec, _, err := rt.routeJSON(bodyJSON)
+	req := httptest.NewRequest(http.MethodPost, "/v1/allocate", nil)
+	req.Header.Set("Content-Type", "application/json")
+	routed, _, err := rt.keys.ResolveAllocate(req, bodyJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := server.KeyFor(canon, spec); got != want {
+	if got := routed.Key; got != want {
 		t.Errorf("memoized route key %v != fresh key %v", got, want)
 	}
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"io"
@@ -156,11 +157,31 @@ func (g *flightGroup) join(key Key) (c *flightCall, leader bool) {
 // complete publishes the leader's outcome and retires the flight, so
 // later callers start fresh (hitting the cache on success).
 func (g *flightGroup) complete(key Key, c *flightCall, val *entry, err error, code int) {
-	c.val, c.err, c.code = val, err, code
 	g.mu.Lock()
 	delete(g.flight, key)
 	g.mu.Unlock()
+	c.finish(val, code, err)
+}
+
+// finish publishes an outcome to c's waiters.
+func (c *flightCall) finish(val *entry, code int, err error) {
+	c.val, c.err, c.code = val, err, code
 	close(c.done)
+}
+
+// wait returns c's outcome once it completes. A caller whose reqCtx
+// ends first gives up alone: the job runs on, so other waiters (and
+// the cache) still benefit.
+func (c *flightCall) wait(reqCtx context.Context) (*entry, int, error) {
+	select {
+	case <-c.done:
+	case <-reqCtx.Done():
+		return nil, statusClientGone, reqCtx.Err()
+	}
+	if c.err != nil {
+		return nil, c.code, c.err
+	}
+	return c.val, 0, nil
 }
 
 // Shared returns the number of calls that piggybacked on another

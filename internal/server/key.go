@@ -19,18 +19,26 @@ import (
 // The memo is an optimization only — a missing or evicted entry just
 // costs one parse — and its IR entries are spec-independent, since the
 // canonicalization of a function does not depend on how it will be
-// allocated. The server's resolver is its one request memo: beside IR
+// allocated. A resolver is its process's one request memo: beside IR
 // payloads it maps whole JSON /v1/allocate bodies, spec included, to
-// the cache key they resolve to (see Server.handleAllocate).
+// the canonical hash and the cache key they resolve to (see
+// ResolveAllocate).
 type KeyResolver struct {
-	memo *lru.Cache[[sha256.Size]byte, [sha256.Size]byte] // memoKey -> canonical hash, or cache Key for formJSON
+	memo *lru.Cache[[sha256.Size]byte, resolution] // memoKey -> resolution
+}
+
+// resolution is what the memo maps raw bytes to: the canonical hash of
+// their function and, for a JSON /v1/allocate body, the cache key.
+type resolution struct {
+	canon [sha256.Size]byte
+	key   Key
 }
 
 // NewKeyResolver builds a resolver whose raw-bytes memo holds up to
 // entries mappings (entries <= 0 disables memoization; every call
 // then parses or decodes).
 func NewKeyResolver(entries int) *KeyResolver {
-	return &KeyResolver{memo: lru.New[[sha256.Size]byte, [sha256.Size]byte](entries)}
+	return &KeyResolver{memo: lru.New[[sha256.Size]byte, resolution](entries)}
 }
 
 // Wire forms that separate memo keys: the same bytes mean different
@@ -64,7 +72,7 @@ func (kr *KeyResolver) resolve(in *srcInput) (int, error) {
 		return 0, nil
 	}
 	if in.f != nil && in.binary != nil {
-		// Already decoded by the handler; the bytes are our own
+		// A batch frame, already decoded; the bytes are its
 		// canonical re-encoding.
 		in.canonHash = sha256.Sum256(in.binary)
 		return 0, nil
@@ -75,8 +83,8 @@ func (kr *KeyResolver) resolve(in *srcInput) (int, error) {
 	} else {
 		raw = memoKey(formText, []byte(in.text))
 	}
-	if canon, ok := kr.memo.Get(raw); ok {
-		in.canonHash = canon
+	if res, ok := kr.memo.Get(raw); ok {
+		in.canonHash = res.canon
 		return 0, nil
 	}
 	f, code, err := in.decode()
@@ -85,7 +93,7 @@ func (kr *KeyResolver) resolve(in *srcInput) (int, error) {
 	}
 	in.f = f
 	in.canonHash = sha256.Sum256(ir.EncodeBinary(f))
-	kr.memo.Add(raw, in.canonHash)
+	kr.memo.Add(raw, resolution{canon: in.canonHash})
 	return 0, nil
 }
 
@@ -100,15 +108,12 @@ func (kr *KeyResolver) ResolveText(src string) ([32]byte, int, error) {
 	return in.canonHash, 0, nil
 }
 
-// ResolveBinary returns the canonical content hash for a binary IR
-// payload (which need not be in canonical byte form itself — the
-// decoder re-encodes).
-func (kr *KeyResolver) ResolveBinary(b []byte) ([32]byte, int, error) {
-	in := srcInput{binary: b}
-	if code, err := kr.resolve(&in); err != nil {
-		return [32]byte{}, code, err
-	}
-	return in.canonHash, 0, nil
+// ResolveFunc returns the canonical content hash for one batch
+// function; a binary frame, already decoded, is hashed without a memo
+// probe.
+func (kr *KeyResolver) ResolveFunc(f *BatchFunc) ([32]byte, int, error) {
+	code, err := kr.resolve(&f.in)
+	return f.in.canonHash, code, err
 }
 
 // Response headers a replica stamps so routers and load generators can

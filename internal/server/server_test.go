@@ -200,8 +200,7 @@ func TestAllocateBadRequests(t *testing.T) {
 // still completed.
 func TestQueueSaturation429(t *testing.T) {
 	gate := make(chan struct{})
-	s := New(Config{Workers: 1, QueueSize: 1})
-	s.hookJobStart = func() { <-gate }
+	s := New(Config{Workers: 1, QueueSize: 1, JobStartHook: func() { <-gate }})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()
@@ -247,8 +246,7 @@ func TestQueueSaturation429(t *testing.T) {
 // request's 1ms budget to lapse while queued; the worker must drop the
 // job without allocating and the client must see 504.
 func TestDeadlineDropsQueuedJob(t *testing.T) {
-	s := New(Config{Workers: 1, QueueSize: 4})
-	s.hookJobStart = func() { time.Sleep(50 * time.Millisecond) }
+	s := New(Config{Workers: 1, QueueSize: 4, JobStartHook: func() { time.Sleep(50 * time.Millisecond) }})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()
@@ -269,11 +267,10 @@ func TestDeadlineDropsQueuedJob(t *testing.T) {
 func TestSingleFlightHTTP(t *testing.T) {
 	var jobs atomic.Int64
 	gate := make(chan struct{})
-	s := New(Config{Workers: 2, QueueSize: 16})
-	s.hookJobStart = func() {
+	s := New(Config{Workers: 2, QueueSize: 16, JobStartHook: func() {
 		jobs.Add(1)
 		<-gate
-	}
+	}})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()

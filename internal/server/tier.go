@@ -8,9 +8,7 @@ import (
 
 	"prefcolor/internal/bench"
 	"prefcolor/internal/linearscan"
-	"prefcolor/internal/opt"
 	"prefcolor/internal/perfmodel"
-	"prefcolor/internal/ssa"
 	"prefcolor/internal/target"
 )
 
@@ -50,8 +48,8 @@ func (s *Server) tierApplies(spec Spec) bool {
 	return s.cfg.Tier && !spec.NoCache && spec.Allocator == "pref-full"
 }
 
-// computeFast is the fast-tier counterpart of compute: same decode and
-// optional SSA optimization, but allocation through linearscan.Run on
+// computeFast is the fast-tier counterpart of compute: the same
+// prologue (prepare), but allocation through linearscan.Run on
 // the tier's own workspace pool (a pooled driver workspace has one
 // allocator slot, which the upgrade worker's pref-full runs would
 // keep evicting). Rematerialize and BlockLocalSpills are driver spill
@@ -61,15 +59,9 @@ func (s *Server) tierApplies(spec Spec) bool {
 func (s *Server) computeFast(ctx context.Context, in srcInput, spec Spec,
 	machine *target.Machine) (*entry, int, error) {
 
-	f, code, err := in.decode()
+	f, code, err := prepare(in, spec)
 	if err != nil {
 		return nil, code, err
-	}
-	if spec.Optimize {
-		ssa.Build(f)
-		opt.Optimize(f)
-		ssa.Destruct(f)
-		f.CompactNops()
 	}
 	if ctx.Err() != nil {
 		return nil, http.StatusGatewayTimeout, ctx.Err()
@@ -253,6 +245,10 @@ func (s *Server) upgradeLoop(ctx context.Context) {
 func (s *Server) runUpgrade(ctx context.Context, job upgradeJob) {
 	u := s.upgrades
 	defer func() {
+		// A panicking upgrade is a failed one; the fast entry stays.
+		if recover() != nil {
+			s.metrics.CountTierUpgradeFailed()
+		}
 		u.pmu.Lock()
 		delete(u.pending, job.key)
 		u.pmu.Unlock()

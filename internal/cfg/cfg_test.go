@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"math"
 	"testing"
 
 	"prefcolor/internal/ir"
@@ -298,5 +299,16 @@ b3:
 	}
 	if li.Depth(1) != 0 || li.Depth(2) != 0 {
 		t.Error("irreducible cycle blocks should have depth 0")
+	}
+}
+
+// TestFreqTableIsPow10 pins the frequency table to the 10^depth the
+// cost model was computed with, bit for bit.
+func TestFreqTableIsPow10(t *testing.T) {
+	for d := 0; d <= 10; d++ {
+		li := &LoopInfo{depth: []int{d}}
+		if want := math.Pow(10, float64(min(d, 8))); li.Freq(0) != want {
+			t.Errorf("Freq at depth %d = %v, want %v", d, li.Freq(0), want)
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package cfg
 
 import (
-	"math"
-
 	"prefcolor/internal/ir"
 )
 
@@ -116,18 +114,15 @@ func collectLoopBody(f *ir.Func, dom *DomTree, l *Loop, tail ir.BlockID) {
 // Depth returns the loop-nesting depth of block b (0 outside loops).
 func (li *LoopInfo) Depth(b ir.BlockID) int { return li.depth[b] }
 
-// maxFreqDepth caps the exponent so frequencies stay finite and
-// comparable; the paper's single example uses one level (factor 10).
-const maxFreqDepth = 8
+// freqs[d] is 10^d for every depth up to the cap, which keeps
+// frequencies finite and comparable; the paper's single example uses
+// one level (factor 10).
+var freqs = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
 
 // Freq returns the paper's execution-frequency heuristic for block b:
 // 10^depth, capped at 10^8. Blocks outside loops have frequency 1,
 // matching Freq_Fact(i0)=Freq_Fact(i9)=1 and 10 inside the loop in the
 // Appendix.
 func (li *LoopInfo) Freq(b ir.BlockID) float64 {
-	d := li.depth[b]
-	if d > maxFreqDepth {
-		d = maxFreqDepth
-	}
-	return math.Pow(10, float64(d))
+	return freqs[min(li.depth[b], len(freqs)-1)]
 }

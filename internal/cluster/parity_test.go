@@ -37,6 +37,13 @@ func TestRouterReplicaParity(t *testing.T) {
 	tooManyJSON, _ := json.Marshal(server.BatchRequest{Functions: tooMany})
 	good, enc := frame(0), ir.EncodeBinary(parse(0))
 	truncated := append(frame(1), good[:len(good)-3]...)
+	// Five good frames, then a frame whose payload lacks the magic.
+	var lateBadMagic []byte
+	for i := 10; i < 15; i++ {
+		lateBadMagic = append(lateBadMagic, frame(i)...)
+	}
+	bad := frame(15)
+	lateBadMagic = append(lateBadMagic, bytes.Replace(bad, []byte("PGIR"), []byte("XGIR"), 1)...)
 	src, _ := json.Marshal(distinctFunc(0))
 
 	const js, bin = "application/json", server.BinaryContentType
@@ -62,6 +69,7 @@ func TestRouterReplicaParity(t *testing.T) {
 		{"batch over the limit", "/v1/batch", "", js, tooManyJSON},
 		{"binary batch over the limit", "/v1/batch", "", bin, overLimit.Bytes()},
 		{"truncated frame", "/v1/batch", "", bin, truncated},
+		{"5 good frames, then a framed bad magic", "/v1/batch", "", bin, lateBadMagic},
 	}
 	post := func(base string, path, query, contentType string, body []byte) (int, string) {
 		t.Helper()
@@ -88,6 +96,19 @@ func TestRouterReplicaParity(t *testing.T) {
 		}
 		if rcode != http.StatusBadRequest || !strings.HasPrefix(rbody, `{"error":`) {
 			t.Errorf("%s: %d %q, want a 400 error reply", tc.name, rcode, rbody)
+		}
+	}
+	// A refused request computes and caches nothing on the replica,
+	// even when the refusal comes from a batch's last frame.
+	resp, err := http.Get(reps[0].ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{"prefgcd_cache_misses_total 0\n", "prefgcd_cache_entries 0\n"} {
+		if !strings.Contains(string(text), want) {
+			t.Errorf("replica metrics lack %q", strings.TrimSpace(want))
 		}
 	}
 }

@@ -303,7 +303,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request,
 
 	resp, servedBy, err := rt.tryReplicas(r.Context(), key, canon, body, contentType, rawQuery)
 	if err != nil {
-		server.WriteError(w, http.StatusBadGateway, err)
+		server.WriteError(w, failedStatus(r), err)
 		return
 	}
 	defer resp.Body.Close()
@@ -315,6 +315,16 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request,
 	}
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
+}
+
+// failedStatus is the status of a forward no replica answered: 499
+// when the router's own client went away, as a replica reports it, and
+// 502 when the replicas failed.
+func failedStatus(r *http.Request) int {
+	if r.Context().Err() != nil {
+		return server.StatusClientGone
+	}
+	return http.StatusBadGateway
 }
 
 // tryReplicas runs the retry policy and returns the first final
@@ -530,7 +540,7 @@ func (rt *Router) fanOut(w http.ResponseWriter, r *http.Request,
 			defer func() { <-sem }()
 			resp, servedBy, err := rt.tryReplicas(r.Context(), items[i].key, items[i].canon, items[i].body, contentType, rawQuery)
 			if err != nil {
-				results[i] = itemResult{err: err.Error(), code: http.StatusBadGateway}
+				results[i] = itemResult{err: err.Error(), code: failedStatus(r)}
 				return
 			}
 			defer resp.Body.Close()

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -691,5 +692,63 @@ func TestRouterAllocateContentLength(t *testing.T) {
 		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
 			t.Errorf("%s: ContentLength %d, TransferEncoding %v, body %d bytes", cache, resp.ContentLength, resp.TransferEncoding, len(body))
 		}
+	}
+}
+
+// TestRouterCountsClientGone checks that a forward the router's own
+// client abandons is answered and counted 499, as a replica counts it,
+// not 502 as if the replicas had failed.
+func TestRouterCountsClientGone(t *testing.T) {
+	// The stand-in replica holds every request until its caller hangs
+	// up; reading the body first lets net/http notice the hang-up.
+	reached := make(chan struct{}, 1)
+	stuck := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		reached <- struct{}{}
+		<-r.Context().Done()
+	}))
+	defer stuck.Close()
+	_, front := newTestRouter(t, []*testReplica{{ts: stuck}}, Config{})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	body, _ := json.Marshal(server.AllocateRequest{Source: distinctFunc(0)})
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, front.URL+"/v1/allocate", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	<-reached
+	cancel()
+	if err := <-done; err == nil {
+		t.Fatal("the cancelled request completed")
+	}
+
+	const want = `prefgcd_router_requests_total{endpoint="allocate",code="499"} 1`
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, err := http.Get(front.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if strings.Contains(string(text), want) {
+			if strings.Contains(string(text), `code="502"`) {
+				t.Errorf("a 502 was counted:\n%s", text)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("metrics lack %q:\n%s", want, text)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

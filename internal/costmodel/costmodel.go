@@ -11,6 +11,7 @@ package costmodel
 
 import (
 	"prefcolor/internal/cfg"
+	"prefcolor/internal/ig"
 	"prefcolor/internal/ir"
 	"prefcolor/internal/liveness"
 	"prefcolor/internal/scratch"
@@ -52,6 +53,8 @@ type Info struct {
 	// CrossFreq[w] is the frequency-weighted number of calls w is
 	// live across.
 	CrossFreq []float64
+
+	since []int32 // Patch's per-web call counts
 }
 
 // Analyze computes the Appendix quantities for every web of f.
@@ -100,6 +103,56 @@ func AnalyzeInto(info *Info, f *ir.Func, m *target.Machine, loops *cfg.LoopInfo,
 		}
 	}
 	return info
+}
+
+// Patch computes into dst, from old, the analysis of the previous
+// numbering, the analysis of a function of nWebs webs after a spill
+// round's patch renumbered it (ig.PatchRenumber); dst must not be old.
+// oldOf[w] is the old web new web w continues, whose uses, definitions
+// and crossed calls did not change, so its costs are copied; or -1 for
+// a web the spill code made, whose costs are summed over its operands,
+// occ. A new web's operands lie in one block, in order, so every sum
+// adds the same terms in the same order as AnalyzeInto's walk and the
+// result equals AnalyzeInto's on the function.
+//
+// Such a web is live across exactly the calls of its block after its
+// definition (or the entry block's head) and before its last use; each
+// adds the block frequency once, as LiveAcrossCalls does.
+func Patch(dst, old *Info, loops *cfg.LoopInfo, nWebs int, oldOf []int32, occ []ig.Occurrence) *Info {
+	dst.SpillCosts = scratch.Slice(dst.SpillCosts, nWebs)
+	dst.OpCosts = scratch.Slice(dst.OpCosts, nWebs)
+	dst.CrossFreq = scratch.Slice(dst.CrossFreq, nWebs)
+	for w, o := range oldOf {
+		if o >= 0 {
+			dst.SpillCosts[w] = old.SpillCosts[o]
+			dst.OpCosts[w] = old.OpCosts[o]
+			dst.CrossFreq[w] = old.CrossFreq[o]
+		}
+	}
+	// since[w] counts the calls of its block up to new web w's
+	// definition.
+	dst.since = scratch.Slice(dst.since, nWebs)
+	since := dst.since
+	for _, o := range occ {
+		w, freq := o.Web, loops.Freq(o.Block)
+		c := InstCost(o.Op)
+		if o.Def {
+			dst.SpillCosts[w] += StoreCost * freq
+			dst.OpCosts[w] += c * freq
+			since[w] = o.Calls
+			continue
+		}
+		dst.SpillCosts[w] += LoadCost * freq
+		dst.OpCosts[w] += c * freq
+		if k := o.Calls - since[w]; k > 0 {
+			cross := 0.0
+			for ; k > 0; k-- {
+				cross += freq
+			}
+			dst.CrossFreq[w] = cross
+		}
+	}
+	return dst
 }
 
 // MemCost returns Mem_Cost(w) = Spill_Cost(w) + Op_Cost(w).

@@ -67,6 +67,11 @@ type Graph struct {
 	spillCost []float64
 	moves     []Move
 	nodeMoves [][]int
+
+	// moveStart[b] is the index in moves of block b's first copy, in
+	// Build's walk order, and its last entry is len(moves); a spill
+	// round's PatchGraph copies a clean block's moves through it.
+	moveStart []int
 }
 
 // NewGraph returns an empty graph with nPhys precolored nodes and
@@ -92,6 +97,16 @@ type GraphScratch struct {
 	liveRow    []uint64
 	volRow     []uint64
 	clobberRow []uint64
+
+	// PatchGraph's new-web live row, old-to-new node map and row of
+	// the old nodes it keeps, and the spare backing and move buffers it
+	// keeps the old graph's rows and moves in.
+	newRow       []uint64
+	nodeMap      []int32
+	keep         []uint64
+	spareBacking []uint64
+	spareMoves   []Move
+	spareStart   []int
 }
 
 // NewGraphIn is NewGraph reusing ws's storage; a nil ws allocates
@@ -120,6 +135,7 @@ func (g *Graph) reinit(backing []uint64, nPhys, nWebs int) []uint64 {
 	g.degree = scratch.Slice(g.degree, n)
 	g.spillCost = scratch.Slice(g.spillCost, n)
 	g.moves = g.moves[:0]
+	g.moveStart = g.moveStart[:0]
 	g.nodeMoves = scratch.Rows(g.nodeMoves, n)
 	if cap(g.alias) < n {
 		g.alias = make([]NodeID, n)

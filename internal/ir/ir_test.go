@@ -310,6 +310,15 @@ func TestValidateCatches(t *testing.T) {
 		t.Error("out-of-range vreg not caught")
 	}
 
+	// Out-of-range parameter: the renumberer indexes its tables by it.
+	pf := NewFunc("oorparam")
+	pf.NewBlock().Instrs = []Instr{MakeRet(NoReg)}
+	pf.Params = []Reg{Virt(2)}
+	pf.NumVirt = 2
+	if err := Validate(pf); err == nil {
+		t.Error("out-of-range parameter not caught")
+	}
+
 	// Inconsistent preds.
 	d := makeDiamond(t)
 	d.Blocks[3].Preds = nil

@@ -39,7 +39,8 @@ func (e *PosError) Unwrap() error { return e.Err }
 //     Ret blocks none;
 //   - φ-functions appear only at block heads and have exactly one
 //     argument per predecessor;
-//   - operand registers are in range (virtual numbers < NumVirt);
+//   - operand and parameter registers are in range (virtual numbers
+//     < NumVirt);
 //   - instruction operand arities match their opcodes.
 func Validate(f *Func) error {
 	if len(f.Blocks) == 0 {
@@ -48,6 +49,11 @@ func Validate(f *Func) error {
 	for i, b := range f.Blocks {
 		if b.ID != BlockID(i) {
 			return fmt.Errorf("block at index %d has ID b%d", i, b.ID)
+		}
+	}
+	for i, p := range f.Params {
+		if err := checkReg(f, p); err != nil {
+			return fmt.Errorf("parameter %d: %w", i, err)
 		}
 	}
 	for _, b := range f.Blocks {

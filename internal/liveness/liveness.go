@@ -12,6 +12,8 @@
 package liveness
 
 import (
+	"math/bits"
+
 	"prefcolor/internal/bitset"
 	"prefcolor/internal/ir"
 	"prefcolor/internal/scratch"
@@ -151,6 +153,56 @@ func ComputeInto(f *ir.Func, ws *Scratch) *Info {
 			}
 		}
 	}
+	return info
+}
+
+// Patch re-keys ws's current Info, the liveness of a φ-free function
+// before a spill round, to f after the round's spill code went in and
+// the webs were renumbered: newOf[v] is the web old virtual register v
+// became, or -1 when v was spilled, and entryIn lists the new webs
+// live into the entry block. Spill code adds no block and no edge,
+// touches no physical register and no surviving web, and leaves no
+// other new web live into or out of any block (DESIGN.md §20), so each
+// live-in row is the old one remapped plus, for the entry block,
+// entryIn, and each live-out row is the union of its successors'
+// live-in rows. The result equals ComputeInto's on f and, like it, is
+// owned by ws.
+func Patch(f *ir.Func, ws *Scratch, newOf []int32, entryIn []int32) *Info {
+	info := &ws.info
+	n := len(f.Blocks)
+	words := bitset.Words(int(ir.FirstVirtual) + f.NumVirt)
+	// The gen and kill tables are idle between solves; the new rows
+	// are written there and swapped in.
+	ws.gen = scratch.Slice(ws.gen, n*words)
+	ws.kill = scratch.Slice(ws.kill, n*words)
+	in, out := ws.gen, ws.kill
+	const virtWord = int(ir.FirstVirtual) / 64
+	for b := 0; b < n; b++ {
+		dst, src := in[b*words:(b+1)*words], info.row(info.in, ir.BlockID(b))
+		copy(dst[:virtWord], src[:virtWord])
+		for wi := virtWord; wi < len(src); wi++ {
+			for w := src[wi]; w != 0; w &= w - 1 {
+				if nv := newOf[(wi-virtWord)<<6+bits.TrailingZeros64(w)]; nv >= 0 {
+					bitset.Set(dst, int(ir.FirstVirtual)+int(nv))
+				}
+			}
+		}
+	}
+	for _, w := range entryIn {
+		bitset.Set(in[:words], int(ir.FirstVirtual)+int(w))
+	}
+	for _, b := range f.Blocks {
+		dst := out[int(b.ID)*words : (int(b.ID)+1)*words]
+		for _, s := range b.Succs {
+			for wi, w := range in[int(s)*words : (int(s)+1)*words] {
+				dst[wi] |= w
+			}
+		}
+	}
+	info.in, ws.gen = in, info.in
+	info.out, ws.kill = out, info.out
+	info.f, info.words = f, words
+	info.iter = scratch.Slice(info.iter, words)
 	return info
 }
 

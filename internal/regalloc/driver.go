@@ -169,52 +169,21 @@ func Run(input *ir.Func, machine *target.Machine, alloc Allocator, opts Options)
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	// tempRegs[v] and blockLocalRegs[v] mark virtual register v, in
-	// the function's current numbering, as spill traffic and as a
-	// block-local spill temporary.
-	tempRegs := ws.tempRegs[:0]
-	blockLocalRegs := ws.blockLocalRegs[:0]
-	// Spill code only adds instructions and registers, never a block or
-	// an edge, so the dominator tree and loops of round 1 hold for every
-	// round.
 	sp := tel.Begin()
-	loops := cfg.FindLoops(f, cfg.NewDomTree(f))
+	rs := newRounds(ws, f, machine, opts, tel)
 	tel.End(telemetry.PhaseBuildIG, sp)
 	for round := 1; round <= maxRounds; round++ {
 		if err := opts.interrupted(alloc.Name()); err != nil {
 			return nil, nil, err
 		}
 		tel.BeginRound(round)
-		sp = tel.Begin()
-		info, err := ig.RenumberInto(f, &ws.renumber)
-		tel.End(telemetry.PhaseRenumber, sp)
-		if err != nil {
-			return nil, nil, err
-		}
-		ws.spillTemp = scratch.Slice(ws.spillTemp, info.NumWebs)
-		ws.blockLocal = scratch.Slice(ws.blockLocal, info.NumWebs)
-		spillTemp := ws.spillTemp
-		blockLocal := ws.blockLocal
-		for w, origins := range info.Origins {
-			for _, o := range origins {
-				if flagged(tempRegs, o) {
-					spillTemp[w] = true
-				}
-				if flagged(blockLocalRegs, o) {
-					blockLocal[w] = true
-				}
-			}
-		}
-		sp = tel.Begin()
-		ctx, err := newContext(ws, f, machine, spillTemp, loops)
-		tel.End(telemetry.PhaseBuildIG, sp)
+		ctx, err := rs.begin()
 		if err != nil {
 			return nil, nil, err
 		}
 		if err := opts.interrupted(alloc.Name()); err != nil {
 			return nil, nil, err
 		}
-		ctx.Telemetry = tel
 		res, err := alloc.Allocate(ctx)
 		if err != nil {
 			return nil, nil, fmt.Errorf("regalloc: %s round %d: %w", alloc.Name(), round, err)
@@ -241,48 +210,148 @@ func Run(input *ir.Func, machine *target.Machine, alloc Allocator, opts Options)
 			return out, stats, nil
 		}
 		spillSpan := tel.Begin()
-		webs := expandSpills(ws, ctx.Graph, res.Spilled)
-		stats.SpilledWebs += len(webs)
-		// Re-key the carried-over flags to this round's naming:
-		// virtual-register numbers are reassigned by every renumber.
-		// The old flags were fully consumed by the Origins loop above,
-		// so refilling them in place is safe.
-		tempRegs = append(tempRegs[:0], spillTemp...)
-		blockLocalRegs = append(blockLocalRegs[:0], blockLocal...)
-		if opts.Rematerialize {
-			var kept []int
-			for _, w := range webs {
-				if imm, ok := rematerializable(f, w); ok {
-					stats.Remats++
-					for _, t := range rematerialize(f, w, imm) {
-						tempRegs = flag(tempRegs, t)
-					}
-				} else {
-					kept = append(kept, w)
-				}
-			}
-			webs = kept
-		}
-		if opts.BlockLocalSpills {
-			var everywhere []int
-			for _, w := range webs {
-				if blockLocal[w] {
-					everywhere = append(everywhere, w)
-					continue
-				}
-				for _, t := range insertBlockLocalSpill(f, w, &ws.spill) {
-					blockLocalRegs = flag(blockLocalRegs, t)
-				}
-			}
-			webs = everywhere
-		}
-		for _, t := range insertSpillCode(f, webs, &ws.spill) {
-			tempRegs = flag(tempRegs, t)
-		}
-		ws.tempRegs, ws.blockLocalRegs = tempRegs, blockLocalRegs
+		rs.spill(res, stats)
 		tel.End(telemetry.PhaseSpill, spillSpan)
 	}
 	return nil, nil, fmt.Errorf("regalloc: %s did not converge in %d rounds", alloc.Name(), maxRounds)
+}
+
+// rounds carries one Run's function and analyses from spill round to
+// spill round.
+type rounds struct {
+	ws    *Workspace
+	f     *ir.Func
+	m     *target.Machine
+	opts  Options
+	tel   *telemetry.Collector
+	loops *cfg.LoopInfo
+
+	// patchable is set when f's entry block has no predecessors, which
+	// spill code keeps so: then every round after the first patches the
+	// previous round's analyses instead of rebuilding them.
+	patchable bool
+
+	// ctx and info are the current round's context and numbering, nil
+	// before round 1.
+	ctx  *Context
+	info *ig.RenumberInfo
+
+	// tempRegs[v] and blockLocalRegs[v] mark virtual register v, in
+	// the function's current numbering, as spill traffic and as a
+	// block-local spill temporary.
+	tempRegs       []bool
+	blockLocalRegs []bool
+}
+
+// newRounds readies the round loop over f. Spill code only adds
+// instructions and registers, never a block or an edge, so the
+// dominator tree and loops computed here hold for every round.
+func newRounds(ws *Workspace, f *ir.Func, m *target.Machine, opts Options, tel *telemetry.Collector) *rounds {
+	return &rounds{
+		ws: ws, f: f, m: m, opts: opts, tel: tel,
+		loops:          cfg.FindLoops(f, cfg.NewDomTree(f)),
+		patchable:      len(f.Blocks[0].Preds) == 0,
+		tempRegs:       ws.tempRegs[:0],
+		blockLocalRegs: ws.blockLocalRegs[:0],
+	}
+}
+
+// begin renumbers f and builds the round's context. Round 1, and every
+// round of a function whose entry block has predecessors, renumbers
+// and analyzes from scratch; a later round patches the previous
+// round's numbering, liveness, costs and graph at the spill sites
+// (DESIGN.md §20), with the same result.
+func (rs *rounds) begin() (*Context, error) {
+	ws, f, prev := rs.ws, rs.f, rs.ctx
+	patch := prev != nil && rs.patchable
+	sp := rs.tel.Begin()
+	var info *ig.RenumberInfo
+	var err error
+	if patch {
+		info, err = ig.PatchRenumber(f, &ws.renumber, &ws.patch, prev.Graph.NumWebs(), ws.spillSeen)
+	} else {
+		info, err = ig.RenumberInto(f, &ws.renumber)
+	}
+	rs.tel.End(telemetry.PhaseRenumber, sp)
+	if err != nil {
+		return nil, err
+	}
+	ws.spillTemp = markOrigins(ws.spillTemp, info, rs.tempRegs)
+	ws.blockLocal = markOrigins(ws.blockLocal, info, rs.blockLocalRegs)
+	sp = rs.tel.Begin()
+	var ctx *Context
+	if patch {
+		ctx = patchContext(ws, prev, f, ws.spillTemp)
+	} else {
+		ctx, err = newContext(ws, f, rs.m, ws.spillTemp, rs.loops)
+	}
+	rs.tel.End(telemetry.PhaseBuildIG, sp)
+	if err != nil {
+		return nil, err
+	}
+	ctx.Telemetry = rs.tel
+	rs.ctx, rs.info = ctx, info
+	return ctx, nil
+}
+
+// markOrigins sets dst[w], for every web w of info, when flags marks
+// w's origin register, and returns dst.
+func markOrigins(dst []bool, info *ig.RenumberInfo, flags []bool) []bool {
+	dst = scratch.Slice(dst, info.NumWebs)
+	for w, origins := range info.Origins {
+		for _, o := range origins {
+			if flagged(flags, o) {
+				dst[w] = true
+			}
+		}
+	}
+	return dst
+}
+
+// spill inserts the spill code for the current round's spill set and
+// flags the registers it makes for the next round.
+func (rs *rounds) spill(res *Result, stats *Stats) {
+	ws, f, opts := rs.ws, rs.f, rs.opts
+	webs := expandSpills(ws, rs.ctx.Graph, res.Spilled)
+	stats.SpilledWebs += len(webs)
+	// Re-key the carried-over flags to this round's naming:
+	// virtual-register numbers are reassigned by every renumber.
+	// begin consumed the old flags, so refilling them in place is
+	// safe.
+	tempRegs := append(rs.tempRegs[:0], ws.spillTemp...)
+	blockLocalRegs := append(rs.blockLocalRegs[:0], ws.blockLocal...)
+	if opts.Rematerialize {
+		var kept []int
+		for _, w := range webs {
+			if imm, ok := rematerializable(f, w); ok {
+				stats.Remats++
+				for _, t := range rematerialize(f, w, imm) {
+					tempRegs = flag(tempRegs, t)
+				}
+			} else {
+				kept = append(kept, w)
+			}
+		}
+		webs = kept
+	}
+	if opts.BlockLocalSpills {
+		var everywhere []int
+		for _, w := range webs {
+			if ws.blockLocal[w] {
+				everywhere = append(everywhere, w)
+				continue
+			}
+			for _, t := range insertBlockLocalSpill(f, w, &ws.spill) {
+				blockLocalRegs = flag(blockLocalRegs, t)
+			}
+		}
+		webs = everywhere
+	}
+	for _, t := range insertSpillCode(f, webs, &ws.spill) {
+		tempRegs = flag(tempRegs, t)
+	}
+	rs.tempRegs, rs.blockLocalRegs = tempRegs, blockLocalRegs
+	ws.tempRegs, ws.blockLocalRegs = tempRegs, blockLocalRegs
 }
 
 // flagged reports whether flags, indexed by virtual-register number,

@@ -72,7 +72,7 @@ func newContext(ws *Workspace, f *ir.Func, m *target.Machine, spillTemp []bool, 
 	if ws != nil {
 		live = liveness.ComputeInto(f, &ws.live)
 		gws = &ws.graph
-		costs = costmodel.AnalyzeInto(&ws.costs, f, m, loops, live)
+		costs = costmodel.AnalyzeInto(&ws.costs[ws.cur], f, m, loops, live)
 	} else {
 		live = liveness.Compute(f)
 		costs = costmodel.Analyze(f, m, loops, live)
@@ -84,18 +84,42 @@ func newContext(ws *Workspace, f *ir.Func, m *target.Machine, spillTemp []bool, 
 	if spillTemp == nil {
 		spillTemp = make([]bool, f.NumVirt)
 	}
-	ctx := &Context{
+	return finishContext(&Context{
 		F: f, Machine: m, Graph: g, Loops: loops, Live: live,
 		Costs: costs, SpillTemp: spillTemp, Workspace: ws,
-	}
-	for w := 0; w < f.NumVirt; w++ {
-		c := costs.MemCost(w)
-		if spillTemp[w] {
+	}), nil
+}
+
+// patchContext derives the next round's context from prev, the
+// context f had before the round's spill code went in, once
+// ig.PatchRenumber has renumbered f into ws.patch. The liveness, cost
+// and graph patches equal a rebuild (DESIGN.md §20). The costs are
+// built in the workspace half prev's do not use.
+func patchContext(ws *Workspace, prev *Context, f *ir.Func, spillTemp []bool) *Context {
+	p := &ws.patch
+	live := liveness.Patch(f, &ws.live, p.NewOf, p.EntryLive)
+	next := 1 - ws.cur
+	costs := costmodel.Patch(&ws.costs[next], prev.Costs, prev.Loops, f.NumVirt, p.OldOf, p.Occurrences)
+	g := ig.PatchGraph(&ws.graph, p, f, prev.Machine, prev.Loops, live)
+	ws.cur = next
+	return finishContext(&Context{
+		F: f, Machine: prev.Machine, Graph: g, Loops: prev.Loops, Live: live,
+		Costs: costs, SpillTemp: spillTemp, Workspace: ws,
+	})
+}
+
+// finishContext gives every web node its spill cost: its Mem_Cost, or
+// InfiniteCost for a spill temporary.
+func finishContext(ctx *Context) *Context {
+	g := ctx.Graph
+	for w := 0; w < ctx.F.NumVirt; w++ {
+		c := ctx.Costs.MemCost(w)
+		if ctx.SpillTemp[w] {
 			c = InfiniteCost
 		}
 		g.SetSpillCost(g.NodeOf(ir.Virt(w)), c)
 	}
-	return ctx, nil
+	return ctx
 }
 
 // K returns the machine's register count.

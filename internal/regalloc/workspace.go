@@ -35,9 +35,14 @@ import (
 type Workspace struct {
 	live     liveness.Scratch
 	renumber ig.RenumberScratch
+	patch    ig.SpillPatch
 	graph    ig.GraphScratch
 
-	costs costmodel.Info
+	// A spill round's patch reads the current round's costs, half cur,
+	// and builds the next round's in the other.
+	costs [2]costmodel.Info
+	cur   int
+
 	spill spillScratch
 
 	spillTemp      []bool

@@ -176,7 +176,7 @@ func (c *flightCall) wait(reqCtx context.Context) (*entry, int, error) {
 	select {
 	case <-c.done:
 	case <-reqCtx.Done():
-		return nil, statusClientGone, reqCtx.Err()
+		return nil, StatusClientGone, reqCtx.Err()
 	}
 	if c.err != nil {
 		return nil, c.code, c.err

@@ -439,24 +439,28 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	d := s.timeout(b.TimeoutMS)
-	var (
-		mu    sync.Mutex
-		items []batchItem
-		sem   = make(chan struct{}, min(s.cfg.Workers, 8))
-		wg    sync.WaitGroup
-		err   error
-	)
+	// Every frame decodes before any job is submitted, so a frame that
+	// fails the batch leaves nothing computed or cached — the router,
+	// which reads a whole batch before it forwards one, agrees.
+	var funcs []BatchFunc
 	for {
-		var f BatchFunc
-		if f, err = b.Next(); err != nil {
+		f, err := b.Next()
+		if err == io.EOF {
 			break
 		}
-		mu.Lock()
-		i := len(items)
-		items = append(items, batchItem{err: f.Err, code: f.Code})
-		mu.Unlock()
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, err)
+			return
+		}
+		funcs = append(funcs, f)
+	}
+	d := s.timeout(b.TimeoutMS)
+	items := make([]batchItem, len(funcs))
+	sem := make(chan struct{}, min(s.cfg.Workers, 8))
+	var wg sync.WaitGroup
+	for i, f := range funcs {
 		if f.Err != "" {
+			items[i] = batchItem{err: f.Err, code: f.Code}
 			continue
 		}
 		wg.Add(1)
@@ -464,22 +468,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			var it batchItem
 			if e, cached, code, err := s.doOne(r.Context(), f.in, b.Spec, b.Machine, d, true); err != nil {
-				it = batchItem{err: err.Error(), code: code}
+				items[i] = batchItem{err: err.Error(), code: code}
 			} else {
-				it = batchItem{e: e, cached: cached}
+				items[i] = batchItem{e: e, cached: cached}
 			}
-			mu.Lock()
-			items[i] = it
-			mu.Unlock()
 		}()
 	}
 	wg.Wait()
-	if err != io.EOF {
-		WriteError(w, http.StatusBadRequest, err)
-		return
-	}
 	writeBatch(w, items)
 }
 
@@ -654,9 +650,10 @@ func (s *Server) runJob(reqCtx context.Context, d time.Duration, block bool,
 	}
 }
 
-// statusClientGone is nginx's 499 "client closed request", reported
-// when the caller's own context dies while waiting on a shared flight.
-const statusClientGone = 499
+// StatusClientGone is nginx's 499 "client closed request", reported
+// when the caller's own context dies while waiting on a shared flight,
+// and by the router when its client goes away mid-forward.
+const StatusClientGone = 499
 
 // prepare decodes in and, when spec asks for it, runs the SSA scalar
 // optimizations on the function: the prologue of both tiers' compute.

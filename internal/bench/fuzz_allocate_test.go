@@ -14,13 +14,14 @@ import (
 
 // FuzzAllocate drives the whole pipeline from bytes, as the daemon
 // does: a binary or text function is decoded, ValidateInput screens
-// it, and pref-full allocates it under RunChecked at k = 4, 8 and 16.
-// Input the decoder or ValidateInput refuses is skipped. A finding is
-// a panic or an allocation the end-to-end oracle rejects ("oracle:").
-// An error from the driver itself is not: pref-full still fails on
-// some accepted inputs by spilling a spill temporary or not
-// converging, even at k=4, as two of the corpus seeds do. Seeds are
-// the metamorph corpus, in both wire forms.
+// it, and pref-full and the registered linearscan allocate it under
+// RunChecked at k = 4, 8 and 16. Input the decoder or ValidateInput
+// refuses is skipped. A finding is a panic or an allocation the
+// end-to-end oracle rejects ("oracle:"). An error from the driver
+// itself is not: both allocators still fail on some accepted inputs
+// at k=4, as corpus seeds 001 and 002 do — pref-full by spilling a
+// spill temporary again, linearscan by stranding one. Seeds are the
+// metamorph corpus, in both wire forms.
 func FuzzAllocate(f *testing.F) {
 	dir := filepath.Join("..", "metamorph", "testdata", "corpus")
 	entries, err := os.ReadDir(dir)
@@ -38,6 +39,10 @@ func FuzzAllocate(f *testing.F) {
 		}
 		f.Add(src)
 		f.Add(ir.EncodeBinary(fn))
+	}
+	linearScan, err := NewAllocator("linearscan")
+	if err != nil {
+		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<14 {
@@ -58,9 +63,11 @@ func FuzzAllocate(f *testing.F) {
 			if regalloc.ValidateInput(fn, m) != nil {
 				continue
 			}
-			_, _, err := regalloc.RunChecked(fn, m, core.New(), regalloc.Options{})
-			if err != nil && strings.HasPrefix(err.Error(), "oracle:") {
-				t.Fatalf("k=%d: %v", k, err)
+			for _, alloc := range []regalloc.Allocator{core.New(), linearScan} {
+				_, _, err := regalloc.RunChecked(fn, m, alloc, regalloc.Options{})
+				if err != nil && strings.HasPrefix(err.Error(), "oracle:") {
+					t.Fatalf("%s k=%d: %v", alloc.Name(), k, err)
+				}
 			}
 		}
 	})

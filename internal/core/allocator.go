@@ -14,15 +14,6 @@ import (
 type Allocator struct {
 	mode     Mode
 	ablation Ablation
-
-	// refSelect routes selection through the reference oracle
-	// (select_ref.go) instead of the incremental ready-set structures.
-	// Name() is unchanged so stats and digests stay comparable — the
-	// two paths are pinned bit-identical.
-	refSelect bool
-
-	// recolorSpills runs the recolor fixup on spilling rounds too.
-	recolorSpills bool
 }
 
 // New returns the full-preference allocator ("full preferences" in
@@ -32,25 +23,6 @@ func New() *Allocator { return &Allocator{mode: FullPreferences} }
 // NewCoalesceOnly returns the configuration of §6.1 that reflects
 // only coalescing preferences ("only coalescing" in the figures).
 func NewCoalesceOnly() *Allocator { return &Allocator{mode: CoalesceOnly} }
-
-// WithReferenceSelector returns a copy of a that selects with the
-// retained full-scan reference implementation. The differential tests
-// use it as the oracle the incremental selector must match exactly.
-func (a *Allocator) WithReferenceSelector() *Allocator {
-	c := *a
-	c.refSelect = true
-	return &c
-}
-
-// WithSpillRoundRecolor returns a copy of a that also runs the recolor
-// fixup on rounds that spill, whose colors the driver discards. It
-// spends time for nothing; the tests use it to show that skipping the
-// fixup there changes no spill set and so no output.
-func (a *Allocator) WithSpillRoundRecolor() *Allocator {
-	c := *a
-	c.recolorSpills = true
-	return &c
-}
 
 // Name implements regalloc.Allocator.
 func (a *Allocator) Name() string {
@@ -86,10 +58,9 @@ func (a *Allocator) Allocate(ctx *regalloc.Context) (*regalloc.Result, error) {
 		return nil, err
 	}
 	tel.End(telemetry.PhaseCPG, sp)
-	s := newSelectorIn(&cs.sel, ctx, rpg, cpg, a.mode)
+	s := &cs.sel
+	s.reset(ctx, rpg, cpg, a.mode)
 	s.ab = a.ablation
-	s.refSelect = a.refSelect
-	s.recolorSpills = a.recolorSpills
 	return s.run()
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -141,15 +142,21 @@ func fuzzCases(ks ...int) []hookCase {
 // runHooked allocates every case with a fresh allocator from newAlloc
 // on its own workspace, calling install on the workspace's selector
 // before the run (where tests set their hooks) and, when after is not
-// nil, after it on the final round's state.
-func runHooked(t *testing.T, cases []hookCase, newAlloc func() *Allocator, install, after func(*selector)) {
+// nil, after it on the final round's state. With spillFixup set, the
+// recolor fixup also runs on spilling rounds (fixupOnSpill), so the
+// fixup checks below see every round, not only the final one.
+func runHooked(t *testing.T, cases []hookCase, newAlloc func() *Allocator, spillFixup bool, install, after func(*selector)) {
 	t.Helper()
 	for _, c := range cases {
 		ws := regalloc.NewWorkspace()
 		cs := &coreScratch{}
 		ws.SetAllocatorScratch(cs)
 		install(&cs.sel)
-		alloc := newAlloc()
+		a := newAlloc()
+		var alloc regalloc.Allocator = a
+		if spillFixup {
+			alloc = &fixupOnSpill{Allocator: a, t: t}
+		}
 		if _, _, err := regalloc.Run(c.f, c.m, alloc, regalloc.Options{Workspace: ws}); err != nil {
 			t.Fatalf("%s/%s k=%d: %v", alloc.Name(), c.f.Name, c.m.NumRegs, err)
 		}
@@ -157,13 +164,6 @@ func runHooked(t *testing.T, cases []hookCase, newAlloc func() *Allocator, insta
 			after(&cs.sel)
 		}
 	}
-}
-
-// withSpillRoundRecolor returns newAlloc's allocator with the recolor
-// fixup run on spilling rounds too, so the fixup checks below see every
-// round, not only the final one.
-func withSpillRoundRecolor(newAlloc func() *Allocator) func() *Allocator {
-	return func() *Allocator { return newAlloc().WithSpillRoundRecolor() }
 }
 
 // TestRecolorCountsMatchRecount checks the recolor fixup's built
@@ -176,7 +176,7 @@ func TestRecolorCountsMatchRecount(t *testing.T) {
 	recolors, rows := 0, 0
 	cases := suiteCases(16, 32)
 	for _, newAlloc := range []func() *Allocator{New, NewCoalesceOnly} {
-		runHooked(t, cases, withSpillRoundRecolor(newAlloc), func(s *selector) {
+		runHooked(t, cases, newAlloc, true, func(s *selector) {
 			s.rcHook = func() {
 				recolors++
 				g, k := s.ctx.Graph, s.ctx.K()
@@ -232,7 +232,7 @@ func TestForbidSkipExact(t *testing.T) {
 	for _, corpus := range corpora {
 		for _, newAlloc := range []func() *Allocator{New, NewCoalesceOnly} {
 			var skipped, recomputed int
-			runHooked(t, corpus.cases, newAlloc, func(s *selector) {
+			runHooked(t, corpus.cases, newAlloc, false, func(s *selector) {
 				s.forbidHook = func(nb ig.NodeID, skip bool) {
 					if !skip {
 						recomputed++
@@ -292,7 +292,7 @@ func TestComponentPlanScoreMatches(t *testing.T) {
 		}
 	}
 	cases := append(suiteCases(16, 24, 32), largeCases()...)
-	runHooked(t, cases, withSpillRoundRecolor(New), func(s *selector) {
+	runHooked(t, cases, New, true, func(s *selector) {
 		s.rcHook = func() { check(s) }
 	}, check)
 	if plans == 0 {
@@ -302,34 +302,33 @@ func TestComponentPlanScoreMatches(t *testing.T) {
 }
 
 // fixupOnSpill allocates with its Allocator and, on every round that
-// spills, runs the recolor fixup that selection skipped there. It
-// requires CheckResult to pass before and after the fixup and the
-// spill set, all the driver reads of such a round, to stay the same.
-// The round's Colors are the selector's color array, so they show the
-// fixup's recolorings.
+// spills, runs the recolor fixup that selection skipped there (unless
+// the ablation drops the fixup). It requires the fixup to keep the
+// spill set, all the driver reads of such a round, and CheckResult's
+// verdict on the round; the driver's own CheckResult then sees the
+// fixed-up colors. The round's Colors are the selector's color array,
+// so they show the fixup's recolorings.
 type fixupOnSpill struct {
 	*Allocator
-	t       *testing.T
+	t       testing.TB
 	rounds  int // spilling rounds checked
 	changed int // of them, rounds whose colors the fixup changed
 }
 
 func (a *fixupOnSpill) Allocate(ctx *regalloc.Context) (*regalloc.Result, error) {
 	res, err := a.Allocator.Allocate(ctx)
-	if err != nil || len(res.Spilled) == 0 {
+	if err != nil || len(res.Spilled) == 0 || a.ablation.NoRecolor {
 		return res, err
 	}
 	a.rounds++
-	if err := regalloc.CheckResult(ctx, res); err != nil {
-		a.t.Fatalf("%s/%s k=%d: without the fixup: %v", a.Name(), ctx.F.Name, ctx.K(), err)
-	}
+	before := regalloc.CheckResult(ctx, res)
 	spilled, colors := slices.Clone(res.Spilled), slices.Clone(res.Colors)
 	coreScratchFor(ctx).sel.recolorFixup()
 	if !slices.Equal(res.Spilled, spilled) {
 		a.t.Fatalf("%s/%s k=%d: the fixup changed the spill set %v to %v", a.Name(), ctx.F.Name, ctx.K(), spilled, res.Spilled)
 	}
-	if err := regalloc.CheckResult(ctx, res); err != nil {
-		a.t.Fatalf("%s/%s k=%d: with the fixup: %v", a.Name(), ctx.F.Name, ctx.K(), err)
+	if after := regalloc.CheckResult(ctx, res); fmt.Sprint(after) != fmt.Sprint(before) {
+		a.t.Fatalf("%s/%s k=%d: CheckResult gave %v without the fixup, %v with it", a.Name(), ctx.F.Name, ctx.K(), before, after)
 	}
 	if !slices.Equal(res.Colors, colors) {
 		a.changed++
@@ -370,9 +369,9 @@ func TestSpillRoundFixupKeepsSpills(t *testing.T) {
 }
 
 // TestColorFreeForMatchesRef compares the count-based colorFreeFor with
-// the occupancy-bitset colorFreeForRef on the final coloring of every
-// nine-profile function at k = 16, over random queries whose plans
-// may move a neighbor that wears the queried color away — a case the
+// the reference selector's neighbor walk on the final coloring of every
+// nine-profile function at k = 16, over random queries whose plans may
+// move a neighbor that wears the queried color away — a case the
 // recolor plans themselves never build.
 func TestColorFreeForMatchesRef(t *testing.T) {
 	m := target.UsageModel(16)
@@ -387,7 +386,8 @@ func TestColorFreeForMatchesRef(t *testing.T) {
 				t.Fatalf("%s: %v", f.Name, err)
 			}
 			s := &cs.sel
-			s.buildColorRows()
+			ref := newRefSelector(s.ctx, &cs.rpg, FullPreferences, Ablation{})
+			copy(ref.color, s.color)
 			g := s.ctx.Graph
 			for n := 0; n < g.NumNodes(); n++ {
 				s.ensureRows(ig.NodeID(n))
@@ -413,17 +413,20 @@ func TestColorFreeForMatchesRef(t *testing.T) {
 				// Half the queries ask for a color a colored neighbor
 				// wears, and the plan moves that neighbor.
 				if nbs := g.OrigNeighbors(n); rng.Intn(2) == 0 && len(nbs) > 0 {
-					if nb := nbs[rng.Intn(len(nbs))]; !g.IsPhys(nb) && s.color[nb] >= 0 {
-						if _, ok := plan.lookup(nb); !ok {
-							c = s.color[nb]
-							plan.add(nb, rng.Intn(k))
-						}
+					if nb := nbs[rng.Intn(len(nbs))]; !g.IsPhys(nb) && s.color[nb] >= 0 && !slices.Contains(plan.nodes, nb) {
+						c = s.color[nb]
+						plan.add(nb, rng.Intn(k))
 					}
 				}
-				for _, pl := range []*planOverlay{nil, plan} {
-					if got, want := s.colorFreeFor(n, c, pl), s.colorFreeForRef(n, c, pl); got != want {
-						t.Fatalf("%s: colorFreeFor(%d, %d, %v) = %v, reference %v", f.Name, n, c, pl, got, want)
-					}
+				var refPlan []refMove
+				for i, pn := range plan.nodes {
+					refPlan = append(refPlan, refMove{pn, plan.colors[i]})
+				}
+				if got, want := s.colorFreeFor(n, c, nil), ref.colorFree(n, c, nil); got != want {
+					t.Fatalf("%s: colorFreeFor(%d, %d, no plan) = %v, reference %v", f.Name, n, c, got, want)
+				}
+				if got, want := s.colorFreeFor(n, c, plan), ref.colorFree(n, c, refPlan); got != want {
+					t.Fatalf("%s: colorFreeFor(%d, %d, %v) = %v, reference %v", f.Name, n, c, plan, got, want)
 				}
 			}
 		}

@@ -25,24 +25,10 @@ type recolorCand struct {
 // overrides on top of the current assignment, in insertion order
 // (deterministic). Plans never exceed maxCompPlan entries. While a plan
 // is scored, markPlan copies it into the per-node rcMark array, so a
-// planned color is one array read; the reference colorFreeForRef still
-// scans the pair of slices (lookup).
+// planned color is one array read.
 type planOverlay struct {
 	nodes  []ig.NodeID
 	colors []int
-}
-
-// lookup returns the planned color for n, if the plan covers it.
-func (p *planOverlay) lookup(n ig.NodeID) (int, bool) {
-	if p == nil {
-		return 0, false
-	}
-	for i, m := range p.nodes {
-		if m == n {
-			return p.colors[i], true
-		}
-	}
-	return 0, false
 }
 
 func (p *planOverlay) add(n ig.NodeID, c int) {
@@ -50,17 +36,7 @@ func (p *planOverlay) add(n ig.NodeID, c int) {
 	p.colors = append(p.colors, c)
 }
 
-func (p *planOverlay) removeLast() {
-	p.nodes = p.nodes[:len(p.nodes)-1]
-	p.colors = p.colors[:len(p.colors)-1]
-}
-
-func (p *planOverlay) len() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.nodes)
-}
+func (p *planOverlay) len() int { return len(p.nodes) }
 
 // firstMoves marks, for each unordered endpoint pair of moves (n
 // nodes), the pair's first move in slice order. The move indices are
@@ -113,8 +89,7 @@ func (s *selector) firstMoves(moves []ig.Move, n int) []bool {
 // Passes after the first retry a move only when a recoloring since the
 // start of its last evaluation dirtied its copy component (see
 // noteRecolored; DESIGN §16 gives the read-set argument for why the
-// skip is exact). The reference selector runs every unhonored move in
-// every pass, with every score recomputed.
+// skip is exact).
 func (s *selector) recolorFixup() {
 	g := s.ctx.Graph
 	s.buildRecolorIndex()
@@ -153,7 +128,7 @@ func (s *selector) recolorFixup() {
 			if cx < 0 || cy < 0 || cx == cy {
 				continue
 			}
-			if pass > 0 && !s.refSelect && s.rcDirty[s.compOf(mv.x)] <= mv.evalAt {
+			if pass > 0 && s.rcDirty[s.compOf(mv.x)] <= mv.evalAt {
 				continue
 			}
 			mv.evalAt = s.rcClock
@@ -185,11 +160,9 @@ func (s *selector) tryPlans(x, y ig.NodeID) bool {
 	bestDelta := 0.0
 	haveBest := false
 	plan := &s.rcPlan
-	if !s.refSelect {
-		for _, n := range [2]ig.NodeID{x, y} {
-			if !g.IsPhys(n) {
-				s.ensureRows(n)
-			}
+	for _, n := range [2]ig.NodeID{x, y} {
+		if !g.IsPhys(n) {
+			s.ensureRows(n)
 		}
 	}
 
@@ -206,22 +179,17 @@ func (s *selector) tryPlans(x, y ig.NodeID) bool {
 	if !g.IsPhys(x) && !g.IsPhys(y) {
 		// x and y do not interfere (recolorFixup drops interfering
 		// moves), so the plan {x: c, y: c} is valid exactly when no
-		// neighbor of either currently wears c. Outside the reference
-		// selector the free-color rows answer that, and the plans they
-		// admit are scored without re-validation.
-		var fx, fy []uint64
-		if !s.refSelect {
-			fx, fy = s.freeRow(x), s.freeRow(y)
-		}
+		// neighbor of either currently wears c. The free-color rows
+		// answer that, and the plans they admit are scored without
+		// re-validation.
+		fx, fy := s.freeRow(x), s.freeRow(y)
 		for c := 0; c < k; c++ {
-			if c == cx || c == cy || fx != nil && !(bitset.Has(fx, c) && bitset.Has(fy, c)) {
+			if c == cx || c == cy || !(bitset.Has(fx, c) && bitset.Has(fy, c)) {
 				continue
 			}
 			plan.nodes = append(plan.nodes[:0], x, y)
 			plan.colors = append(plan.colors[:0], c, c)
-			if s.refSelect {
-				bestDelta, haveBest = s.considerPlan(plan, bestDelta, haveBest)
-			} else if d := s.planGain(plan); d > bestDelta+1e-9 {
+			if d := s.planGain(plan); d > bestDelta+1e-9 {
 				bestDelta, haveBest = d, true
 				s.keepBest(plan)
 			}
@@ -334,11 +302,10 @@ func (s *selector) plannedColor(n ig.NodeID) int {
 // component onto c (componentPlan), or NaN — which never beats a
 // running best — when that plan has fewer than two nodes or is
 // invalid. The deltas read only the component's read set (see
-// noteRecolored), so outside the reference selector they are cached
-// per component and reused by its other moves until the component is
-// stamped, and plans are built only for colors with two takers and
-// scored without re-validation (planGain). The reference selector
-// builds and validates every plan.
+// noteRecolored), so they are cached per component and reused by its
+// other moves until the component is stamped, and plans are built only
+// for colors with two takers and scored without re-validation
+// (planGain).
 func (s *selector) compPlanDeltas(x ig.NodeID, members []ig.NodeID) []float64 {
 	k, root := s.ctx.K(), s.compOf(x)
 	off := int(s.rcPlanOff[root])
@@ -347,32 +314,23 @@ func (s *selector) compPlanDeltas(x ig.NodeID, members []ig.NodeID) []float64 {
 		off = len(s.rcPlanDelta)
 		s.rcPlanOff[root] = int32(off)
 		s.rcPlanDelta = append(s.rcPlanDelta, make([]float64, k)...)
-	case !s.refSelect && s.rcDirty[root] <= s.rcPlanAt[root]:
+	case s.rcDirty[root] <= s.rcPlanAt[root]:
 		return s.rcPlanDelta[off : off+k]
 	}
 	s.rcPlanAt[root] = s.rcClock
 	deltas := s.rcPlanDelta[off : off+k]
 	plan := &s.rcPlan
-	var twice []uint64
-	if !s.refSelect {
-		for _, m := range members {
-			s.ensureRows(m)
-		}
-		twice = s.twoTakers(members)
+	for _, m := range members {
+		s.ensureRows(m)
 	}
+	twice := s.twoTakers(members)
 	for c := range deltas {
 		deltas[c] = math.NaN()
-		if twice != nil && !bitset.Has(twice, c) {
+		if !bitset.Has(twice, c) {
 			continue
 		}
 		s.componentPlan(members, c, plan)
-		switch {
-		case plan.len() < 2:
-		case s.refSelect:
-			if d, ok := s.planDelta(plan); ok {
-				deltas[c] = d
-			}
-		default:
+		if plan.len() >= 2 {
 			deltas[c] = s.planGain(plan)
 		}
 	}
@@ -402,22 +360,12 @@ func (s *selector) twoTakers(members []ig.NodeID) []uint64 {
 	return twice
 }
 
-// recolorTo commits node n to color c. The reference selector keeps
-// the per-color occupancy bitsets in sync; the incremental one keeps
-// the built neighbor-color counts and free-color rows (a bit flips when
-// its count crosses zero), the dirty stamps and the score cache.
+// recolorTo commits node n to color c, keeping the built
+// neighbor-color counts and free-color rows (a bit flips when its count
+// crosses zero), the dirty stamps and the score cache.
 func (s *selector) recolorTo(n ig.NodeID, c int) {
 	k, old := s.ctx.K(), s.color[n]
 	s.color[n] = c
-	if s.refSelect {
-		if old >= 0 && old < k {
-			bitset.Clear(s.colorRow(old), int(n))
-		}
-		if c >= 0 && c < k {
-			bitset.Set(s.colorRow(c), int(n))
-		}
-		return
-	}
 	for wi, w := range s.ctx.Graph.OrigRow(n) {
 		base := wi << 6
 		for ; w != 0; w &= w - 1 {
@@ -469,13 +417,9 @@ func (s *selector) noteRecolored(n ig.NodeID) {
 	}
 }
 
-// currentScore is n's score under its current color, cached per node
-// outside the reference selector; noteRecolored drops the entries a
-// recoloring changes.
+// currentScore is n's score under its current color, cached per node;
+// noteRecolored drops the entries a recoloring changes.
 func (s *selector) currentScore(n ig.NodeID) float64 {
-	if s.refSelect {
-		return s.nodeScore(n, s.colorOf(n), false)
-	}
 	if !s.rcScoreOK[n] {
 		s.rcScore[n], s.rcScoreOK[n] = s.nodeScore(n, s.colorOf(n), false), true
 	}
@@ -529,23 +473,17 @@ const maxCompPlan = 12
 
 // buildRecolorIndex prepares the two structures the recolor pass
 // queries constantly: room for the per-node neighbor-color counts and
-// free-color rows, built on first use (ensureRows; the reference
-// selector's per-color occupancy bitsets instead, built at once), and
-// the copy components bucketed by root in CSR form. Both stay valid for
-// the whole pass — recolorTo updates the built rows or the bitsets, and
-// the colored set itself is static (plans change colors, never
-// colored-ness).
+// free-color rows, built on first use (ensureRows), and the copy
+// components bucketed by root in CSR form. Both stay valid for the
+// whole pass — recolorTo updates the built rows, and the colored set
+// itself is static (plans change colors, never colored-ness).
 func (s *selector) buildRecolorIndex() {
 	g, k := s.ctx.Graph, s.ctx.K()
 	n := g.NumNodes()
 
-	if s.refSelect {
-		s.buildColorRows()
-	} else {
-		s.rcNbCount = scratch.Slice(s.rcNbCount, n*k)
-		s.rcFree = scratch.Slice(s.rcFree, n*s.kwords)
-		s.rcRowOK = scratch.Slice(s.rcRowOK, n)
-	}
+	s.rcNbCount = scratch.Slice(s.rcNbCount, n*k)
+	s.rcFree = scratch.Slice(s.rcFree, n*s.kwords)
+	s.rcRowOK = scratch.Slice(s.rcRowOK, n)
 
 	// CSR buckets: off[r+1] holds component r's member count during the
 	// first pass, then the prefix sums turn it into row boundaries.
@@ -587,25 +525,16 @@ func (s *selector) compMembers(n ig.NodeID) []ig.NodeID {
 
 // componentPlan greedily gathers into plan the members that can all
 // wear color c simultaneously, skipping those already on c. No plan
-// member wears c now, so outside the reference selector colorFreeFor
-// reduces to the member's free-color bit and an interference test
-// against the members admitted before it.
+// member wears c now, so colorFreeFor reduces to the member's
+// free-color bit and an interference test against the members
+// admitted before it.
 func (s *selector) componentPlan(members []ig.NodeID, c int, plan *planOverlay) {
 	g := s.ctx.Graph
 	plan.nodes = plan.nodes[:0]
 	plan.colors = plan.colors[:0]
 next:
 	for _, m := range members {
-		switch {
-		case s.color[m] == c:
-			continue
-		case s.refSelect:
-			plan.add(m, c)
-			if !s.colorFreeFor(m, c, plan) {
-				plan.removeLast()
-			}
-			continue
-		case !bitset.Has(s.freeRow(m), c):
+		if s.color[m] == c || !bitset.Has(s.freeRow(m), c) {
 			continue
 		}
 		for _, p := range plan.nodes {
@@ -626,12 +555,10 @@ next:
 // recolorings then get a direct interference test. Colors the counts
 // don't track (a physical neighbor's id at or above K) take the plain
 // per-neighbor walk, which reads planned colors from rcMark, so a plan
-// must be marked for them; the reference selector takes
-// colorFreeForRef below K.
+// must be marked for them.
 func (s *selector) colorFreeFor(n ig.NodeID, c int, plan *planOverlay) bool {
 	g := s.ctx.Graph
-	switch {
-	case c < 0 || c >= s.ctx.K():
+	if c < 0 || c >= s.ctx.K() {
 		row := g.OrigRow(n)
 		for i := bitset.Next(row, 0); i >= 0; i = bitset.Next(row, i+1) {
 			if s.plannedColor(ig.NodeID(i)) == c {
@@ -639,8 +566,6 @@ func (s *selector) colorFreeFor(n ig.NodeID, c int, plan *planOverlay) bool {
 			}
 		}
 		return true
-	case s.refSelect:
-		return s.colorFreeForRef(n, c, plan)
 	}
 	if plan == nil {
 		return bitset.Has(s.freeRow(n), c)

@@ -32,9 +32,9 @@ type selector struct {
 
 	// The ready set (nodes whose CPG predecessors are all processed):
 	// a bitset with an O(1) membership test plus a maintained count,
-	// so the telemetry histogram costs nothing per pop. In the default
-	// incremental mode an indexed max-heap of the ready nodes sits on
-	// top (select_heap.go), so a pop reads its root instead of scanning
+	// so the telemetry histogram costs nothing per pop. Outside the
+	// FIFO ablation an indexed max-heap of the ready nodes sits on top
+	// (select_heap.go), so a pop reads its root instead of scanning
 	// every node.
 	readyBits  []uint64
 	readyCount int
@@ -65,20 +65,8 @@ type selector struct {
 	pairReady []bool
 	regRows   []uint64
 
-	// refSelect routes chooseNode and availRow through the retained
-	// reference implementations (full ready-set scan, per-query
-	// neighbor walk — select_ref.go), and recolorFixup through its
-	// full re-evaluation loop; the differential tests pin the
-	// incremental structures against them bit for bit.
-	refSelect bool
-
 	// res is the round's result, returned by run.
 	res regalloc.Result
-
-	// recolorSpills runs the recolor fixup on spilling rounds too,
-	// whose colors the driver discards (see run); only the tests that
-	// show the skip exact set it.
-	recolorSpills bool
 
 	// comp groups copy-related nodes into components (transitive
 	// closure over non-interfering copies); compColors counts, per
@@ -111,9 +99,8 @@ type selector struct {
 
 	// Recolor-fixup scratch (see recolor.go): candidate moves and the
 	// buckets and stamps that keep one per endpoint pair, the
-	// per-node neighbor-color counts (k per node; the reference
-	// selector's per-color occupancy bitsets instead) and free-color
-	// rows with their built marks, the copy-component CSR buckets, the
+	// per-node neighbor-color counts (k per node) and free-color rows
+	// with their built marks, the copy-component CSR buckets, the
 	// planned-color marks and the reusable plan overlays, the dirty
 	// stamps that let later passes skip components nothing touched, the
 	// cached current scores, and the cached component-plan deltas
@@ -125,7 +112,6 @@ type selector struct {
 	rcPairStamp []ig.NodeID
 	rcPairFirst []bool
 	rcNbCount   []int32
-	rcColorBits []uint64
 	rcCompOff   []int32
 	rcCompNext  []int32
 	rcCompMem   []ig.NodeID
@@ -168,24 +154,14 @@ type rankedPref struct {
 	st float64
 }
 
-func newSelector(ctx *regalloc.Context, rpg *RPG, cpg *CPG, mode Mode) *selector {
-	return newSelectorIn(nil, ctx, rpg, cpg, mode)
-}
-
-// newSelectorIn initializes s (or a fresh selector when s is nil) for
-// one round, reusing every per-node slice the previous round left
-// behind. A recycled selector starts from the same observable state as
-// a brand-new one.
-func newSelectorIn(s *selector, ctx *regalloc.Context, rpg *RPG, cpg *CPG, mode Mode) *selector {
-	if s == nil {
-		s = &selector{}
-	}
+// reset readies s for one round, reusing every per-node slice the
+// previous round left behind. A recycled selector starts from the same
+// observable state as a brand-new one.
+func (s *selector) reset(ctx *regalloc.Context, rpg *RPG, cpg *CPG, mode Mode) {
 	g := ctx.Graph
 	n := g.NumNodes()
 	s.ctx, s.rpg, s.cpg, s.mode = ctx, rpg, cpg, mode
 	s.ab = Ablation{}
-	s.refSelect = false
-	s.recolorSpills = false
 	s.nProcessed = 0
 
 	s.color = scratch.Fill(s.color, n, -1)
@@ -245,7 +221,6 @@ func newSelectorIn(s *selector, ctx *regalloc.Context, rpg *RPG, cpg *CPG, mode 
 			s.prefSources[p.To] = append(s.prefSources[p.To], p.From)
 		}
 	}
-	return s
 }
 
 func (s *selector) compOf(n ig.NodeID) int32 {
@@ -331,7 +306,7 @@ func (s *selector) run() (*regalloc.Result, error) {
 		s.processNode(n, res)
 	}
 	tel.End(telemetry.PhaseSelect, sp)
-	if !s.ab.NoRecolor && (len(res.Spilled) == 0 || s.recolorSpills) {
+	if !s.ab.NoRecolor && len(res.Spilled) == 0 {
 		sp = tel.Begin()
 		s.recolorFixup()
 		tel.End(telemetry.PhaseRecolor, sp)
@@ -344,14 +319,11 @@ func (s *selector) run() (*regalloc.Result, error) {
 // honorable preference (a single preference's differential is its own
 // strength — the regret of missing it).
 //
-// The incremental form reads the root of the ready heap, which orders
-// by (priority descending, node id ascending) over current priorities:
-// exactly the winner of the reference's ascending full scan with its
-// strict keep-first maximum.
+// It reads the root of the ready heap, which orders by (priority
+// descending, node id ascending) over current priorities: exactly the
+// winner of an ascending full scan with a strict keep-first maximum.
 func (s *selector) chooseNode() ig.NodeID {
 	switch {
-	case s.refSelect:
-		return s.chooseNodeRef()
 	case s.ab.FIFOPriority:
 		return s.firstReady()
 	case len(s.heap) == 0:
@@ -360,13 +332,13 @@ func (s *selector) chooseNode() ig.NodeID {
 	return s.heap[0]
 }
 
-// invalidate drops node n's cached priority. In incremental mode a
-// ready n is recomputed and re-sifted on the spot: priorities can rise
-// as well as fall (a deferred preference turning honorable), and the
-// reference scan, which recomputes every stale ready node each pop,
-// sees either change at the next pop, so the heap must too.
+// invalidate drops node n's cached priority. Outside the FIFO
+// ablation a ready n is recomputed and re-sifted on the spot:
+// priorities can rise as well as fall (a deferred preference turning
+// honorable), and a scan that recomputes every ready node each pop
+// would see either change at the next pop, so the heap must too.
 func (s *selector) invalidate(n ig.NodeID) {
-	if s.incremental() && s.isReady(n) {
+	if !s.ab.FIFOPriority && s.isReady(n) {
 		if pri := s.priority(n); pri != s.priVal[n] {
 			s.priVal[n] = pri
 			s.heapFix(n)
@@ -376,9 +348,8 @@ func (s *selector) invalidate(n ig.NodeID) {
 	s.priOK[n] = false
 }
 
-// noteColored is the incremental counterpart of invalidateAround for
-// n taking register c: it sets bit c in the forbid mask of every
-// original neighbor not yet processed and refreshes the cached
+// noteColored records n taking register c: it sets bit c in the forbid
+// mask of every original neighbor not yet processed and refreshes the cached
 // priorities that can have changed. Physical and processed neighbors
 // are skipped: nothing reads their masks again (a node's candidates
 // are read while it is processed, and a deferred partner is
@@ -391,8 +362,8 @@ func (s *selector) invalidate(n ig.NodeID) {
 // neighbor whose bit is newly set is recomputed only when forbidMatters
 // says losing c can move it (DESIGN §16 gives why the skip is exact).
 // The mask bit lands before the recompute, so the recompute reads the
-// post-coloring candidate set — the same state the reference's
-// next-pop rebuild reads.
+// post-coloring candidate set — the same state a next-pop rebuild
+// would read.
 func (s *selector) noteColored(n ig.NodeID, c int) {
 	s.invalidateSources(n)
 	kw := s.kwords
@@ -404,7 +375,7 @@ func (s *selector) noteColored(n ig.NodeID, c int) {
 			if bitset.Has(row, c) {
 				continue
 			}
-			ready := s.incremental() && s.isReady(nb)
+			ready := !s.ab.FIFOPriority && s.isReady(nb)
 			matters := !ready || s.forbidMatters(nb, c)
 			bitset.Set(row, c)
 			if matters {
@@ -672,13 +643,9 @@ func (s *selector) pairRow(c int, second bool) []uint64 {
 
 // availRow writes step 4.1's candidate set to dst: machine registers
 // not used by any colored node interfering with n in the original
-// graph. The incremental form complements n's maintained forbid mask
-// within the k registers.
+// graph: n's maintained forbid mask complemented within the k
+// registers.
 func (s *selector) availRow(dst []uint64, n ig.NodeID) {
-	if s.refSelect {
-		s.availRowRef(dst, n)
-		return
-	}
 	kw := s.kwords
 	for i, w := range s.forbid[int(n)*kw : int(n)*kw+kw] {
 		dst[i] = ^w & s.allRegs[i]
@@ -805,14 +772,10 @@ func (s *selector) processNode(n ig.NodeID, res *regalloc.Result) {
 			})
 		}
 	}
-	// A spill (chosen < 0) moves no cached priority outside the
-	// reference selector: no forbid mask changes, and the preferences
-	// aimed at n go from deferred to dead, neither of which counts
-	// toward priority.
-	switch {
-	case s.refSelect:
-		s.invalidateAround(n)
-	case chosen >= 0:
+	// A spill (chosen < 0) moves no cached priority: no forbid mask
+	// changes, and the preferences aimed at n go from deferred to dead,
+	// neither of which counts toward priority.
+	if chosen >= 0 {
 		s.noteColored(n, chosen)
 	}
 
@@ -957,11 +920,7 @@ func (s *selector) evictForTemp(n ig.NodeID, res *regalloc.Result) bool {
 	s.color[best] = -1
 	s.spilled[best] = true
 	res.Spilled = append(res.Spilled, best)
-	if s.refSelect {
-		s.invalidateAround(best)
-	} else {
-		s.noteUncolored(best, old)
-	}
+	s.noteUncolored(best, old)
 	return true
 }
 

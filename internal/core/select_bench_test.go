@@ -55,7 +55,8 @@ func BenchmarkSelectLarge(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		s := newSelectorIn(&cs.sel, ctx, rpg, &cs.cpg, FullPreferences)
+		s := &cs.sel
+		s.reset(ctx, rpg, &cs.cpg, FullPreferences)
 		if _, err := s.run(); err != nil {
 			b.Fatal(err)
 		}
@@ -75,7 +76,8 @@ func BenchmarkPriorityRecompute(b *testing.B) {
 	if err := buildCPGInto(&cs.cpg, ctx.Graph, stack, potential, k); err != nil {
 		b.Fatal(err)
 	}
-	s := newSelectorIn(&cs.sel, ctx, rpg, &cs.cpg, FullPreferences)
+	s := &cs.sel
+	s.reset(ctx, rpg, &cs.cpg, FullPreferences)
 	g := ctx.Graph
 	var sink float64
 	b.ReportAllocs()

@@ -6,8 +6,8 @@ import (
 )
 
 // The ready set and its indexed priority heap. Membership lives in a
-// bitset (readyBits) with a maintained count. In incremental mode the
-// heap holds exactly one entry per ready node, ordered by the node's
+// bitset (readyBits) with a maintained count. Outside the FIFO
+// ablation the heap holds exactly one entry per ready node, ordered by the node's
 // memoized priority (priVal), and heapPos[n] is n's index in it (-1
 // when absent). Every change to a ready node's priority re-sifts its
 // entry on the spot (heapFix), and processing a node removes its entry
@@ -15,8 +15,8 @@ import (
 // reads it without validation.
 
 // heapBefore orders the heap: higher priority first, ties to the lower
-// node id — exactly the winner the reference scan's ascending
-// strict-maximum sweep selects. Priorities are never NaN (strength
+// node id — exactly the winner an ascending strict-maximum scan
+// selects. Priorities are never NaN (strength
 // differentials are finite, no-preference nodes rank -Inf), so the
 // comparison is total.
 func (s *selector) heapBefore(a, b ig.NodeID) bool {
@@ -101,22 +101,16 @@ func (s *selector) isReady(n ig.NodeID) bool {
 	return bitset.Has(s.readyBits, int(n))
 }
 
-// incremental reports whether the ready heap is in use: not under the
-// reference selector, and not under the FIFO ablation, which picks by
-// node id alone.
-func (s *selector) incremental() bool {
-	return !s.refSelect && !s.ab.FIFOPriority
-}
-
-// pushReady admits n to the ready set. In incremental mode its
-// priority is computed here — n was never ready before, so priOK is
-// necessarily down, and no state changes between this step-5 release
-// and the next chooseNode, so the value is exactly what the reference
-// computes there — and n enters the heap under it.
+// pushReady admits n to the ready set. Outside the FIFO ablation,
+// which picks by node id alone, its priority is computed here — n was
+// never ready before, so priOK is necessarily down, and no state
+// changes between this step-5 release and the next chooseNode, so the
+// value is exactly what a recompute there would give — and n enters
+// the heap under it.
 func (s *selector) pushReady(n ig.NodeID) {
 	bitset.Set(s.readyBits, int(n))
 	s.readyCount++
-	if s.incremental() {
+	if !s.ab.FIFOPriority {
 		s.priVal[n], s.priOK[n] = s.priority(n), true
 		s.heapPush(n)
 	}

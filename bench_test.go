@@ -144,20 +144,13 @@ func BenchmarkCPGBuild(b *testing.B) {
 	if _, err := ig.Renumber(g); err != nil {
 		b.Fatal(err)
 	}
-	ctxTemplate, err := regalloc.NewContext(g, m, nil)
+	ctx, err := regalloc.NewContext(g, m, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	_ = ctxTemplate
+	stack, pot := core.SimplifyForBench(ctx.Graph, ctx.K())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		ctx, err := regalloc.NewContext(g, m, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		stack, pot := core.SimplifyForBench(ctx.Graph, ctx.K())
-		b.StartTimer()
 		if _, err := core.BuildCPG(ctx.Graph, stack, pot, ctx.K()); err != nil {
 			b.Fatal(err)
 		}

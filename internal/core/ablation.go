@@ -1,10 +1,6 @@
 package core
 
-import (
-	"strings"
-
-	"prefcolor/internal/ig"
-)
+import "strings"
 
 // Ablation switches off individual design choices of the full
 // coloring system, for the ablation studies in the benchmark harness.
@@ -12,7 +8,9 @@ import (
 type Ablation struct {
 	// NoCPG replaces the Coloring Precedence Graph's partial order
 	// with the simplification stack's total order (Chaitin/Briggs
-	// pop order), isolating the contribution of §5.2's relaxation.
+	// pop order: the last-removed web first, each web releasing the
+	// one removed just before it), isolating the contribution of
+	// §5.2's relaxation.
 	NoCPG bool
 
 	// FIFOPriority disables the strength-differential node choice of
@@ -82,21 +80,4 @@ func Variants() []AblationVariant {
 		// removes both, versus no-recolor which removes only the fixup.
 		{"stack-order", Ablation{NoCPG: true, NoRecolor: true}},
 	}
-}
-
-// chainCPG builds, into c, the degenerate precedence graph of the
-// NoCPG ablation over a graph of n nodes: a single chain in Chaitin
-// select order (reverse of the removal stack), ending at Bottom.
-func chainCPG(c *CPG, n int, stack []ig.NodeID) {
-	c.reset(n)
-	if len(stack) == 0 {
-		return
-	}
-	// Reverse stack order: last removed is colored first.
-	first := stack[len(stack)-1]
-	c.addEdge(Top, first)
-	for i := len(stack) - 1; i > 0; i-- {
-		c.addEdge(stack[i], stack[i-1])
-	}
-	c.addEdge(stack[0], Bottom)
 }

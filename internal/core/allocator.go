@@ -8,9 +8,9 @@ import (
 
 // Allocator is the paper's full coloring system (Figure 8): renumber
 // and build happen in the driver; here we build the RPG, run
-// optimistic simplification, derive the CPG, and perform the
-// integrated preference-directed selection with deferred coalescing
-// and active spilling.
+// optimistic simplification, which also derives the coloring
+// precedence, and perform the integrated preference-directed selection
+// with deferred coalescing and active spilling.
 type Allocator struct {
 	mode     Mode
 	ablation Ablation
@@ -37,8 +37,8 @@ func (a *Allocator) Mode() Mode { return a.mode }
 
 // Allocate implements regalloc.Allocator.
 //
-// All phase-local structures (RPG, simplification stack, CPG,
-// selector state) live on the context workspace's allocator scratch,
+// All phase-local structures (RPG, removal order, selector state) live
+// on the context workspace's allocator scratch,
 // so repeated rounds — and repeated Runs on a pooled workspace —
 // rebuild into the same backing arrays instead of reallocating them.
 func (a *Allocator) Allocate(ctx *regalloc.Context) (*regalloc.Result, error) {
@@ -48,24 +48,24 @@ func (a *Allocator) Allocate(ctx *regalloc.Context) (*regalloc.Result, error) {
 	rpg := BuildRPGInto(&cs.rpg, ctx, a.mode)
 	tel.End(telemetry.PhaseRPG, sp)
 	sp = tel.Begin()
-	stack, potential := simplifyOptimisticInto(cs, g, k)
+	cs.ord.simplify(g, k)
 	tel.End(telemetry.PhaseSimplify, sp)
-	sp = tel.Begin()
-	cpg := &cs.cpg
-	if a.ablation.NoCPG {
-		chainCPG(cpg, g.NumNodes(), stack)
-	} else if err := buildCPGInto(cpg, g, stack, potential, k); err != nil {
-		return nil, err
-	}
-	tel.End(telemetry.PhaseCPG, sp)
+	// Simplify does the CPG's work (removalOrder). The phase keeps its
+	// place in every phase table (telemetry, /metrics, the benchmark's
+	// layers) with an empty span, which reads about 0.
+	tel.End(telemetry.PhaseCPG, tel.Begin())
 	s := &cs.sel
-	s.reset(ctx, rpg, cpg, a.mode)
+	s.reset(ctx, rpg, &cs.ord, a.mode)
 	s.ab = a.ablation
 	return s.run()
 }
 
-// SimplifyForBench exposes the optimistic simplification for the
-// repository's benchmarks, which time CPG construction in isolation.
+// SimplifyForBench returns the optimistic simplification's removal
+// order and potential-spill marks for g at k colors, leaving g
+// untouched: the input BuildCPG takes, for Explain and the
+// repository's benchmarks.
 func SimplifyForBench(g *ig.Graph, k int) ([]ig.NodeID, []bool) {
-	return simplifyOptimistic(g, k)
+	var o removalOrder
+	o.simplify(g, k)
+	return o.stack, o.potential
 }

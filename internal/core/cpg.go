@@ -32,6 +32,10 @@ func cpgIdx(n ig.NodeID) int { return int(n) + 2 }
 // Bottom and Top take slots 0 and 1) over the same slot space, sized
 // for the graph the CPG was last built for. Predecessors are derived
 // from the rows when asked for.
+//
+// Allocation does not build it: simplification records the order it
+// induces (removalOrder, DESIGN §17), and the selector reads that.
+// BuildCPG serves Explain and the tests.
 type CPG struct {
 	slots int      // number of slots: real nodes plus the two pseudo-nodes
 	words int      // words per row
@@ -49,8 +53,6 @@ type CPG struct {
 	inCPG       []bool
 	ready       []bool
 	remaining   []ig.NodeID
-
-	nodes []uint64 // one row: nodeRow's result
 }
 
 // reset empties the graph and sizes it for nodes real nodes, keeping
@@ -70,26 +72,6 @@ func (c *CPG) succRow(n ig.NodeID) []uint64 {
 		return c.row(i)
 	}
 	return nil
-}
-
-// nodeRow returns, as a row over the slot space, every real node the
-// CPG mentions: those with a successor or a predecessor. The row is
-// c's own scratch, valid until the next call.
-func (c *CPG) nodeRow() []uint64 {
-	c.nodes = scratch.Slice(c.nodes, c.words)
-	for i := 0; i < c.slots; i++ {
-		empty := true
-		for wi, w := range c.row(i) {
-			c.nodes[wi] |= w
-			empty = empty && w == 0
-		}
-		if !empty {
-			bitset.Set(c.nodes, i)
-		}
-	}
-	bitset.Clear(c.nodes, cpgIdx(Bottom))
-	bitset.Clear(c.nodes, cpgIdx(Top))
-	return c.nodes
 }
 
 // BuildCPG runs the paper's nine-step construction.
@@ -253,13 +235,26 @@ func (c *CPG) HasEdge(a, b ig.NodeID) bool {
 	return r != nil && bi >= 0 && bi < c.slots && bitset.Has(r, bi)
 }
 
-// Nodes returns every real (non-pseudo) node mentioned by the CPG,
-// sorted.
+// Nodes returns every real (non-pseudo) node the CPG mentions, those
+// with a successor or a predecessor, sorted.
 func (c *CPG) Nodes() []ig.NodeID {
 	if c.slots == 0 {
 		return nil
 	}
-	return slotNodes(c.nodeRow())
+	nodes := make([]uint64, c.words)
+	for i := 0; i < c.slots; i++ {
+		empty := true
+		for wi, w := range c.row(i) {
+			nodes[wi] |= w
+			empty = empty && w == 0
+		}
+		if !empty {
+			bitset.Set(nodes, i)
+		}
+	}
+	bitset.Clear(nodes, cpgIdx(Bottom))
+	bitset.Clear(nodes, cpgIdx(Top))
+	return slotNodes(nodes)
 }
 
 // slotNodes lists the nodes whose slots are set in row, ascending.

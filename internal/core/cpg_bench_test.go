@@ -9,11 +9,11 @@ import (
 	"prefcolor/internal/workload"
 )
 
-// BenchmarkBuildCPG measures the steady-state CPG rebuild (the
-// buildCPGInto path every spill round pays). The "large" shape at low k
-// is the transitive-reduction stress: most nodes hang off Bottom, so
-// most step-7 edges prune an n→Bottom edge.
-func BenchmarkBuildCPG(b *testing.B) {
+// benchGraphs runs fn on the round-1 interference graph of two
+// generated functions at k = 6: "small", and "large", the transitive-
+// reduction stress, where most nodes hang off Bottom and most step-7
+// edges prune an n→Bottom edge.
+func benchGraphs(b *testing.B, fn func(b *testing.B, g *ig.Graph, k int)) {
 	for _, sz := range []struct {
 		name        string
 		stmts, vars int
@@ -28,7 +28,6 @@ func BenchmarkBuildCPG(b *testing.B) {
 				StoreProb: 0.10, Vars: sz.vars, Params: 0,
 			}
 			m := target.UsageModel(6)
-			k := m.NumRegs
 			f := workload.GenerateRawFunc(profile, m, 1)
 			if _, err := ig.Renumber(f); err != nil {
 				b.Fatal(err)
@@ -37,16 +36,37 @@ func BenchmarkBuildCPG(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			stack, potential := simplifyOptimistic(ctx.Graph, k)
-			b.Logf("nodes %d, stack %d", ctx.Graph.NumNodes(), len(stack))
-			c := &CPG{}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := buildCPGInto(c, ctx.Graph, stack, potential, k); err != nil {
-					b.Fatal(err)
-				}
-			}
+			fn(b, ctx.Graph, m.NumRegs)
 		})
 	}
+}
+
+// BenchmarkSimplify measures the steady-state simplification every
+// spill round pays, which also derives the coloring precedence.
+func BenchmarkSimplify(b *testing.B) {
+	benchGraphs(b, func(b *testing.B, g *ig.Graph, k int) {
+		var o removalOrder
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			o.simplify(g, k)
+		}
+	})
+}
+
+// BenchmarkBuildCPG measures the paper's nine-step CPG construction,
+// which Explain runs and allocation does not.
+func BenchmarkBuildCPG(b *testing.B) {
+	benchGraphs(b, func(b *testing.B, g *ig.Graph, k int) {
+		stack, potential := SimplifyForBench(g, k)
+		b.Logf("nodes %d, stack %d", g.NumNodes(), len(stack))
+		c := &CPG{}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := buildCPGInto(c, g, stack, potential, k); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

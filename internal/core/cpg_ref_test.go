@@ -137,7 +137,7 @@ func TestCPGBuildMatchesReference(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		g := ctx.Graph
-		stack, potential := simplifyOptimistic(g, k)
+		stack, potential := SimplifyForBench(g, k)
 		got, err := BuildCPG(g, stack, potential, k)
 		if err != nil {
 			t.Fatalf("seed %d: BuildCPG: %v", seed, err)

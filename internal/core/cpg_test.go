@@ -122,7 +122,7 @@ func TestCPGEveryNodeReachesProcessing(t *testing.T) {
 	// topological traversal visits every node (no deadlock).
 	edges := [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {1, 4}}
 	g := lineGraph(6, edges)
-	stack, pot := simplifyOptimistic(g, 3)
+	stack, pot := SimplifyForBench(g, 3)
 	if len(stack) != 6 {
 		t.Fatalf("stack = %v", stack)
 	}

@@ -44,7 +44,7 @@ func TestPropCPGTopologicalColorability(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		g := ctx.Graph
-		stack, potential := simplifyOptimistic(g, k)
+		stack, potential := SimplifyForBench(g, k)
 		cpg, err := BuildCPG(g, stack, potential, k)
 		if err != nil {
 			t.Fatalf("seed %d: BuildCPG: %v", seed, err)
@@ -137,7 +137,7 @@ func TestPropCPGStructure(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		g := ctx.Graph
-		stack, potential := simplifyOptimistic(g, m.NumRegs)
+		stack, potential := SimplifyForBench(g, m.NumRegs)
 		cpg, err := BuildCPG(g, stack, potential, m.NumRegs)
 		if err != nil {
 			t.Fatalf("seed %d: BuildCPG: %v", seed, err)

@@ -576,9 +576,29 @@ func (r *refSelector) score(n ig.NodeID, c int, plan []refMove) float64 {
 	return total
 }
 
+// referenceCPG builds the precedence graph the reference traverses
+// from the round's removal order: §5.2's nine-step construction over
+// the stack and its potential-spill marks, or under NoCPG the chain in
+// Chaitin pop order (last removed first) ending at Bottom.
+func referenceCPG(ctx *regalloc.Context, o *removalOrder, ab Ablation) (*CPG, error) {
+	if !ab.NoCPG {
+		return BuildCPG(ctx.Graph, o.stack, o.potential, ctx.K())
+	}
+	c := &CPG{}
+	c.reset(ctx.Graph.NumNodes())
+	prev := Top
+	for i := len(o.stack) - 1; i >= 0; i-- {
+		c.addEdge(prev, o.stack[i])
+		prev = o.stack[i]
+	}
+	c.addEdge(prev, Bottom)
+	return c, nil
+}
+
 // referenceDiff is a regalloc.Allocator that colors each round with a
 // (through fixupOnSpill when spillFixup is set) and then with the
-// reference on the same round's context, RPG and CPG. It fails tb
+// reference on the same round's context and RPG, traversing the CPG
+// that referenceCPG builds from the round's removal order. It fails tb
 // unless both give every node the same color, the same spill set in the
 // same order, and the same number of recolored nodes, and hands a's
 // result on.
@@ -604,7 +624,11 @@ func (d *referenceDiff) Allocate(ctx *regalloc.Context) (*regalloc.Result, error
 		d.tb.Helper()
 		d.tb.Fatalf("%s/%s on %s: %s", d.a.Name(), ctx.F.Name, ctx.Machine.Name, fmt.Sprintf(format, args...))
 	}
-	ref, err := referenceSelect(ctx, &cs.rpg, &cs.cpg, d.a.mode, d.a.ablation, d.spillFixup)
+	cpg, err := referenceCPG(ctx, &cs.ord, d.a.ablation)
+	if err != nil {
+		fail("%v", err)
+	}
+	ref, err := referenceSelect(ctx, &cs.rpg, cpg, d.a.mode, d.a.ablation, d.spillFixup)
 	if err != nil {
 		fail("%v", err)
 	}

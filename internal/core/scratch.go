@@ -1,25 +1,17 @@
 package core
 
-import (
-	"prefcolor/internal/ig"
-	"prefcolor/internal/regalloc"
-)
+import "prefcolor/internal/regalloc"
 
 // coreScratch is the preference allocator's per-workspace scratch: the
-// RPG, CPG, selector, and simplification buffers (stack, marks,
-// worklist, spill heap) reused across spill
-// rounds. It lives on regalloc.Workspace's opaque allocator slot
+// RPG, the removal order with simplify's buffers, and the selector,
+// reused across spill rounds. It lives on regalloc.Workspace's opaque allocator slot
 // (core imports regalloc, so the workspace cannot name this type).
 // Like the workspace itself, everything here is cleared on borrow and
 // owned by one Run at a time.
 type coreScratch struct {
-	rpg       RPG
-	cpg       CPG
-	sel       selector
-	order     []ig.NodeID
-	potential []bool
-	low       []uint64
-	spill     spillHeap
+	rpg RPG
+	ord removalOrder
+	sel selector
 }
 
 // coreScratchFor recovers (or installs) the allocator scratch on the

@@ -13,12 +13,12 @@ import (
 )
 
 // selector runs the §5.3 register-selection algorithm: a traversal of
-// the Coloring Precedence Graph directed by the Register Preference
-// Graph.
+// the Coloring Precedence Graph, read from the removal order's
+// encoding of it, directed by the Register Preference Graph.
 type selector struct {
 	ctx  *regalloc.Context
 	rpg  *RPG
-	cpg  *CPG
+	ord  *removalOrder
 	mode Mode
 	ab   Ablation
 
@@ -28,7 +28,7 @@ type selector struct {
 	spilled    []bool
 	done       []uint64 // bitset: physical nodes and processed webs
 	nProcessed int
-	predCount  []int
+	predCount  []int32 // unprocessed CPG predecessors, from ord.preds
 
 	// The ready set (nodes whose CPG predecessors are all processed):
 	// a bitset with an O(1) membership test plus a maintained count,
@@ -157,10 +157,10 @@ type rankedPref struct {
 // reset readies s for one round, reusing every per-node slice the
 // previous round left behind. A recycled selector starts from the same
 // observable state as a brand-new one.
-func (s *selector) reset(ctx *regalloc.Context, rpg *RPG, cpg *CPG, mode Mode) {
+func (s *selector) reset(ctx *regalloc.Context, rpg *RPG, ord *removalOrder, mode Mode) {
 	g := ctx.Graph
 	n := g.NumNodes()
-	s.ctx, s.rpg, s.cpg, s.mode = ctx, rpg, cpg, mode
+	s.ctx, s.rpg, s.ord, s.mode = ctx, rpg, ord, mode
 	s.ab = Ablation{}
 	s.nProcessed = 0
 
@@ -173,7 +173,7 @@ func (s *selector) reset(ctx *regalloc.Context, rpg *RPG, cpg *CPG, mode Mode) {
 	for i := 0; i < g.NumPhys(); i++ {
 		bitset.Set(s.done, i)
 	}
-	s.predCount = scratch.Slice(s.predCount, n)
+	s.predCount = append(s.predCount[:0], ord.preds...)
 	s.readyBits = scratch.Slice(s.readyBits, bitset.Words(n))
 	s.readyCount = 0
 	s.heap = s.heap[:0]
@@ -275,22 +275,16 @@ func (s *selector) run() (*regalloc.Result, error) {
 	numWebs := g.NumWebs()
 
 	sp := tel.Begin()
-	// Step 1: Q starts as the nodes whose only predecessor is Top.
-	// Predecessors are counted off the real nodes' successor rows
-	// (Top's row holds no counted edge, Bottom's none at all); then
-	// every node the CPG mentions is visited in ascending order.
-	cpg := s.cpg
-	for i := cpgIdx(0); i < cpg.slots; i++ {
-		row := cpg.row(i)
-		for j := bitset.Next(row, cpgIdx(0)); j >= 0; j = bitset.Next(row, j+1) {
-			s.predCount[j-2]++
+	// Step 1: Q starts as the nodes whose only predecessor is Top: the
+	// webs no step-7 edge enters, or under NoCPG the last one removed.
+	if stack := s.ord.stack; !s.ab.NoCPG {
+		for _, n := range stack {
+			if s.predCount[n] == 0 {
+				s.pushReady(n)
+			}
 		}
-	}
-	nodes := cpg.nodeRow()
-	for i := bitset.Next(nodes, 0); i >= 0; i = bitset.Next(nodes, i+1) {
-		if n := ig.NodeID(i - 2); s.predCount[n] == 0 {
-			s.pushReady(n)
-		}
+	} else if len(stack) > 0 {
+		s.pushReady(stack[len(stack)-1])
 	}
 
 	s.res = regalloc.Result{Colors: s.color, Spilled: s.res.Spilled[:0]}
@@ -364,25 +358,32 @@ func (s *selector) invalidate(n ig.NodeID) {
 // The mask bit lands before the recompute, so the recompute reads the
 // post-coloring candidate set — the same state a next-pop rebuild
 // would read.
+//
+// The same walk is step 5 for n (see release): a successor is released
+// once its own mask is final, and a priority reads no other node's
+// mask, so it enters the ready set under the value a release after the
+// walk would compute.
 func (s *selector) noteColored(n ig.NodeID, c int) {
 	s.invalidateSources(n)
 	kw := s.kwords
+	pos, lim := s.ord.pos, s.succLim(n)
 	for wi, w := range s.ctx.Graph.OrigRow(n) {
 		base := wi << 6
 		for w &^= s.done[wi]; w != 0; w &= w - 1 {
 			nb := ig.NodeID(base + bits.TrailingZeros64(w))
-			row := s.forbid[int(nb)*kw : int(nb)*kw+kw]
-			if bitset.Has(row, c) {
-				continue
+			if row := s.forbid[int(nb)*kw : int(nb)*kw+kw]; !bitset.Has(row, c) {
+				ready := !s.ab.FIFOPriority && s.isReady(nb)
+				matters := !ready || s.forbidMatters(nb, c)
+				bitset.Set(row, c)
+				if matters {
+					s.invalidate(nb)
+				}
+				if ready && s.forbidHook != nil {
+					s.forbidHook(nb, !matters)
+				}
 			}
-			ready := !s.ab.FIFOPriority && s.isReady(nb)
-			matters := !ready || s.forbidMatters(nb, c)
-			bitset.Set(row, c)
-			if matters {
-				s.invalidate(nb)
-			}
-			if ready && s.forbidHook != nil {
-				s.forbidHook(nb, !matters)
+			if pos[nb] <= lim {
+				s.releaseOne(nb)
 			}
 		}
 	}
@@ -774,19 +775,52 @@ func (s *selector) processNode(n ig.NodeID, res *regalloc.Result) {
 	}
 	// A spill (chosen < 0) moves no cached priority: no forbid mask
 	// changes, and the preferences aimed at n go from deferred to dead,
-	// neither of which counts toward priority.
+	// neither of which counts toward priority. noteColored's walk
+	// releases a colored n's successors.
 	if chosen >= 0 {
 		s.noteColored(n, chosen)
+	} else {
+		s.release(n)
 	}
+	if p := s.ord.pos[n]; s.ab.NoCPG && p > 0 {
+		s.pushReady(s.ord.stack[p-1])
+	}
+}
 
-	// Step 5: release successors (Bottom's slot is skipped).
-	succs := s.cpg.succRow(n)
-	for j := bitset.Next(succs, cpgIdx(0)); j >= 0; j = bitset.Next(succs, j+1) {
-		succ := ig.NodeID(j - 2)
-		s.predCount[succ]--
-		if s.predCount[succ] == 0 && !bitset.Has(s.done, int(succ)) {
-			s.pushReady(succ)
+// succLim is the removal position up to which n's web neighbors are its
+// CPG successors: n precedes exactly its neighbors a with pos[a] <=
+// lim[n] (DESIGN §17). Under NoCPG it is -1, and processNode releases
+// the chain's next web instead.
+func (s *selector) succLim(n ig.NodeID) int32 {
+	if s.ab.NoCPG {
+		return -1
+	}
+	return s.ord.lim[n]
+}
+
+// release is step 5 for a spilled n: each unprocessed web neighbor
+// that n precedes loses a predecessor. A successor cannot have been
+// processed before n, so the walk skips the processed ones.
+func (s *selector) release(n ig.NodeID) {
+	pos, lim := s.ord.pos, s.succLim(n)
+	if lim < 0 {
+		return // n precedes nothing
+	}
+	for wi, w := range s.ctx.Graph.OrigRow(n) {
+		base := wi << 6
+		for w &^= s.done[wi]; w != 0; w &= w - 1 {
+			if a := base + bits.TrailingZeros64(w); pos[a] <= lim {
+				s.releaseOne(ig.NodeID(a))
+			}
 		}
+	}
+}
+
+// releaseOne takes one predecessor from a, which becomes ready when
+// none is left.
+func (s *selector) releaseOne(a ig.NodeID) {
+	if s.predCount[a]--; s.predCount[a] == 0 {
+		s.pushReady(a)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // selBenchSetup builds everything the selection phase consumes — a
-// renumbered function, its context, the RPG, the simplification stack,
-// and the CPG — so benchmarks can time selection in isolation.
+// renumbered function, its context, the RPG and the removal order — so
+// benchmarks can time selection in isolation.
 func selBenchSetup(b *testing.B) (*regalloc.Context, *target.Machine) {
 	profile := workload.Profile{
 		Name: "selbench", Funcs: 1, Stmts: 256, MaxDepth: 3,
@@ -32,9 +32,8 @@ func selBenchSetup(b *testing.B) (*regalloc.Context, *target.Machine) {
 
 // BenchmarkSelectLarge times one full §5.3 selection pass (ready-set
 // maintenance, priority ordering, register choice, deferred
-// coalescing, recoloring) over a large graph. Simplification empties
-// the graph and selection refills it, so each iteration rebuilds the
-// pre-selection state off the clock.
+// coalescing, recoloring) over a large graph. Each iteration rebuilds
+// the pre-selection state off the clock.
 func BenchmarkSelectLarge(b *testing.B) {
 	ctx, m := selBenchSetup(b)
 	f := ctx.F
@@ -50,13 +49,10 @@ func BenchmarkSelectLarge(b *testing.B) {
 			b.Fatal(err)
 		}
 		rpg := BuildRPGInto(&cs.rpg, ctx, FullPreferences)
-		stack, potential := simplifyOptimisticInto(cs, ctx.Graph, k)
-		if err := buildCPGInto(&cs.cpg, ctx.Graph, stack, potential, k); err != nil {
-			b.Fatal(err)
-		}
+		cs.ord.simplify(ctx.Graph, k)
 		b.StartTimer()
 		s := &cs.sel
-		s.reset(ctx, rpg, &cs.cpg, FullPreferences)
+		s.reset(ctx, rpg, &cs.ord, FullPreferences)
 		if _, err := s.run(); err != nil {
 			b.Fatal(err)
 		}
@@ -72,12 +68,9 @@ func BenchmarkPriorityRecompute(b *testing.B) {
 	k := m.NumRegs
 	cs := &coreScratch{}
 	rpg := BuildRPGInto(&cs.rpg, ctx, FullPreferences)
-	stack, potential := simplifyOptimisticInto(cs, ctx.Graph, k)
-	if err := buildCPGInto(&cs.cpg, ctx.Graph, stack, potential, k); err != nil {
-		b.Fatal(err)
-	}
+	cs.ord.simplify(ctx.Graph, k)
 	s := &cs.sel
-	s.reset(ctx, rpg, &cs.cpg, FullPreferences)
+	s.reset(ctx, rpg, &cs.ord, FullPreferences)
 	g := ctx.Graph
 	var sink float64
 	b.ReportAllocs()

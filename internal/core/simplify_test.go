@@ -46,10 +46,12 @@ func simplifySweepRef(g *ig.Graph, k int) ([]ig.NodeID, []bool) {
 // checkSimplifyMatches runs the worklist simplification on one graph
 // and the reference sweep on another built identically, and requires
 // the same removal order and potential-spill marks. The worklist side
-// runs on a shared scratch so reuse across graphs is covered too.
-func checkSimplifyMatches(t *testing.T, cs *coreScratch, label string, build func() *ig.Graph, k int) {
+// runs on a shared removal order so reuse across graphs is covered
+// too.
+func checkSimplifyMatches(t *testing.T, o *removalOrder, label string, build func() *ig.Graph, k int) {
 	t.Helper()
-	got, gotPot := simplifyOptimisticInto(cs, build(), k)
+	o.simplify(build(), k)
+	got, gotPot := o.stack, o.potential
 	want, wantPot := simplifySweepRef(build(), k)
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s k=%d: removal order\n  got  %v\n  want %v", label, k, got, want)
@@ -82,7 +84,7 @@ func contextGraph(t *testing.T, f *ir.Func, m *target.Machine) func() *ig.Graph 
 // 4 and 8, and hand-built graphs with tied keys, zero-cost and
 // InfiniteCost nodes (plus negative costs, which take the scan).
 func TestSimplifyMatchesSweep(t *testing.T) {
-	cs := &coreScratch{}
+	cs := &removalOrder{}
 	for _, k := range []int{16, 24, 32} {
 		m := target.UsageModel(k)
 		for _, p := range workload.Benchmarks() {

@@ -290,16 +290,7 @@ func (g *Graph) Removed(n NodeID) bool { return g.removed[n] }
 // Remove takes a representative node out of the active graph,
 // decrementing its active neighbors' degrees. It panics on physical
 // or aliased nodes.
-func (g *Graph) Remove(n NodeID) { g.RemoveMarkLow(n, 0, nil) }
-
-// RemoveMarkLow is Remove for a simplification worklist: every active
-// web neighbor whose degree drops to exactly k-1 (it just became
-// removable at k colors) gets its bit set in low. Neighbors already
-// below k are not re-marked, so a worklist that starts as the active
-// webs of degree below k stays exactly that set as long as the caller
-// clears a node's bit when it removes the node. A nil low marks
-// nothing.
-func (g *Graph) RemoveMarkLow(n NodeID, k int, low []uint64) {
+func (g *Graph) Remove(n NodeID) {
 	if g.IsPhys(n) {
 		panic("ig.Graph.Remove: cannot remove a physical node")
 	}
@@ -319,9 +310,6 @@ func (g *Graph) RemoveMarkLow(n NodeID, k int, low []uint64) {
 				continue
 			}
 			g.degree[nb]--
-			if low != nil && g.degree[nb] == k-1 && nb >= g.nPhys {
-				bitset.Set(low, nb)
-			}
 		}
 	}
 }

@@ -26,7 +26,7 @@ import (
 //   - every retained response re-validated: regalloc.RunChecked on the
 //     same input reproduces the served code and digest bit for bit, so
 //     the daemon returned zero invalid allocations. The daemon runs
-//     every job on a sync.Pool-recycled workspace while the reference
+//     every job on a recycled workspace while the reference
 //     here uses fresh state, so this doubles as the borrow/return
 //     invariance check under concurrent load,
 //   - the workspace pool reports borrows on /metrics (pooling actually

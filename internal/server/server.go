@@ -140,8 +140,8 @@ type Server struct {
 	keys       *KeyResolver
 	flights    *flightGroup
 	metrics    *metrics
-	workspaces *wsPool
-	fastWS     sync.Pool // *linearscan.Workspace, for the fast tier
+	workspaces *freeList[*regalloc.Workspace]
+	fastWS     *freeList[*linearscan.Workspace] // for the fast tier
 	upgrades   *upgrader
 	mux        *http.ServeMux
 	draining   atomic.Bool
@@ -150,6 +150,8 @@ type Server struct {
 // New builds a server and starts its worker pool.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	// A job holds a workspace on a worker, and an upgrade holds one on
+	// the upgrade goroutine; fast-tier jobs run only on workers.
 	s := &Server{
 		cfg:        cfg,
 		queue:      newQueue(cfg.QueueSize, cfg.Workers),
@@ -157,9 +159,9 @@ func New(cfg Config) *Server {
 		keys:       NewKeyResolver(4 * cfg.CacheEntries),
 		flights:    newFlightGroup(),
 		metrics:    newMetrics(),
-		workspaces: newWSPool(),
+		workspaces: newFreeList(cfg.Workers+1, regalloc.NewWorkspace),
+		fastWS:     newFreeList(cfg.Workers, linearscan.NewFastWorkspace),
 	}
-	s.fastWS.New = func() any { return linearscan.NewFastWorkspace() }
 	if cfg.Tier {
 		s.startUpgrader(cfg.UpgradeQueueSize)
 	}
@@ -687,7 +689,7 @@ func (s *Server) compute(ctx context.Context, in srcInput, spec Spec,
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	// Borrow a pooled workspace for the Run; it returns to the pool
+	// Borrow a pooled workspace for the Run; it returns to the list
 	// dirty (the driver clears on borrow), so steady-state requests
 	// allocate almost nothing beyond what the function itself needs.
 	ws := s.workspaces.get()

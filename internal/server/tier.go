@@ -66,8 +66,8 @@ func (s *Server) computeFast(ctx context.Context, in srcInput, spec Spec,
 	if ctx.Err() != nil {
 		return nil, http.StatusGatewayTimeout, ctx.Err()
 	}
-	ws := s.fastWS.Get().(*linearscan.Workspace)
-	defer s.fastWS.Put(ws)
+	ws := s.fastWS.get()
+	defer s.fastWS.put(ws)
 	out, stats, err := linearscan.Run(f, machine, linearscan.RunOptions{
 		MaxRounds: spec.MaxRounds,
 		Workspace: ws,

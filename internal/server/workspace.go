@@ -1,42 +1,49 @@
 package server
 
-import (
-	"sync"
-	"sync/atomic"
+import "sync/atomic"
 
-	"prefcolor/internal/regalloc"
-)
-
-// wsPool hands out regalloc workspaces to allocation jobs. Workspaces
-// are cleared on borrow by the driver, so they go back dirty; the pool
-// only bounds how many live at once (roughly the worker count, since a
-// job holds one for exactly the duration of its Run). The counters
-// feed the /metrics hit-rate: a get that found a pooled workspace cost
-// nothing, a get that had to construct one (news) will pay the arena's
+// freeList hands reusable scratch values (regalloc and linear-scan
+// workspaces) to the goroutines that compute jobs. It keeps at most as
+// many idle values as goroutines can hold one at once, which bounds how
+// many live. Unlike a sync.Pool, a garbage collection never empties
+// it, so a value is built from nothing only while the list fills up.
+// Values go back dirty: their users clear on borrow. The counters feed
+// the /metrics hit-rate: a get that found an idle value cost nothing,
+// a get that had to construct one (news) will pay the arena's
 // grow-to-steady-state allocations during its Run.
-type wsPool struct {
-	pool sync.Pool
-	gets atomic.Int64
-	news atomic.Int64
+type freeList[T any] struct {
+	free  chan T
+	build func() T
+	gets  atomic.Int64
+	news  atomic.Int64
 }
 
-func newWSPool() *wsPool {
-	p := &wsPool{}
-	p.pool.New = func() any {
-		p.news.Add(1)
-		return regalloc.NewWorkspace()
-	}
-	return p
+// newFreeList returns a list that keeps up to holders idle values and
+// builds new ones with mk.
+func newFreeList[T any](holders int, mk func() T) *freeList[T] {
+	return &freeList[T]{free: make(chan T, max(holders, 1)), build: mk}
 }
 
-func (p *wsPool) get() *regalloc.Workspace {
+func (p *freeList[T]) get() T {
 	p.gets.Add(1)
-	return p.pool.Get().(*regalloc.Workspace)
+	select {
+	case v := <-p.free:
+		return v
+	default:
+		p.news.Add(1)
+		return p.build()
+	}
 }
 
-func (p *wsPool) put(ws *regalloc.Workspace) { p.pool.Put(ws) }
+// put returns v to the list, or drops it when the list is full.
+func (p *freeList[T]) put(v T) {
+	select {
+	case p.free <- v:
+	default:
+	}
+}
 
 // counters returns (gets, news) so far.
-func (p *wsPool) counters() (int64, int64) {
+func (p *freeList[T]) counters() (int64, int64) {
 	return p.gets.Load(), p.news.Load()
 }

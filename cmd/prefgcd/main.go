@@ -77,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defaultTimeout := fs.Duration("default-timeout", 0, "per-request deadline when none given (0 = 30s)")
 	maxTimeout := fs.Duration("max-timeout", 0, "cap on requested deadlines (0 = 2m)")
 	tier := fs.Bool("tier", false, "serve: answer pref-full requests with the linear-scan fast tier and upgrade in the background; load: drive and verify a tier-mode daemon")
-	upgradeQueue := fs.Int("upgrade-queue", 0, "serve: tier upgrade queue bound (0 = 256)")
 
 	// Cluster-mode flags.
 	clusterMode := fs.Bool("cluster", false, "serve a consistent-hashing router over in-process replicas")
@@ -133,13 +132,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		})
 	}
 	return serve(stdout, stderr, *addr, server.Config{
-		Workers:          *workers,
-		QueueSize:        *queueSize,
-		CacheEntries:     *cacheEntries,
-		DefaultTimeout:   *defaultTimeout,
-		MaxTimeout:       *maxTimeout,
-		Tier:             *tier,
-		UpgradeQueueSize: *upgradeQueue,
+		Workers:        *workers,
+		QueueSize:      *queueSize,
+		CacheEntries:   *cacheEntries,
+		DefaultTimeout: *defaultTimeout,
+		MaxTimeout:     *maxTimeout,
+		Tier:           *tier,
 	})
 }
 

@@ -2,16 +2,16 @@ package regalloc
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"prefcolor/internal/ir"
 	"prefcolor/internal/target"
 	"prefcolor/internal/telemetry"
 )
 
-// BatchOptions configures AllocateAll and AllocateStream.
+// BatchOptions configures AllocateAll.
 type BatchOptions struct {
 	Options
 
@@ -23,13 +23,6 @@ type BatchOptions struct {
 	// Workers bounds the worker pool; zero or negative means
 	// GOMAXPROCS.
 	Workers int
-
-	// ReadAhead bounds how many decoded-but-not-yet-allocated
-	// functions AllocateStream holds; zero means twice the worker
-	// count. A small bound keeps the producer (parser or binary
-	// decoder) just ahead of the allocators without buffering a whole
-	// batch in memory.
-	ReadAhead int
 }
 
 // BatchResult holds the per-function outputs of AllocateAll,
@@ -48,25 +41,6 @@ type BatchResult struct {
 	Telemetry *telemetry.Snapshot
 }
 
-// FuncSource yields a stream of functions for AllocateStream, one per
-// call, ending with io.EOF. Any other error aborts the stream at that
-// position. Sources are called from a single producer goroutine, so
-// they may parse or decode lazily without locking.
-type FuncSource func() (*ir.Func, error)
-
-// SliceSource adapts an in-memory slice to a FuncSource.
-func SliceSource(funcs []*ir.Func) FuncSource {
-	i := 0
-	return func() (*ir.Func, error) {
-		if i >= len(funcs) {
-			return nil, io.EOF
-		}
-		f := funcs[i]
-		i++
-		return f, nil
-	}
-}
-
 // AllocateAll runs the full allocation driver over every function
 // with a bounded worker pool. Each function's allocation is
 // independent (Run clones its input), so the batch is embarrassingly
@@ -74,38 +48,14 @@ func SliceSource(funcs []*ir.Func) FuncSource {
 // and the error, which is always the lowest-index failure — identical
 // regardless of worker count or scheduling.
 func AllocateAll(funcs []*ir.Func, m *target.Machine, opts BatchOptions) (*BatchResult, error) {
-	if opts.Workers <= 0 || opts.Workers > len(funcs) {
-		opts.Workers = len(funcs)
-	}
-	return AllocateStream(SliceSource(funcs), m, opts)
-}
-
-// streamItem is one produced function with its stream position.
-type streamItem struct {
-	i int
-	f *ir.Func
-}
-
-// AllocateStream is AllocateAll over a lazily-produced function
-// stream: a single producer pulls from src (parsing or decoding as it
-// goes) into a bounded channel while the worker pool allocates, so
-// ingesting function N+1 overlaps allocating function N. Results are
-// index-aligned with the stream order, and the returned error is
-// always the lowest-index failure — a source decode error counts at
-// the position it occurred — so the outcome is identical regardless
-// of worker count or scheduling.
-func AllocateStream(src FuncSource, m *target.Machine, opts BatchOptions) (*BatchResult, error) {
 	if opts.NewAllocator == nil {
-		return nil, fmt.Errorf("regalloc: AllocateStream requires a NewAllocator factory")
+		return nil, fmt.Errorf("regalloc: AllocateAll requires a NewAllocator factory")
 	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	readAhead := opts.ReadAhead
-	if readAhead <= 0 {
-		readAhead = 2 * workers
-	}
+	workers = min(workers, len(funcs))
 
 	runOpts := opts.Options
 	if runOpts.TraceWriter != nil {
@@ -113,95 +63,45 @@ func AllocateStream(src FuncSource, m *target.Machine, opts BatchOptions) (*Batc
 		runOpts.TraceWriter = telemetry.NewLockedWriter(runOpts.TraceWriter)
 	}
 
-	res := &BatchResult{}
-	var (
-		mu     sync.Mutex
-		names  []string
-		errs   []error
-		srcErr error // non-EOF source failure
-		srcAt  int   // stream index of srcErr
-	)
-	// grow extends the index-aligned output tables under mu.
-	grow := func(i int) {
-		for len(errs) <= i {
-			res.Funcs = append(res.Funcs, nil)
-			res.Stats = append(res.Stats, nil)
-			names = append(names, "")
-			errs = append(errs, nil)
-		}
+	res := &BatchResult{
+		Funcs: make([]*ir.Func, len(funcs)),
+		Stats: make([]*Stats, len(funcs)),
 	}
-
-	items := make(chan streamItem, readAhead)
-	go func() {
-		defer close(items)
-		for i := 0; ; i++ {
-			f, err := src()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				mu.Lock()
-				srcErr, srcAt = err, i
-				mu.Unlock()
-				return
-			}
-			items <- streamItem{i: i, f: f}
-		}
-	}()
-
+	errs := make([]error, len(funcs))
+	var next atomic.Int64 // index of the next function to take
 	workerSnaps := make([]telemetry.Snapshot, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range workerSnaps {
 		wg.Add(1)
 		go func(snap *telemetry.Snapshot) {
 			defer wg.Done()
 			// Workspaces are single-owner: each worker gets its own,
-			// reused across all the functions it pulls. Any workspace
+			// reused across all the functions it takes. Any workspace
 			// the caller set on Options is deliberately not shared.
 			wopts := runOpts
 			wopts.Workspace = NewWorkspace()
-			for it := range items {
+			for i := int(next.Add(1) - 1); i < len(funcs); i = int(next.Add(1) - 1) {
 				// A done context fails the remaining functions without
 				// starting them; Run re-checks between phases, so
 				// in-flight allocations stop at their next boundary.
-				var out *ir.Func
-				var stats *Stats
 				err := wopts.interrupted("batch")
 				if err == nil {
-					out, stats, err = Run(it.f, m, opts.NewAllocator(), wopts)
+					res.Funcs[i], res.Stats[i], err = Run(funcs[i], m, opts.NewAllocator(), wopts)
 				}
-				mu.Lock()
-				grow(it.i)
-				names[it.i] = it.f.Name
 				if err != nil {
-					errs[it.i] = err
-				} else {
-					res.Funcs[it.i], res.Stats[it.i] = out, stats
+					errs[i] = err
+					continue
 				}
-				mu.Unlock()
-				if err == nil {
-					snap.Merge(stats.Telemetry)
-				}
+				snap.Merge(res.Stats[i].Telemetry)
 			}
 		}(&workerSnaps[w])
 	}
 	wg.Wait()
 
-	// The error is the lowest-index failure; a source failure sits at
-	// the stream position it occurred (always past every produced
-	// item's index, but possibly below a later worker error — it is
-	// not, since production stops there; the check keeps the invariant
-	// explicit anyway).
 	for i, err := range errs {
-		if srcErr != nil && srcAt <= i {
-			break
-		}
 		if err != nil {
-			return nil, fmt.Errorf("regalloc: function %d (%s): %w", i, names[i], err)
+			return nil, fmt.Errorf("regalloc: function %d (%s): %w", i, funcs[i].Name, err)
 		}
-	}
-	if srcErr != nil {
-		return nil, fmt.Errorf("regalloc: stream source at function %d: %w", srcAt, srcErr)
 	}
 	if runOpts.telemetryOn() {
 		merged := &telemetry.Snapshot{}

@@ -81,7 +81,9 @@ func TestMemoSpellingsShareEntry(t *testing.T) {
 // tier-served total by one.
 func TestMemoEvictedEntryCountsOnce(t *testing.T) {
 	s, ts := newTestServer(t, Config{Tier: true, CacheEntries: 1})
-	s.stopUpgrader() // entries stay fast, so only requests fill the cache
+	// Upgrades run cancelled and never land, so entries stay fast and
+	// only requests fill the cache.
+	s.queue.stopLow()
 	alloc := ts.URL + "/v1/allocate"
 	a := `{"source":` + jsonSource(smallFunc) + `}`
 	b := `{"source":` + jsonSource(distinctFunc(1)) + `}`

@@ -1,10 +1,10 @@
 package server
 
 import (
-	"context"
 	"net/http"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"prefcolor/internal/ir"
 )
@@ -49,10 +49,10 @@ func TestJobPanicContained(t *testing.T) {
 }
 
 // An upgrade that panics counts as a failed upgrade and releases its
-// pending key, and the panic does not reach the caller.
+// pending key, and the panic ends only the job: it runs on a pool
+// worker, through the same containment as any job.
 func TestUpgradePanicContained(t *testing.T) {
-	s := New(Config{Tier: true})
-	defer s.Close()
+	s, ts := newTestServer(t, Config{Tier: true, Workers: 1})
 	// SSA construction indexes the entry block, which a function with
 	// no blocks lacks; no request can carry one, so only a bug could.
 	in, spec := srcInput{f: &ir.Func{Name: "blockless"}}, Spec{Optimize: true}
@@ -70,26 +70,29 @@ func TestUpgradePanicContained(t *testing.T) {
 	}()
 
 	key := Key{7}
-	s.upgrades.pending[key] = struct{}{}
-	defer func() {
-		if p := recover(); p != nil {
-			t.Fatalf("runUpgrade let a panic out: %v", p)
-		}
-	}()
-	s.runUpgrade(context.Background(), upgradeJob{key: key, in: in, spec: spec, machine: machine})
+	s.enqueueUpgrade(key, in, spec, machine, 1)
+	pending := true
+	for deadline := time.Now().Add(10 * time.Second); pending && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		s.upgrades.pmu.Lock()
+		_, pending = s.upgrades.pending[key]
+		s.upgrades.pmu.Unlock()
+	}
+	if pending {
+		t.Error("a panicked upgrade left its key pending")
+	}
 	s.metrics.mu.Lock()
 	failed := s.metrics.tierUpgradeFail
 	s.metrics.mu.Unlock()
 	if failed != 1 {
 		t.Errorf("failed upgrades %d, want 1", failed)
 	}
-	s.upgrades.pmu.Lock()
-	_, pending := s.upgrades.pending[key]
-	s.upgrades.pmu.Unlock()
-	if pending {
-		t.Error("a panicked upgrade left its key pending")
-	}
 	if _, ok := s.cache.Get(key); ok {
 		t.Error("a panicked upgrade cached an entry")
+	}
+	// The worker lives on and serves the next request.
+	resp, body := postJSON(t, ts.URL+"/v1/allocate", AllocateRequest{Source: smallFunc})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after a panicked upgrade: status %d (%s)", resp.StatusCode, body)
 	}
 }

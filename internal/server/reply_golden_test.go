@@ -117,7 +117,7 @@ func TestReplyGolden(t *testing.T) {
 
 	// A tier daemon whose upgrades never run: its entries stay fast.
 	tf, tts := newTestServer(t, Config{Tier: true})
-	tf.stopUpgrader()
+	tf.queue.stopLow()
 	alloc = tts.URL + "/v1/allocate"
 	l.json("tier: fast json miss", alloc, small)
 	l.json("tier: fast json hit", alloc, small)

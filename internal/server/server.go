@@ -82,20 +82,17 @@ type Config struct {
 	ReplicaID string
 
 	// JobStartHook, when set, runs at the start of every allocation
-	// job in a worker. It is a test seam: holding the hook on a
-	// condition variable makes queue saturation (and therefore 429
-	// admission refusals) deterministic in backpressure tests.
+	// job in a worker, tier upgrades included. It is a test seam:
+	// holding the hook on a condition variable makes queue saturation
+	// (and therefore 429 admission refusals) deterministic in
+	// backpressure tests.
 	JobStartHook func()
 
 	// Tier enables tiered allocation: cacheable pref-full requests
 	// are answered first by the linear-scan fast path and their cache
-	// entries upgraded to the full preference-directed result in the
-	// background. See tier.go.
+	// entries upgraded to the full preference-directed result by
+	// otherwise idle workers. See tier.go.
 	Tier bool
-
-	// UpgradeQueueSize bounds the background upgrade queue; 0 means
-	// 256. A full queue sheds upgrades (the fast entry remains).
-	UpgradeQueueSize int
 
 	// TrustKeyHeader accepts the X-Prefgcd-Key request header as the
 	// function's canonical content hash, skipping the parse or decode
@@ -125,9 +122,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 120 * time.Second
 	}
-	if c.UpgradeQueueSize <= 0 {
-		c.UpgradeQueueSize = 256
-	}
 	return c
 }
 
@@ -150,21 +144,21 @@ type Server struct {
 // New builds a server and starts its worker pool.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	// A job holds a workspace on a worker, and an upgrade holds one on
-	// the upgrade goroutine; fast-tier jobs run only on workers.
+	// Every job, tier upgrades included, runs on a worker and holds at
+	// most one workspace of each kind, so Workers idle ones suffice.
 	s := &Server{
 		cfg:        cfg,
-		queue:      newQueue(cfg.QueueSize, cfg.Workers),
 		cache:      lru.New[Key, *entry](cfg.CacheEntries),
 		keys:       NewKeyResolver(4 * cfg.CacheEntries),
 		flights:    newFlightGroup(),
 		metrics:    newMetrics(),
-		workspaces: newFreeList(cfg.Workers+1, regalloc.NewWorkspace),
+		workspaces: newFreeList(cfg.Workers, regalloc.NewWorkspace),
 		fastWS:     newFreeList(cfg.Workers, linearscan.NewFastWorkspace),
 	}
 	if cfg.Tier {
-		s.startUpgrader(cfg.UpgradeQueueSize)
+		s.upgrades = &upgrader{pending: make(map[Key]struct{})}
 	}
+	s.queue = newQueue(cfg.QueueSize, cfg.Workers, upgradeQueueCap, s.runUpgrade)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/allocate", s.counted("allocate", s.handleAllocate))
 	s.mux.HandleFunc("POST /v1/batch", s.counted("batch", s.handleBatch))
@@ -182,11 +176,11 @@ func New(cfg Config) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close drains the server: admission stops (new work gets 503), every
-// already-queued job runs to completion, and the worker pool exits.
+// already-queued request job runs to completion, tier upgrades are
+// cancelled or dropped, and the worker pool exits.
 func (s *Server) Close() {
 	s.StartDrain()
 	s.queue.Close()
-	s.stopUpgrader()
 }
 
 // StartDrain begins a graceful drain without stopping the worker
@@ -432,10 +426,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 // handleBatch serves /v1/batch. Items run through the same
 // cache/flight/queue path as single allocations, but submission blocks
 // (backpressure) and fan-out is capped so one batch cannot occupy every
-// queue slot at once. Functions decode one at a time while those
-// already decoded are being allocated — ingesting function N+1 overlaps
-// allocating function N — so a large binary batch never sits fully
-// parsed in memory before the first allocation starts.
+// queue slot at once.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	b, ok := ReadBatch(w, r)
 	if !ok {
@@ -534,7 +525,7 @@ func (s *Server) doOne(reqCtx context.Context, in srcInput, spec Spec,
 		// every call.
 		in := in
 		call := &flightCall{done: make(chan struct{})}
-		s.runJob(reqCtx, d, block, call.finish, func(ctx context.Context) (*entry, int, error) {
+		s.submitJob(reqCtx, d, block, call.finish, func(ctx context.Context) (*entry, int, error) {
 			return s.compute(ctx, in, spec, machine, false, true)
 		})
 		e, code, err = call.wait(reqCtx)
@@ -576,7 +567,7 @@ func (s *Server) fill(reqCtx context.Context, key Key, in srcInput, spec Spec,
 	if leader {
 		tier := s.tierApplies(spec)
 		finish := func(e *entry, code int, err error) { s.flights.complete(key, call, e, err, code) }
-		s.runJob(reqCtx, d, block, finish, func(ctx context.Context) (e *entry, code int, err error) {
+		s.submitJob(reqCtx, d, block, finish, func(ctx context.Context) (e *entry, code int, err error) {
 			if tier {
 				// Fast tier first; any fast-path failure falls back to
 				// the full pipeline so tiering never loses a request.
@@ -589,7 +580,9 @@ func (s *Server) fill(reqCtx context.Context, key Key, in srcInput, spec Spec,
 			if err == nil {
 				s.cache.Add(key, e)
 				if tier && e.Tier == tierFast {
-					s.enqueueUpgrade(key, in, spec, machine, e.Cycles)
+					up := in
+					up.f = nil // the upgrade decodes afresh; see upgradeJob
+					s.enqueueUpgrade(key, up, spec, machine, e.Cycles)
 				}
 			}
 			return e, code, err
@@ -602,38 +595,26 @@ func (s *Server) fill(reqCtx context.Context, key Key, in srcInput, spec Spec,
 	return e, code, err
 }
 
-// runJob admits work to the queue as one job. The job's deadline d
-// starts at admission, so time spent queued counts against it; reqCtx
-// bounds only a blocking submission. In the worker the job runs
-// Config.JobStartHook, is dropped with 504 if its deadline lapsed in
-// the queue, and otherwise runs work. finish receives the outcome
-// exactly once: a refused admission (429 from TrySubmit; 503 or 504
-// from a blocking Submit), the drop, work's result, or a 500 when the
-// job panics, which ends the job but not its worker.
-func (s *Server) runJob(reqCtx context.Context, d time.Duration, block bool,
+// submitJob admits work to the request lane as one job. The job's
+// deadline d starts at admission, so time spent queued counts against
+// it; reqCtx bounds only a blocking submission. In the worker the job
+// runs through runJob, and is dropped with 504 if its deadline lapsed
+// in the queue. finish receives the outcome exactly once: a refused
+// admission (429 from TrySubmit; 503 or 504 from a blocking Submit),
+// or whatever runJob hands it.
+func (s *Server) submitJob(reqCtx context.Context, d time.Duration, block bool,
 	finish func(*entry, int, error), work func(context.Context) (*entry, int, error)) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), d)
 	job := func() {
-		var e *entry
-		var code int
-		var err error
-		defer func() {
-			cancel()
-			if p := recover(); p != nil {
-				e, code, err = nil, http.StatusInternalServerError, fmt.Errorf("allocation job panicked: %v", p)
+		defer cancel()
+		s.runJob(finish, func() (*entry, int, error) {
+			if ctx.Err() != nil {
+				s.metrics.CountDropped()
+				return nil, http.StatusGatewayTimeout, fmt.Errorf("dropped after %v in queue: %w", d, ctx.Err())
 			}
-			finish(e, code, err)
-		}()
-		if s.cfg.JobStartHook != nil {
-			s.cfg.JobStartHook()
-		}
-		if ctx.Err() != nil {
-			s.metrics.CountDropped()
-			code, err = http.StatusGatewayTimeout, fmt.Errorf("dropped after %v in queue: %w", d, ctx.Err())
-			return
-		}
-		e, code, err = work(ctx)
+			return work(ctx)
+		})
 	}
 	var code int
 	var err error
@@ -650,6 +631,25 @@ func (s *Server) runJob(reqCtx context.Context, d time.Duration, block bool,
 		cancel()
 		finish(nil, code, err)
 	}
+}
+
+// runJob runs one job on the calling worker: Config.JobStartHook, then
+// work. finish receives the outcome exactly once: work's result, or a
+// 500 when the job panics, which ends the job but not its worker.
+func (s *Server) runJob(finish func(*entry, int, error), work func() (*entry, int, error)) {
+	var e *entry
+	var code int
+	var err error
+	defer func() {
+		if p := recover(); p != nil {
+			e, code, err = nil, http.StatusInternalServerError, fmt.Errorf("allocation job panicked: %v", p)
+		}
+		finish(e, code, err)
+	}()
+	if s.cfg.JobStartHook != nil {
+		s.cfg.JobStartHook()
+	}
+	e, code, err = work()
 }
 
 // StatusClientGone is nginx's 499 "client closed request", reported

@@ -23,17 +23,22 @@ import (
 // poll the same request until it reports "full"; callers that only
 // need a correct allocation quickly take the first answer.
 //
-// The upgrade pipeline is deliberately decoupled from the serving
-// pool: one background worker drains a bounded queue, a pending set
-// single-flights upgrades per cache key, and a full queue sheds the
+// Upgrades run on the server's own workers, in the queue's low lane
+// (queue.go): a worker takes one only when no request job is waiting
+// and no other upgrade runs, so upgrades fill idle time, leave the
+// other workers to requests and never hold a request slot. A bounded
+// queue (upgradeQueueCap) keeps the waiting upgrades, a pending set
+// single-flights them per cache key, and a full queue sheds the
 // upgrade (the fast entry simply remains) rather than blocking any
-// serving path. The queue is hotness-ordered, not FIFO: the worker
+// serving path. The queue is hotness-ordered, not FIFO: a worker
 // always takes the pending job whose cache entry has served the most
 // hits (ties broken by arrival order), so a key being polled by many
-// callers upgrades ahead of a cold backlog. Draining stops new upgrade
-// admissions immediately; Close cancels the in-flight upgrade, since
-// an upgrade is a quality improvement to an already-correct cached
-// result, never owed work.
+// callers upgrades ahead of a cold backlog. An upgrade runs through
+// runJob like any job, so a panic in it is contained there. Draining
+// stops new upgrade admissions immediately; Close cancels the
+// in-flight upgrades and drops the queued ones, since an upgrade is a
+// quality improvement to an already-correct cached result, never owed
+// work.
 
 // Entry (and response) tier names.
 const (
@@ -51,8 +56,8 @@ func (s *Server) tierApplies(spec Spec) bool {
 // computeFast is the fast-tier counterpart of compute: the same
 // prologue (prepare), but allocation through linearscan.Run on
 // the tier's own workspace pool (a pooled driver workspace has one
-// allocator slot, which the upgrade worker's pref-full runs would
-// keep evicting). Rematerialize and BlockLocalSpills are driver spill
+// allocator slot, which the upgrades' pref-full runs would keep
+// evicting). Rematerialize and BlockLocalSpills are driver spill
 // refinements the fast path does not implement; they reach the
 // full-tier upgrade untouched, since the spec — options included —
 // keys the entry being upgraded.
@@ -80,24 +85,21 @@ func (s *Server) computeFast(ctx context.Context, in srcInput, spec Spec,
 		tierFast, perfmodel.Estimate(out, machine).Cycles), 0, nil
 }
 
-// upgrader is the background escalation pipeline: a bounded
-// hotness-ordered job queue, a single worker, and a pending set that
-// single-flights upgrades per cache key.
-type upgrader struct {
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+// upgradeQueueCap bounds the waiting upgrades; a full queue sheds
+// (the fast entry remains).
+const upgradeQueueCap = 256
 
+// upgrader holds the upgrade lane's waiting jobs in a bounded
+// hotness-ordered queue, and a pending set that single-flights
+// upgrades per cache key. The server's workers run them.
+type upgrader struct {
 	// qmu guards the queue, which stays in arrival order; pop scans it
 	// for the hottest key at pop time (hit counts keep changing while a
 	// job waits, so ordering at push time would go stale). The queue is
-	// bounded by qcap and small, so the scan is cheap next to the
-	// pref-full run each pop triggers. notify has one slot: a push's
-	// non-blocking send either wakes the idle worker or is redundant
-	// with a wake-up already due.
-	qmu    sync.Mutex
-	queue  []upgradeJob
-	qcap   int
-	notify chan struct{}
+	// bounded by upgradeQueueCap and small, so the scan is cheap next to
+	// the pref-full run each pop triggers.
+	qmu   sync.Mutex
+	queue []upgradeJob
 
 	pmu     sync.Mutex
 	pending map[Key]struct{}
@@ -107,16 +109,11 @@ type upgrader struct {
 // at capacity (the caller sheds).
 func (u *upgrader) push(job upgradeJob) bool {
 	u.qmu.Lock()
-	if len(u.queue) >= u.qcap {
-		u.qmu.Unlock()
+	defer u.qmu.Unlock()
+	if len(u.queue) >= upgradeQueueCap {
 		return false
 	}
 	u.queue = append(u.queue, job)
-	u.qmu.Unlock()
-	select {
-	case u.notify <- struct{}{}:
-	default:
-	}
 	return true
 }
 
@@ -142,6 +139,13 @@ func (u *upgrader) pop(hits func(Key) int64) (job upgradeJob, ok bool) {
 	return job, true
 }
 
+// release ends key's single flight.
+func (u *upgrader) release(key Key) {
+	u.pmu.Lock()
+	delete(u.pending, key)
+	u.pmu.Unlock()
+}
+
 // upgradeJob re-derives one cache entry at full quality. It carries
 // the request's wire form, never the decoded function — the fast
 // compute may have rewritten the decoded form in place (SSA
@@ -155,29 +159,6 @@ type upgradeJob struct {
 	enqueued   time.Time
 }
 
-func (s *Server) startUpgrader(queueSize int) {
-	ctx, cancel := context.WithCancel(context.Background())
-	s.upgrades = &upgrader{
-		cancel:  cancel,
-		qcap:    queueSize,
-		notify:  make(chan struct{}, 1),
-		pending: make(map[Key]struct{}),
-	}
-	s.upgrades.wg.Add(1)
-	go s.upgradeLoop(ctx)
-}
-
-// stopUpgrader cancels the in-flight upgrade (if any) and waits for
-// the worker to exit. Queued jobs are abandoned: their fast-tier cache
-// entries are correct allocations, just not upgraded ones.
-func (s *Server) stopUpgrader() {
-	if s.upgrades == nil {
-		return
-	}
-	s.upgrades.cancel()
-	s.upgrades.wg.Wait()
-}
-
 // upgradeDepth returns the queue's (depth, capacity) for metrics.
 func (s *Server) upgradeDepth() (int, int) {
 	if s.upgrades == nil {
@@ -185,13 +166,14 @@ func (s *Server) upgradeDepth() (int, int) {
 	}
 	s.upgrades.qmu.Lock()
 	defer s.upgrades.qmu.Unlock()
-	return len(s.upgrades.queue), s.upgrades.qcap
+	return len(s.upgrades.queue), upgradeQueueCap
 }
 
-// enqueueUpgrade schedules the background escalation of key's cache
-// entry. A key already pending is skipped (single flight); a full
-// queue sheds the job and counts the shed; a draining server admits no
-// new upgrades.
+// enqueueUpgrade schedules the escalation of key's cache entry on the
+// workers' low lane. A key already pending is skipped (single flight);
+// a full queue sheds the job and counts the shed; a draining server
+// admits no new upgrades. in should carry the wire form only; see
+// upgradeJob.
 func (s *Server) enqueueUpgrade(key Key, in srcInput, spec Spec,
 	machine *target.Machine, fastCycles float64) {
 
@@ -207,62 +189,42 @@ func (s *Server) enqueueUpgrade(key Key, in srcInput, spec Spec,
 	u.pending[key] = struct{}{}
 	u.pmu.Unlock()
 
-	in.f = nil // force a fresh decode; see upgradeJob
 	if !u.push(upgradeJob{key: key, in: in, spec: spec, machine: machine,
 		fastCycles: fastCycles, enqueued: time.Now()}) {
 		s.metrics.CountTierShed()
-		u.pmu.Lock()
-		delete(u.pending, key)
-		u.pmu.Unlock()
-	}
-}
-
-func (s *Server) upgradeLoop(ctx context.Context) {
-	u := s.upgrades
-	defer u.wg.Done()
-	for {
-		job, ok := u.pop(s.cache.Hits)
-		if !ok {
-			select {
-			case <-ctx.Done():
-				return
-			case <-u.notify:
-				continue
-			}
-		}
-		if ctx.Err() != nil {
-			return
-		}
-		s.runUpgrade(ctx, job)
-	}
-}
-
-// runUpgrade re-computes one entry through the standard full pipeline
-// and atomically swaps the cache entry (lru.Cache.Add refreshes in
-// place under the cache lock, keeping the entry's hit count). An entry
-// evicted between fast compute and upgrade completion is simply
-// re-inserted at full quality — harmless, and the next request hits it.
-func (s *Server) runUpgrade(ctx context.Context, job upgradeJob) {
-	u := s.upgrades
-	defer func() {
-		// A panicking upgrade is a failed one; the fast entry stays.
-		if recover() != nil {
-			s.metrics.CountTierUpgradeFailed()
-		}
-		u.pmu.Lock()
-		delete(u.pending, job.key)
-		u.pmu.Unlock()
-	}()
-	jobCtx, cancel := context.WithTimeout(ctx, s.cfg.MaxTimeout)
-	defer cancel()
-	e, _, err := s.compute(jobCtx, job.in, job.spec, job.machine, true, false)
-	if err != nil {
-		if ctx.Err() != nil {
-			return // shutdown, not a failed upgrade
-		}
-		s.metrics.CountTierUpgradeFailed()
+		u.release(key)
 		return
 	}
-	s.cache.Add(job.key, e)
-	s.metrics.CountTierUpgrade(time.Since(job.enqueued), job.fastCycles, e.Cycles)
+	s.queue.AddLow()
+}
+
+// runUpgrade runs the hottest waiting upgrade as one job on the
+// calling worker: it re-computes the entry through the standard full
+// pipeline under ctx, with MaxTimeout from its start, and atomically
+// swaps the cache entry (lru.Cache.Add refreshes in place under the
+// cache lock, keeping the entry's hit count). An entry evicted between
+// fast compute and upgrade completion is simply re-inserted at full
+// quality — harmless, and the next request hits it. A panicking or
+// failing upgrade leaves the fast entry; a cancelled ctx means the
+// server is closing, which is not a failure.
+func (s *Server) runUpgrade(ctx context.Context) {
+	job, ok := s.upgrades.pop(s.cache.Hits)
+	if !ok || ctx.Err() != nil { // a closing server drops what waits
+		return
+	}
+	finish := func(e *entry, _ int, err error) {
+		switch {
+		case err == nil:
+			s.cache.Add(job.key, e)
+			s.metrics.CountTierUpgrade(time.Since(job.enqueued), job.fastCycles, e.Cycles)
+		case ctx.Err() == nil:
+			s.metrics.CountTierUpgradeFailed()
+		}
+		s.upgrades.release(job.key)
+	}
+	s.runJob(finish, func() (*entry, int, error) {
+		jobCtx, cancel := context.WithTimeout(ctx, s.cfg.MaxTimeout)
+		defer cancel()
+		return s.compute(jobCtx, job.in, job.spec, job.machine, true, false)
+	})
 }

@@ -34,7 +34,7 @@ func oracleDigest(t *testing.T, src, allocator string) string {
 
 // TestTierFastThenUpgrade is the tier-mode contract end to end: the
 // first response is a fast-tier allocation served inside the request,
-// the background worker then re-runs pref-full, and polling the same
+// an idle worker then re-runs pref-full, and polling the same
 // request observes the cache entry atomically swapped to the full
 // tier — with exactly the digest a non-tiered daemon would serve.
 func TestTierFastThenUpgrade(t *testing.T) {
@@ -164,8 +164,8 @@ func TestTierScope(t *testing.T) {
 }
 
 // TestTierDrainStopsUpgrades pins the drain interaction: a draining
-// server admits no new upgrade jobs, and Close returns promptly even
-// with the upgrade worker mid-flight.
+// server admits no new upgrade jobs. TestCloseCancelsRunningUpgrade
+// covers Close with an upgrade mid-flight.
 func TestTierDrainStopsUpgrades(t *testing.T) {
 	s := New(Config{Tier: true})
 	defer s.Close()
@@ -183,12 +183,12 @@ func TestTierDrainStopsUpgrades(t *testing.T) {
 	}
 }
 
-// TestTierUpgradeHotFirst pins the queue's escalation order: the
+// TestTierUpgradeHotFirst pins the queue's escalation order: a
 // worker pops the pending job whose cache entry has served the most
 // hits, so one hot key enqueued behind a cold backlog upgrades first,
 // while untouched keys keep their arrival (FIFO) order.
 func TestTierUpgradeHotFirst(t *testing.T) {
-	u := &upgrader{qcap: 8, notify: make(chan struct{}, 1), pending: map[Key]struct{}{}}
+	u := &upgrader{pending: map[Key]struct{}{}}
 	cache := lru.New[Key, *entry](8)
 	for i := 0; i < 5; i++ {
 		key := Key{byte(i)}
@@ -225,9 +225,10 @@ func TestTierUpgradeHotFirst(t *testing.T) {
 	}
 
 	// Shedding: a full queue rejects the push.
-	u.qcap = 1
-	if !u.push(upgradeJob{key: Key{9}}) {
-		t.Fatal("push into empty queue shed")
+	for i := 0; i < upgradeQueueCap; i++ {
+		if !u.push(upgradeJob{key: Key{9}}) {
+			t.Fatalf("push %d below capacity shed", i)
+		}
 	}
 	if u.push(upgradeJob{key: Key{10}}) {
 		t.Fatal("push above capacity accepted")

@@ -76,7 +76,7 @@ func TestTextDigestMatchesAllocationDigest(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", f.Name, err)
 			}
-			got := TextDigest(f.Name, stats, out.String())
+			got := TextDigest(f.Name, stats, out.AppendText(nil))
 			if want := FuncDigest(f.Name, stats, out); got != want {
 				t.Fatalf("%s: TextDigest %s, FuncDigest %s", f.Name, got, want)
 			}

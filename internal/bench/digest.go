@@ -29,6 +29,7 @@ func AllocationDigest(funcs []*ir.Func, m *target.Machine, allocName string) (st
 // and off.
 func AllocationDigestOpts(funcs []*ir.Func, m *target.Machine, allocName string, opts regalloc.Options) (string, error) {
 	h := sha256.New()
+	var text []byte
 	for _, f := range funcs {
 		alloc, err := NewAllocator(allocName)
 		if err != nil {
@@ -38,7 +39,8 @@ func AllocationDigestOpts(funcs []*ir.Func, m *target.Machine, allocName string,
 		if err != nil {
 			return "", fmt.Errorf("bench: digest %s/%s: %w", allocName, f.Name, err)
 		}
-		writeFuncDigest(h, f.Name, stats, out.String())
+		text = out.AppendText(text[:0])
+		writeFuncDigest(h, f.Name, stats, text)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
@@ -49,21 +51,23 @@ func AllocationDigestOpts(funcs []*ir.Func, m *target.Machine, allocName string,
 // single-function AllocationDigest run. name is the input function's
 // name (identical to out.Name under the driver, which never renames).
 func FuncDigest(name string, stats *regalloc.Stats, out *ir.Func) string {
-	return TextDigest(name, stats, out.String())
+	return TextDigest(name, stats, out.AppendText(nil))
 }
 
-// TextDigest is FuncDigest over text, the already rendered
-// out.String(), so a caller that renders the function anyway (the
-// daemon's response) hashes those bytes instead of rendering twice.
-func TextDigest(name string, stats *regalloc.Stats, text string) string {
+// TextDigest is FuncDigest over text, the function already rendered by
+// out.AppendText, so a caller that renders the function anyway (the
+// daemon's response, into a reused buffer) hashes those bytes instead
+// of rendering twice.
+func TextDigest(name string, stats *regalloc.Stats, text []byte) string {
 	h := sha256.New()
 	writeFuncDigest(h, name, stats, text)
-	return hex.EncodeToString(h.Sum(nil))
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
 }
 
 // writeFuncDigest appends one function's allocation-outcome record —
 // spilled-web count, spill code, final rewritten code (text) — to h.
-func writeFuncDigest(h io.Writer, name string, stats *regalloc.Stats, text string) {
+func writeFuncDigest(h io.Writer, name string, stats *regalloc.Stats, text []byte) {
 	fmt.Fprintf(h, "%s|webs=%d|loads=%d|stores=%d\n%s\n",
 		name, stats.SpilledWebs, stats.SpillLoads, stats.SpillStores, text)
 }

@@ -75,9 +75,12 @@ func TestReadyHeapMatchesArgmax(t *testing.T) {
 			if len(in) != len(s.heap) {
 				t.Fatalf("seed %d step %d: heap holds %d entries, %d nodes indexed", seed, step, len(s.heap), len(in))
 			}
-			for i, v := range s.heap {
-				if int(s.heapPos[v]) != i {
-					t.Fatalf("seed %d step %d: heapPos[%d] = %d, entry at %d", seed, step, v, s.heapPos[v], i)
+			for i, e := range s.heap {
+				if int(s.heapPos[e.n]) != i {
+					t.Fatalf("seed %d step %d: heapPos[%d] = %d, entry at %d", seed, step, e.n, s.heapPos[e.n], i)
+				}
+				if e.pri != s.priVal[e.n] {
+					t.Fatalf("seed %d step %d: entry of %d carries %v, priVal %v", seed, step, e.n, e.pri, s.priVal[e.n])
 				}
 			}
 			if len(in) == 0 {
@@ -89,9 +92,9 @@ func TestReadyHeapMatchesArgmax(t *testing.T) {
 					best = v
 				}
 			}
-			if s.heap[0] != best {
+			if s.heap[0].n != best {
 				t.Fatalf("seed %d step %d: root %d (pri %v), argmax %d (pri %v)",
-					seed, step, s.heap[0], s.priVal[s.heap[0]], best, s.priVal[best])
+					seed, step, s.heap[0].n, s.heap[0].pri, best, s.priVal[best])
 			}
 		}
 	}

@@ -38,7 +38,7 @@ type selector struct {
 	// every node.
 	readyBits  []uint64
 	readyCount int
-	heap       []ig.NodeID
+	heap       []heapEntry
 	heapPos    []int32
 
 	// forbid is the per-node forbidden-register mask (kwords words of
@@ -83,17 +83,27 @@ type selector struct {
 	// invalidates its interference neighbors (their available sets
 	// changed) and its preference partners (their honorable sets
 	// changed). prefSources[t] lists nodes holding a preference
-	// aimed at t.
+	// aimed at t. prefStr and prefStat hold, per preference index,
+	// the (strength, state) its holder's last priority derived; while
+	// priOK[n] holds they are n's current ones, except that a deferred
+	// preference whose partner has since spilled is dead (a spill
+	// refreshes no priority), so chooseReg reads them instead of
+	// classifying every preference again.
 	priVal      []float64
 	priOK       []bool
 	prefSources [][]ig.NodeID
+	prefStr     []float64
+	prefStat    []prefStatus
+
+	// maxStr is, per node, the largest MaxStrength over its
+	// preferences (-Inf for none): §5.4's active-spill test.
+	maxStr []float64
 
 	// forbidHook, when set, runs for every ready neighbor whose forbid
 	// bit noteColored newly sets, after its refresh, with skipped true
 	// when forbidMatters spared it the recompute; only tests set it.
 	forbidHook func(nb ig.NodeID, skipped bool)
 
-	strengths []float64
 	honorable []rankedPref
 	deferred  []*Pref
 
@@ -215,10 +225,16 @@ func (s *selector) reset(ctx *regalloc.Context, rpg *RPG, ord *removalOrder, mod
 	s.priVal = scratch.Slice(s.priVal, n)
 	s.priOK = scratch.Slice(s.priOK, n)
 	s.prefSources = scratch.Rows(s.prefSources, n)
+	s.prefStr = scratch.Slice(s.prefStr, rpg.NumPrefs())
+	s.prefStat = scratch.Slice(s.prefStat, rpg.NumPrefs())
+	s.maxStr = scratch.Fill(s.maxStr, n, math.Inf(-1))
 	for i := 0; i < rpg.NumPrefs(); i++ {
 		p := rpg.Pref(i)
 		if p.To >= 0 {
 			s.prefSources[p.To] = append(s.prefSources[p.To], p.From)
+		}
+		if st := p.MaxStrength(); st > s.maxStr[p.From] {
+			s.maxStr[p.From] = st
 		}
 	}
 }
@@ -323,7 +339,7 @@ func (s *selector) chooseNode() ig.NodeID {
 	case len(s.heap) == 0:
 		return -1
 	}
-	return s.heap[0]
+	return s.heap[0].n
 }
 
 // invalidate drops node n's cached priority. Outside the FIFO
@@ -502,28 +518,33 @@ func (s *selector) noteUncolored(n ig.NodeID, old int) {
 // priority computes the step-2.3/3 strength differential for node n.
 // It works out of its own row (rowPri) because tracing may ask for a
 // priority while processNode's candidate sets are still live.
+//
+// It records each preference's (strength, state) in prefStr and
+// prefStat for chooseReg.
 func (s *selector) priority(n ig.NodeID) float64 {
 	avail := s.regRow(rowPri)
 	s.availRow(avail, n)
-	strengths := s.strengths[:0]
+	honorable := 0
+	var minS, maxS float64
 	for _, pi := range s.rpg.Prefs(n) {
-		p := s.rpg.Pref(pi)
-		st, state := s.prefState(p, avail)
-		if state == prefHonorable {
-			strengths = append(strengths, st)
+		st, state := s.prefState(s.rpg.Pref(pi), avail)
+		s.prefStr[pi], s.prefStat[pi] = st, state
+		if state != prefHonorable {
+			continue
 		}
+		if honorable == 0 {
+			minS, maxS = st, st
+		} else {
+			minS = math.Min(minS, st)
+			maxS = math.Max(maxS, st)
+		}
+		honorable++
 	}
-	s.strengths = strengths
-	switch len(strengths) {
+	switch honorable {
 	case 0:
 		return math.Inf(-1)
 	case 1:
-		return strengths[0]
-	}
-	minS, maxS := strengths[0], strengths[0]
-	for _, v := range strengths[1:] {
-		minS = math.Min(minS, v)
-		maxS = math.Max(maxS, v)
+		return maxS
 	}
 	return maxS - minS
 }
@@ -969,15 +990,7 @@ func (s *selector) shouldActivelySpill(n ig.NodeID) bool {
 	if s.ctx.SpillTemp[w] {
 		return false
 	}
-	prefs := s.rpg.Prefs(n)
-	if len(prefs) == 0 {
-		return false
-	}
-	best := math.Inf(-1)
-	for _, pi := range prefs {
-		best = math.Max(best, s.rpg.Pref(pi).MaxStrength())
-	}
-	return best < 0
+	return len(s.rpg.Prefs(n)) > 0 && s.maxStr[n] < 0
 }
 
 // chooseReg is steps 4.2–4.4: screen candidates by honorable
@@ -985,12 +998,26 @@ func (s *selector) shouldActivelySpill(n ig.NodeID) bool {
 // leave deferred live-range-to-live-range preferences honorable, then
 // pick. It returns the chosen register and the row of candidates that
 // survived screening (the trace's "cands").
+//
+// While n's priority is current (priOK, outside the FIFO ablation) its
+// preferences' states are those that priority recorded from the same
+// avail; otherwise they are classified again.
 func (s *selector) chooseReg(n ig.NodeID, avail []uint64) (int, []uint64) {
 	honorable := s.honorable[:0]
 	deferred := s.deferred[:0]
+	cached := !s.ab.FIFOPriority && s.priOK[n]
 	for _, pi := range s.rpg.Prefs(n) {
 		p := s.rpg.Pref(pi)
-		st, state := s.prefState(p, avail)
+		var st float64
+		var state prefStatus
+		if cached {
+			st, state = s.prefStr[pi], s.prefStat[pi]
+			if state == prefDeferred && s.spilled[p.To] {
+				state = prefDead
+			}
+		} else {
+			st, state = s.prefState(p, avail)
+		}
 		switch state {
 		case prefHonorable:
 			honorable = append(honorable, rankedPref{p, st})

@@ -6,34 +6,40 @@ import (
 )
 
 // The ready set and its indexed priority heap. Membership lives in a
-// bitset (readyBits) with a maintained count. Outside the FIFO
-// ablation the heap holds exactly one entry per ready node, ordered by the node's
-// memoized priority (priVal), and heapPos[n] is n's index in it (-1
-// when absent). Every change to a ready node's priority re-sifts its
-// entry on the spot (heapFix), and processing a node removes its entry
+// bitset (readyBits) with a maintained count. Outside the FIFO ablation
+// the heap holds exactly one entry per ready node, carrying the node's
+// memoized priority (priVal) beside its id so a comparison reads no
+// other array, and heapPos[n] is n's index in it (-1 when absent).
+// Every change to a ready node's priority re-sifts its entry on the
+// spot (heapFix), and processing a node removes its entry
 // (heapRemove), so the top is always the current winner and chooseNode
 // reads it without validation.
 
-// heapBefore orders the heap: higher priority first, ties to the lower
+// heapEntry is one ready node n under its priority pri.
+type heapEntry struct {
+	pri float64
+	n   ig.NodeID
+}
+
+// before orders the heap: higher priority first, ties to the lower
 // node id — exactly the winner an ascending strict-maximum scan
-// selects. Priorities are never NaN (strength
-// differentials are finite, no-preference nodes rank -Inf), so the
-// comparison is total.
-func (s *selector) heapBefore(a, b ig.NodeID) bool {
-	pa, pb := s.priVal[a], s.priVal[b]
-	return pa > pb || (pa == pb && a < b)
+// selects. Priorities are never NaN (strength differentials are
+// finite, no-preference nodes rank -Inf), so the comparison is total.
+func (a heapEntry) before(b heapEntry) bool {
+	return a.pri > b.pri || (a.pri == b.pri && a.n < b.n)
 }
 
 // heapPush adds n under its current priVal.
 func (s *selector) heapPush(n ig.NodeID) {
 	s.heapPos[n] = int32(len(s.heap))
-	s.heap = append(s.heap, n)
+	s.heap = append(s.heap, heapEntry{s.priVal[n], n})
 	s.heapUp(len(s.heap) - 1)
 }
 
 // heapFix restores the order after n's priVal changed.
 func (s *selector) heapFix(n ig.NodeID) {
 	i := int(s.heapPos[n])
+	s.heap[i].pri = s.priVal[n]
 	if !s.heapUp(i) {
 		s.heapDown(i)
 	}
@@ -46,11 +52,11 @@ func (s *selector) heapRemove(n ig.NodeID) {
 	if i != last {
 		m := s.heap[last]
 		s.heap[i] = m
-		s.heapPos[m] = int32(i)
+		s.heapPos[m.n] = int32(i)
 	}
 	s.heap = s.heap[:last]
-	if i != last {
-		s.heapFix(s.heap[i])
+	if i != last && !s.heapUp(i) {
+		s.heapDown(i)
 	}
 }
 
@@ -58,42 +64,42 @@ func (s *selector) heapRemove(n ig.NodeID) {
 // moved.
 func (s *selector) heapUp(i int) bool {
 	h := s.heap
-	n, start := h[i], i
+	e, start := h[i], i
 	for i > 0 {
 		p := (i - 1) / 2
-		if !s.heapBefore(n, h[p]) {
+		if !e.before(h[p]) {
 			break
 		}
 		h[i] = h[p]
-		s.heapPos[h[i]] = int32(i)
+		s.heapPos[h[i].n] = int32(i)
 		i = p
 	}
-	h[i] = n
-	s.heapPos[n] = int32(i)
+	h[i] = e
+	s.heapPos[e.n] = int32(i)
 	return i != start
 }
 
 // heapDown sifts the entry at i toward the leaves.
 func (s *selector) heapDown(i int) {
 	h := s.heap
-	n := h[i]
+	e := h[i]
 	for {
 		c := 2*i + 1
 		if c >= len(h) {
 			break
 		}
-		if r := c + 1; r < len(h) && s.heapBefore(h[r], h[c]) {
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
 			c = r
 		}
-		if !s.heapBefore(h[c], n) {
+		if !h[c].before(e) {
 			break
 		}
 		h[i] = h[c]
-		s.heapPos[h[i]] = int32(i)
+		s.heapPos[h[i].n] = int32(i)
 		i = c
 	}
-	h[i] = n
-	s.heapPos[n] = int32(i)
+	h[i] = e
+	s.heapPos[e.n] = int32(i)
 }
 
 // isReady reports ready-set membership in O(1).

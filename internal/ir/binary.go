@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Binary wire format
@@ -166,59 +167,107 @@ func appendReg(dst []byte, r Reg) []byte {
 // Parse validates, so corrupted or truncated inputs produce an error,
 // never a panic, and a successful decode is structurally sound.
 func DecodeBinary(data []byte) (*Func, error) {
-	f, err := decodeBinary(data)
-	if err != nil {
-		return nil, fmt.Errorf("ir.DecodeBinary: %w", err)
-	}
-	f.RecomputePreds()
-	if err := Validate(f); err != nil {
-		return nil, fmt.Errorf("ir.DecodeBinary: invalid function: %w", err)
+	f := new(Func)
+	if err := DecodeBinaryInto(f, data); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
 
-func decodeBinary(data []byte) (*Func, error) {
+// DecodeBinaryInto is DecodeBinary into dst, replacing whatever dst
+// held. It reuses the storage an earlier DecodeBinaryInto on dst left
+// behind: the blocks, the instructions, the edges and the register
+// operands each in one array, with every instruction, operand and edge
+// slice cut cap-limited from it.
+// A caller that decodes one function after another into the same dst
+// therefore allocates, once the arrays have grown to its largest
+// input, only the name and symbol strings dst did not hold before.
+// Only DecodeBinaryInto writes those arrays: a pass that rewrites
+// dst's function between decodes may append to or replace any of its
+// slices. Errors are DecodeBinary's, and after one dst holds no usable
+// function but stays reusable.
+func DecodeBinaryInto(dst *Func, data []byte) error {
+	if err := decodeBinary(dst, data); err != nil {
+		return fmt.Errorf("ir.DecodeBinary: %w", err)
+	}
+	if err := Validate(dst); err != nil {
+		return fmt.Errorf("ir.DecodeBinary: invalid function: %w", err)
+	}
+	return nil
+}
+
+// decodeStore is the storage DecodeBinaryInto decodes into and reuses.
+// blocks backs the Block values and ptrs the Blocks slice; instrs,
+// edges and regs are the arenas each block's Instrs, Succs/Preds and
+// Params/Defs/Uses are cut from; syms keeps the symbol strings, and
+// preds counts each block's predecessors. So what a store keeps is the
+// size of the largest function decoded into it.
+type decodeStore struct {
+	blocks []Block
+	ptrs   []*Block
+	instrs []Instr
+	edges  []BlockID
+	regs   []Reg
+	syms   []string
+	preds  []int32
+}
+
+// decodeBinary fills f from data, leaving the error unprefixed.
+func decodeBinary(f *Func, data []byte) error {
 	d := &binDecoder{buf: data}
 	if len(data) < len(binaryMagic)+1 || string(data[:len(binaryMagic)]) != binaryMagic {
-		return nil, errors.New("bad magic")
+		return errors.New("bad magic")
 	}
 	d.pos = len(binaryMagic)
 	if v := data[d.pos]; v != BinaryVersion {
-		return nil, fmt.Errorf("unsupported version %d (have %d)", v, BinaryVersion)
+		return fmt.Errorf("unsupported version %d (have %d)", v, BinaryVersion)
 	}
 	d.pos++
 
-	f := NewFunc(d.str("name"))
+	st := f.store
+	if st == nil {
+		st = new(decodeStore)
+		f.store = st
+	}
+	instrs, regs, edges := st.instrs[:0], st.regs[:0], st.edges[:0]
+	f.Name = d.strReuse("name", f.Name)
 	f.NumVirt = int(d.count("numVirt", 1<<31))
 	f.NumSpillSlots = int(d.count("numSpillSlots", 1<<31))
-	if n := d.len("params"); n > 0 {
-		f.Params = make([]Reg, n)
-		for i := range f.Params {
-			f.Params[i] = d.reg("param")
-		}
+	f.Params, regs = d.regs("param", d.len("params"), regs)
+	nSyms := int(d.len("symbols"))
+	if d.err == nil && len(st.syms) < nSyms {
+		st.syms = append(st.syms, make([]string, nSyms-len(st.syms))...)
 	}
-	var syms []string
-	if n := d.len("symbols"); n > 0 {
-		syms = make([]string, n)
-		for i := range syms {
-			syms[i] = d.str("symbol")
-		}
+	for i := 0; i < nSyms && d.err == nil; i++ {
+		st.syms[i] = d.strReuse("symbol", st.syms[i])
 	}
-	nBlocks := d.len("blocks")
-	for bi := 0; bi < int(nBlocks) && d.err == nil; bi++ {
-		b := f.NewBlock()
-		if n := d.len("succs"); n > 0 {
-			b.Succs = make([]BlockID, n)
-			for i := range b.Succs {
-				b.Succs[i] = BlockID(d.count("succ", uint64(nBlocks)))
-			}
+	syms := st.syms[:nSyms]
+
+	nBlocks := int(d.len("blocks"))
+	if d.err == nil && len(st.blocks) < nBlocks {
+		st.blocks = make([]Block, nBlocks)
+		st.ptrs = make([]*Block, nBlocks)
+	}
+	f.Blocks = f.Blocks[:0]
+	for bi := 0; bi < nBlocks && d.err == nil; bi++ {
+		b := &st.blocks[bi]
+		*b = Block{ID: BlockID(bi)}
+		st.ptrs[bi] = b
+		lo := len(edges)
+		for n := d.len("succs"); n > 0 && d.err == nil; n-- {
+			edges = append(edges, BlockID(d.count("succ", uint64(nBlocks))))
 		}
-		nInstrs := d.len("instrs")
-		if d.err == nil && nInstrs > 0 {
-			b.Instrs = make([]Instr, nInstrs)
+		b.Succs = cutArena(edges, lo)
+		nInstrs := int(d.len("instrs"))
+		if d.err != nil {
+			break
 		}
-		for i := 0; i < int(nInstrs) && d.err == nil; i++ {
+		lo = len(instrs)
+		instrs = slices.Grow(instrs, nInstrs)[:lo+nInstrs]
+		b.Instrs = cutArena(instrs, lo)
+		for i := 0; i < nInstrs && d.err == nil; i++ {
 			in := &b.Instrs[i]
+			*in = Instr{}
 			op := d.byte("op")
 			if Op(op) >= numOps {
 				d.fail("op", fmt.Errorf("unknown op %d", op))
@@ -230,18 +279,8 @@ func decodeBinary(data []byte) (*Func, error) {
 				d.fail("flags", fmt.Errorf("unknown flag bits %#x", flags))
 				break
 			}
-			if n := d.len("defs"); n > 0 {
-				in.Defs = make([]Reg, n)
-				for j := range in.Defs {
-					in.Defs[j] = d.reg("def")
-				}
-			}
-			if n := d.len("uses"); n > 0 {
-				in.Uses = make([]Reg, n)
-				for j := range in.Uses {
-					in.Uses[j] = d.reg("use")
-				}
-			}
+			in.Defs, regs = d.regs("def", d.len("defs"), regs)
+			in.Uses, regs = d.regs("use", d.len("uses"), regs)
 			if flags&flagImm != 0 {
 				in.Imm = d.int("imm")
 			}
@@ -253,13 +292,55 @@ func decodeBinary(data []byte) (*Func, error) {
 			}
 		}
 	}
+	st.instrs, st.regs, st.edges = instrs, regs, edges
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
 	if d.pos != len(d.buf) {
-		return nil, fmt.Errorf("%d trailing bytes after function", len(d.buf)-d.pos)
+		return fmt.Errorf("%d trailing bytes after function", len(d.buf)-d.pos)
 	}
-	return f, nil
+	f.Blocks = st.ptrs[:nBlocks:nBlocks]
+	st.edges = decodePreds(f, st, edges)
+	return nil
+}
+
+// decodePreds fills every block's Preds as RecomputePreds would, cut
+// from the edge arena after the successor edges, and returns the
+// extended arena.
+func decodePreds(f *Func, st *decodeStore, edges []BlockID) []BlockID {
+	counts := slices.Grow(st.preds[:0], len(f.Blocks))[:len(f.Blocks)]
+	clear(counts)
+	st.preds = counts
+	total := 0
+	for _, b := range f.Blocks {
+		for _, s := range b.Succs {
+			counts[s]++
+		}
+		total += len(b.Succs)
+	}
+	edges = slices.Grow(edges, total)
+	for i, b := range f.Blocks {
+		if n := int(counts[i]); n > 0 {
+			lo := len(edges)
+			edges = edges[:lo+n]
+			b.Preds = edges[lo : lo : lo+n]
+		}
+	}
+	for _, b := range f.Blocks {
+		for _, s := range b.Succs {
+			sb := f.Blocks[s]
+			sb.Preds = append(sb.Preds, b.ID)
+		}
+	}
+	return edges
+}
+
+// cutArena returns arena[lo:] cap-limited, or nil when it is empty.
+func cutArena[T any](arena []T, lo int) []T {
+	if lo == len(arena) {
+		return nil
+	}
+	return arena[lo:len(arena):len(arena)]
 }
 
 // binDecoder reads the wire primitives with saturating error handling:
@@ -338,14 +419,29 @@ func (d *binDecoder) int(what string) int64 {
 	return v
 }
 
-func (d *binDecoder) str(what string) string {
+// strReuse reads a string, returning old itself when the bytes spell
+// it, so a decoder reusing its storage allocates no repeated name.
+func (d *binDecoder) strReuse(what, old string) string {
 	n := d.len(what)
 	if d.err != nil {
 		return ""
 	}
-	s := string(d.buf[d.pos : d.pos+int(n)])
+	b := d.buf[d.pos : d.pos+int(n)]
 	d.pos += int(n)
-	return s
+	if string(b) == old {
+		return old
+	}
+	return string(b)
+}
+
+// regs reads n registers onto arena and returns them as a cap-limited
+// slice of it (nil when n is 0) with the extended arena.
+func (d *binDecoder) regs(what string, n uint64, arena []Reg) ([]Reg, []Reg) {
+	lo := len(arena)
+	for ; n > 0 && d.err == nil; n-- {
+		arena = append(arena, d.reg(what))
+	}
+	return cutArena(arena, lo), arena
 }
 
 func (d *binDecoder) reg(what string) Reg {

@@ -2,7 +2,9 @@ package ir
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -180,5 +182,76 @@ func TestStreamDecoder(t *testing.T) {
 	d.MaxFrame = 1 << 20
 	if _, err := d.Next(); err == nil {
 		t.Errorf("oversized frame accepted")
+	}
+}
+
+// binaryErrorInputs lists inputs DecodeBinary rejects: every
+// truncation, single-byte flip and the fixed corruptions of
+// TestDecodeBinaryRejectsCorruption, plus well-formed encodings of
+// functions that fail validation in the ways TestParseErrors's
+// sources do (operand arity, terminator shape, register range) and in
+// the ways only a binary body can (an edge out of range, a block
+// without a terminator).
+func binaryErrorInputs(t *testing.T) [][]byte {
+	enc := EncodeBinary(MustParse(binTestSrc))
+	var ins [][]byte
+	for n := 0; n < len(enc); n++ {
+		ins = append(ins, enc[:n])
+	}
+	ins = append(ins, append(append([]byte{}, enc...), 0))
+	for i := range enc {
+		mut := append([]byte{}, enc...)
+		mut[i] ^= 0x2a
+		ins = append(ins, mut)
+	}
+	ins = append(ins, nil, []byte("XGIR\x01"), []byte("PGIR\x63"),
+		append(append([]byte{}, enc[:6]...), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
+
+	invalid := func(name string, edit func(f *Func)) {
+		f := MustParse(binTestSrc)
+		edit(f)
+		ins = append(ins, EncodeBinary(f))
+	}
+	invalid("jump arity", func(f *Func) { f.Blocks[1].Succs = append(f.Blocks[1].Succs, 0) })
+	invalid("load arity", func(f *Func) { f.Blocks[0].Instrs[0].Uses = nil })
+	invalid("virtual out of range", func(f *Func) { f.NumVirt = 3 })
+	invalid("NoReg operand", func(f *Func) { f.Blocks[0].Instrs[1].Uses[0] = NoReg })
+	invalid("terminator mid-block", func(f *Func) {
+		b := f.Blocks[2]
+		b.Instrs = append(b.Instrs, b.Instrs[len(b.Instrs)-1])
+	})
+	invalid("no terminator", func(f *Func) { f.Blocks[2].Instrs = f.Blocks[2].Instrs[:1] })
+	invalid("φ arity", func(f *Func) { f.Blocks[2].Instrs[0].Uses = f.Blocks[2].Instrs[0].Uses[:1] })
+	invalid("no blocks", func(f *Func) { f.Blocks = nil })
+	return ins
+}
+
+// binaryErrorsDigest is the SHA-256 of the errors DecodeBinary
+// reported for binaryErrorInputs, one per line, before it became a
+// wrapper around DecodeBinaryInto.
+const binaryErrorsDigest = "f7dcc56688c72e6735a0ec8d35c10703cbe37ec4c0aaccd23bad7e9e0e6850d5"
+
+// DecodeBinaryInto reports every error exactly as DecodeBinary does,
+// even into a destination that holds a decoded function, and the
+// errors are the ones DecodeBinary always reported.
+func TestDecodeBinaryIntoErrors(t *testing.T) {
+	h := sha256.New()
+	dst := MustParse(binTestSrc)
+	for i, data := range binaryErrorInputs(t) {
+		_, want := DecodeBinary(data)
+		if want == nil {
+			continue // a flip in a name or symbol byte is legal
+		}
+		fmt.Fprintln(h, want)
+		if err := DecodeBinaryInto(dst, EncodeBinary(MustParse(binTestSrc))); err != nil {
+			t.Fatal(err)
+		}
+		got := DecodeBinaryInto(dst, data)
+		if got == nil || got.Error() != want.Error() {
+			t.Errorf("input %d: DecodeBinaryInto error %v, want %v", i, got, want)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != binaryErrorsDigest {
+		t.Errorf("errors digest %s, want %s", got, binaryErrorsDigest)
 	}
 }

@@ -1,9 +1,6 @@
 package ir
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // BlockID indexes a block within its function's Blocks slice.
 type BlockID int32
@@ -50,6 +47,10 @@ type Func struct {
 
 	// NumSpillSlots counts allocator-created spill slots.
 	NumSpillSlots int
+
+	// store is the storage DecodeBinaryInto reuses; nil until a
+	// function is first decoded into this one.
+	store *decodeStore
 }
 
 // NewFunc returns an empty function with the given name.
@@ -200,47 +201,48 @@ func (f *Func) CompactNops() {
 }
 
 // String renders the function in the textual IR syntax accepted by
-// Parse. Each line is appended into a stack buffer and written to one
-// builder sized up front, so rendering costs one or two allocations
-// however long the function is.
+// Parse.
 func (f *Func) String() string {
-	var sb strings.Builder
-	sb.Grow(16 + 20*len(f.Blocks) + 20*f.NumInstrs())
-	var line [128]byte
-	buf := append(line[:0], "func "...)
-	buf = append(buf, f.Name...)
-	buf = append(buf, '(')
+	return string(f.AppendText(make([]byte, 0, 16+20*len(f.Blocks)+20*f.NumInstrs())))
+}
+
+// AppendText appends the function's String form to dst and returns the
+// extended slice, so a caller with a buffer to reuse renders without
+// allocating.
+func (f *Func) AppendText(dst []byte) []byte {
+	dst = append(dst, "func "...)
+	dst = append(dst, f.Name...)
+	dst = append(dst, '(')
 	for i, p := range f.Params {
 		if i > 0 {
-			buf = append(buf, ", "...)
+			dst = append(dst, ", "...)
 		}
-		buf = p.appendText(buf)
+		dst = p.appendText(dst)
 	}
-	sb.Write(append(buf, ") {\n"...))
+	dst = append(dst, ") {\n"...)
 	for _, b := range f.Blocks {
-		buf = appendBlockRef(line[:0], b.ID, "b", ":")
+		dst = appendBlockRef(dst, b.ID, "b", ":")
 		if len(b.Succs) > 0 {
-			buf = append(buf, " ; succs:"...)
+			dst = append(dst, " ; succs:"...)
 			for _, s := range b.Succs {
-				buf = appendBlockRef(buf, s, " b", "")
+				dst = appendBlockRef(dst, s, " b", "")
 			}
 		}
-		sb.Write(append(buf, '\n'))
+		dst = append(dst, '\n')
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			buf = in.appendText(append(line[:0], "  "...))
+			dst = in.appendText(append(dst, "  "...))
 			switch in.Op {
 			case Jump:
-				buf = appendBlockRef(buf, b.Succs[0], " b", "")
+				dst = appendBlockRef(dst, b.Succs[0], " b", "")
 			case Branch:
-				buf = appendBlockRef(buf, b.Succs[0], ", b", "")
-				buf = appendBlockRef(buf, b.Succs[1], ", b", "")
+				dst = appendBlockRef(dst, b.Succs[0], ", b", "")
+				dst = appendBlockRef(dst, b.Succs[1], ", b", "")
 			}
-			sb.Write(append(buf, '\n'))
+			dst = append(dst, '\n')
 		}
 	}
-	sb.WriteString("}\n")
-	return sb.String()
+	return append(dst, "}\n"...)
 }
 
 // appendBlockRef appends prefix, the block number and suffix to dst.

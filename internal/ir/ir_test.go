@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -571,5 +572,65 @@ b0:
 	}
 	if res.HasRet {
 		t.Error("void return reported a value")
+	}
+}
+
+// edgesConsistent, Validate's allocation-free edge check, agrees with
+// the sorted-multiset comparison it replaced on random control-flow
+// graphs whose predecessor lists are shuffled, duplicated, dropped,
+// retargeted or pushed out of range, including lists longer than its
+// stack scratch.
+func TestEdgesConsistentMatchesMultisets(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 3000; iter++ {
+		n := 1 + rng.Intn(6)
+		if iter%100 == 0 {
+			n = 2*predScratch + 10
+		}
+		f := NewFunc("g")
+		for i := 0; i < n; i++ {
+			b := f.NewBlock()
+			switch rng.Intn(3) {
+			case 1:
+				b.Succs = []BlockID{BlockID(rng.Intn(n))}
+			case 2:
+				b.Succs = []BlockID{BlockID(rng.Intn(n)), BlockID(rng.Intn(n))}
+			}
+		}
+		if iter%100 == 0 {
+			for _, b := range f.Blocks {
+				b.Succs = []BlockID{0}
+			}
+		}
+		f.RecomputePreds()
+		for _, b := range f.Blocks {
+			if rng.Intn(2) == 0 {
+				rng.Shuffle(len(b.Preds), func(i, j int) { b.Preds[i], b.Preds[j] = b.Preds[j], b.Preds[i] })
+			}
+		}
+		b := f.Blocks[rng.Intn(n)]
+		switch k := len(b.Preds); rng.Intn(6) {
+		case 1:
+			if k > 0 {
+				b.Preds = append(b.Preds, b.Preds[rng.Intn(k)])
+			}
+		case 2:
+			if k > 0 {
+				b.Preds = slices.Delete(b.Preds, 0, 1)
+			}
+		case 3:
+			if k > 0 {
+				b.Preds[rng.Intn(k)] = BlockID(rng.Intn(n))
+			}
+		case 4:
+			b.Preds = append(b.Preds, BlockID(n+rng.Intn(2)))
+		case 5:
+			if k > 0 {
+				b.Preds[rng.Intn(k)] = -1
+			}
+		}
+		if got, want := edgesConsistent(f), edgeError(f) == nil; got != want {
+			t.Fatalf("iter %d: edgesConsistent %v, multiset comparison %v", iter, got, want)
+		}
 	}
 }

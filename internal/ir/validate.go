@@ -62,8 +62,77 @@ func Validate(f *Func) error {
 		}
 	}
 	// Succ/pred consistency: the two edge multisets must be equal.
-	// Packed-and-sorted slices keep this allocation-light on the hot
-	// path; the map-based diagnosis runs only on mismatch.
+	if edgesConsistent(f) {
+		return nil
+	}
+	return edgeError(f)
+}
+
+// predScratch bounds the predecessor list edgesConsistent sorts on
+// the stack; a longer one out of ascending order is sorted on the heap.
+const predScratch = 64
+
+// edgesConsistent reports, without allocating for any block whose
+// predecessors are in RecomputePreds's ascending order or number at
+// most predScratch, whether every edge is in range and the successor
+// and predecessor edge multisets are equal. It runs after
+// validateBlock has passed every block, so no block has more than two
+// successors and counting a block's entries in one Succs list is O(1).
+// Multiset equality follows from two facts: both sides hold the same
+// number of edges, and no edge p->s occurs more often in s.Preds than
+// in p.Succs. It takes time linear in the edges, plus a sort of each
+// predecessor list that is out of order.
+func edgesConsistent(f *Func) bool {
+	nSuccs, nPreds := 0, 0
+	for _, b := range f.Blocks {
+		for _, s := range b.Succs {
+			if s < 0 || int(s) >= len(f.Blocks) {
+				return false
+			}
+		}
+		nSuccs += len(b.Succs)
+		nPreds += len(b.Preds)
+	}
+	if nSuccs != nPreds {
+		return false
+	}
+	var scratch [predScratch]BlockID
+	for _, b := range f.Blocks {
+		preds, ascending := b.Preds, true
+		for i, p := range preds {
+			if p < 0 || int(p) >= len(f.Blocks) {
+				return false
+			}
+			ascending = ascending && (i == 0 || preds[i-1] <= p)
+		}
+		if !ascending {
+			preds = append(scratch[:0], preds...)
+			slices.Sort(preds)
+		}
+		for i := 0; i < len(preds); {
+			p, j := preds[i], i+1
+			for j < len(preds) && preds[j] == p {
+				j++
+			}
+			n := 0
+			for _, s := range f.Blocks[p].Succs {
+				if s == b.ID {
+					n++
+				}
+			}
+			if j-i > n {
+				return false
+			}
+			i = j
+		}
+	}
+	return true
+}
+
+// edgeError is the error Validate reports when edgesConsistent fails:
+// the first out-of-range edge, else the first edge whose succ and pred
+// entry counts disagree. Only reached on invalid input.
+func edgeError(f *Func) error {
 	var succs, preds []uint64
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs {

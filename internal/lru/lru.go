@@ -51,6 +51,18 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 	return c.slots[i].val, true
 }
 
+// Peek returns key's value like Get, but neither refreshes recency nor
+// counts a hit or a miss.
+func (c *Cache[K, V]) Peek(key K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if i, ok := c.index[key]; ok {
+		return c.slots[i].val, true
+	}
+	var zero V
+	return zero, false
+}
+
 // Hits returns how many Gets key's entry has served; zero when the key
 // is absent or was evicted. Unlike Get it neither refreshes recency nor
 // counts as a hit.

@@ -12,6 +12,8 @@ import (
 // metamorphic harness can produce: every pinned corpus reproducer and
 // every transform of it round-trips through EncodeBinary/DecodeBinary
 // unchanged, with canonical (re-encodable, byte-identical) output.
+// DecodeBinaryInto, reusing one destination across all of them,
+// decodes each to the same function.
 func TestBinaryRoundTripTransformCorpus(t *testing.T) {
 	cases, err := LoadCorpus("testdata/corpus")
 	if err != nil {
@@ -21,6 +23,7 @@ func TestBinaryRoundTripTransformCorpus(t *testing.T) {
 		t.Fatal("empty corpus")
 	}
 	machines := Machines()
+	dst := new(ir.Func)
 	check := func(name string, f *ir.Func) {
 		t.Helper()
 		enc := ir.EncodeBinary(f)
@@ -33,6 +36,12 @@ func TestBinaryRoundTripTransformCorpus(t *testing.T) {
 		}
 		if !bytes.Equal(ir.EncodeBinary(g), enc) {
 			t.Fatalf("%s: encoding not canonical", name)
+		}
+		if err := ir.DecodeBinaryInto(dst, enc); err != nil {
+			t.Fatalf("%s: DecodeBinaryInto: %v", name, err)
+		}
+		if dst.String() != f.String() || !bytes.Equal(ir.EncodeBinary(dst), enc) {
+			t.Fatalf("%s: DecodeBinaryInto changed the function:\n got: %s\nwant: %s", name, dst.String(), f.String())
 		}
 	}
 	for _, c := range cases {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"prefcolor/internal/bitset"
 	"prefcolor/internal/cfg"
 	"prefcolor/internal/costmodel"
 	"prefcolor/internal/ig"
@@ -227,22 +228,32 @@ func CheckResult(ctx *Context, res *Result) error {
 		}
 		color[n] = c
 	}
+	// Conflicts, by color rows: rows[c] holds the nodes wearing
+	// register c (physical nodes at or past k wear no web's color), so
+	// a colored web's conflicts are its original adjacency row ANDed
+	// with its color's row. Webs go in ascending order and each
+	// conflict row's lowest bit first, which names the same first pair
+	// a walk over every interference edge would.
+	k, words := ctx.K(), g.WordsPerRow()
+	ws.checkRows = scratch.Slice(ws.checkRows, k*words)
+	rows := ws.checkRows
+	for n, c := range color {
+		if c >= 0 && c < k {
+			bitset.Set(rows[c*words:(c+1)*words], n)
+		}
+	}
 	for w := 0; w < g.NumWebs(); w++ {
 		n := ig.NodeID(g.NumPhys() + w)
-		if color[n] < 0 {
+		c := color[n]
+		if c < 0 {
 			continue
 		}
-		// Word-at-a-time neighbor walk: OrigNeighbors materializes a
-		// slice per call, which made this validation pass the hottest
-		// allocation site in a warm allocate.
+		row := rows[c*words : (c+1)*words]
 		for wi, bw := range g.OrigRow(n) {
-			base := ig.NodeID(wi << 6)
-			for ; bw != 0; bw &= bw - 1 {
-				nb := base + ig.NodeID(bits.TrailingZeros64(bw))
-				if color[nb] >= 0 && color[nb] == color[n] {
-					return fmt.Errorf("regalloc: interfering nodes %v and %v share r%d",
-						g.RegOf(n), g.RegOf(nb), color[n])
-				}
+			if x := bw & row[wi]; x != 0 {
+				nb := ig.NodeID(wi<<6 + bits.TrailingZeros64(x))
+				return fmt.Errorf("regalloc: interfering nodes %v and %v share r%d",
+					g.RegOf(n), g.RegOf(nb), c)
 			}
 		}
 	}

@@ -54,6 +54,7 @@ type Workspace struct {
 	spillWebs      []int
 	checkSpilled   []bool // CheckResult: node listed as spilled
 	checkColor     []int
+	checkRows      []uint64 // CheckResult: per register, the nodes wearing it
 
 	allocScratch any
 }

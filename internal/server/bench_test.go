@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"prefcolor/internal/ir"
 	"prefcolor/internal/target"
 	"prefcolor/internal/workload"
 )
@@ -90,5 +91,49 @@ func BenchmarkServeHit(b *testing.B) {
 	b.StopTimer()
 	if w.h.Get(CacheHeader) != "hit" {
 		b.Fatalf("last request: cache %q, want hit", w.h.Get(CacheHeader))
+	}
+}
+
+// BenchmarkServeCold measures one cache-bypassing /v1/allocate through
+// the daemon's handler: binary IR with no_cache set, the suite's
+// functions at k = 16 posted in turn, so every request decodes,
+// allocates with pref-full and renders its reply. No network is
+// involved.
+func BenchmarkServeCold(b *testing.B) {
+	s := New(Config{})
+	defer s.Close()
+	h := s.Handler()
+
+	var bodies [][]byte
+	for _, p := range workload.Benchmarks() {
+		for _, f := range workload.Generate(p, target.UsageModel(16)) {
+			bodies = append(bodies, ir.EncodeBinary(f))
+		}
+	}
+
+	u := &url.URL{Path: "/v1/allocate", RawQuery: "no_cache=true"}
+	rd := bytes.NewReader(nil)
+	rc := io.NopCloser(rd)
+	w := &discardWriter{h: http.Header{}}
+	serve := func(body []byte) {
+		rd.Reset(body)
+		clear(w.h)
+		w.code = http.StatusOK
+		req := &http.Request{Method: http.MethodPost, URL: u, Header: http.Header{},
+			Body: rc, ContentLength: int64(len(body))}
+		req.Header.Set("Content-Type", BinaryContentType)
+		h.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			b.Fatalf("status %d", w.code)
+		}
+	}
+	for _, body := range bodies {
+		serve(body)
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(bodies[i%len(bodies)])
 	}
 }

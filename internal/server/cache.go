@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -59,7 +60,7 @@ const maxPooledReply = 1 << 20
 
 // newEntry renders the reply of one allocation result into an entry
 // the cache may keep: its Reply is an exact-size copy of its own.
-func newEntry(text, digest string, stats statsJSON, tier string, cycles float64) *entry {
+func newEntry(text []byte, digest string, stats statsJSON, tier string, cycles float64) *entry {
 	e := newTransientEntry(text, digest, stats, tier, cycles)
 	reply := bytes.Clone(e.Reply)
 	e.release()
@@ -70,16 +71,61 @@ func newEntry(text, digest string, stats statsJSON, tier string, cycles float64)
 // newTransientEntry is newEntry for a reply that is written once and
 // dropped (a no_cache request): Reply lies in a pooled buffer, so the
 // request renders its reply without allocating one, and release hands
-// the buffer back after the write.
-func newTransientEntry(text, digest string, stats statsJSON, tier string, cycles float64) *entry {
+// the buffer back after the write. The reply is what render writes for
+// the allocateResponse with text as its Function, but the text goes
+// from its bytes straight into the buffer.
+func newTransientEntry(text []byte, digest string, stats statsJSON, tier string, cycles float64) *entry {
 	b := replyBufs.Get().(*bytes.Buffer)
 	b.Reset()
-	reply := render(b, allocateResponse{Function: text, Digest: digest, Stats: stats,
-		Cached: true, Tier: tier, Cycles: cycles})
+	b.WriteString(`{"function":`)
+	b.Write(appendJSONString(b.AvailableBuffer(), text))
+	// The rest of the object is the encoder's, minus the empty
+	// function field it writes first.
+	at := b.Len()
+	render(b, allocateResponse{Digest: digest, Stats: stats, Cached: true, Tier: tier, Cycles: cycles})
+	all := b.Bytes()
+	reply := bytes.TrimSuffix(all[:at+copy(all[at:], all[at+len(`{"function":""`):])], []byte("\n"))
 	// Quotes inside JSON strings are escaped, so these bytes occur only
 	// as the field itself.
-	at := bytes.Index(reply, []byte(`"cached":true`)) + len(`"cached":`)
-	return &entry{Reply: reply, CachedAt: at, Tier: tier, Cycles: cycles, buf: b}
+	cachedAt := at + bytes.Index(reply[at:], []byte(`"cached":true`)) + len(`"cached":`)
+	return &entry{Reply: reply, CachedAt: cachedAt, Tier: tier, Cycles: cycles, buf: b}
+}
+
+// appendJSONString appends s to dst as a JSON string, byte for byte as
+// encoding/json writes it with HTML escaping off. Function text is
+// printable ASCII and newlines, except for names and call symbols,
+// which may hold any byte. Printable ASCII other than '"' and '\\'
+// passes through and a newline is written as \n, as encoding/json
+// does; each run of other bytes, which holds every byte of the UTF-8
+// sequences it meets, goes through encoding/json itself.
+func appendJSONString(dst, s []byte) []byte {
+	dst = append(dst, '"')
+	for i := 0; i < len(s); {
+		j := i + 1
+		switch c := s[i]; {
+		case jsonPlain(c):
+			for j < len(s) && jsonPlain(s[j]) {
+				j++
+			}
+			dst = append(dst, s[i:j]...)
+		case c == '\n':
+			dst = append(dst, `\n`...)
+		default:
+			for j < len(s) && !jsonPlain(s[j]) && s[j] != '\n' {
+				j++
+			}
+			q, _ := json.Marshal(string(s[i:j])) // a string always marshals
+			dst = append(dst, q[1:len(q)-1]...)
+		}
+		i = j
+	}
+	return append(dst, '"')
+}
+
+// jsonPlain reports whether encoding/json writes c unescaped in a
+// string with HTML escaping off.
+func jsonPlain(c byte) bool {
+	return c >= 0x20 && c < 0x80 && c != '"' && c != '\\'
 }
 
 // release returns a transient entry's buffer to the pool; the entry

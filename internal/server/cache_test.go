@@ -13,7 +13,7 @@ func testKey(i int) Key {
 }
 
 func testEntry(i int) *entry {
-	return newEntry(fmt.Sprintf("f%d", i), fmt.Sprintf("d%d", i), statsJSON{}, "", 0)
+	return newEntry(fmt.Appendf(nil, "f%d", i), fmt.Sprintf("d%d", i), statsJSON{}, "", 0)
 }
 
 // TestFlightGroupSingleLeader floods one key from many goroutines and

@@ -74,6 +74,7 @@ func (kr *KeyResolver) resolve(in *srcInput) (int, error) {
 	if in.f != nil && in.binary != nil {
 		// A batch frame, already decoded; the bytes are its
 		// canonical re-encoding.
+		in.enc = in.binary
 		in.canonHash = sha256.Sum256(in.binary)
 		return 0, nil
 	}
@@ -91,8 +92,8 @@ func (kr *KeyResolver) resolve(in *srcInput) (int, error) {
 	if err != nil {
 		return code, err
 	}
-	in.f = f
-	in.canonHash = sha256.Sum256(ir.EncodeBinary(f))
+	in.f, in.enc = f, ir.EncodeBinary(f)
+	in.canonHash = sha256.Sum256(in.enc)
 	kr.memo.Add(raw, resolution{canon: in.canonHash})
 	return 0, nil
 }

@@ -185,12 +185,13 @@ func TestTierWorkspacesPerWorker(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	waitFor(t, "the upgrades to drain", func() bool {
-		d, _ := s.upgradeDepth()
-		s.upgrades.pmu.Lock()
-		defer s.upgrades.pmu.Unlock()
-		return d == 0 && len(s.upgrades.pending) == 0
-	})
+	// Of the four clients, at least two sent each function without
+	// no_cache, so every function took the tiered path.
+	var tiered []string
+	for _, f := range funcs {
+		tiered = append(tiered, f.String())
+	}
+	assertUpgradedOnce(t, s, tiered)
 
 	s.metrics.mu.Lock()
 	upgrades := s.metrics.tierUpgrades

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
@@ -194,8 +195,13 @@ func TestEntryRepliesMatchEncoder(t *testing.T) {
 		{"func f() {\n  ret \"cached\":true <&>\n}\n", "", 0},
 		{"func g() {}\n", tierFast, 12.5},
 		{"", tierFull, 1e21},
+		// Names and symbols may hold any byte: quotes, backslashes,
+		// control bytes, DEL, invalid UTF-8, multibyte runes and the
+		// line separators encoding/json escapes.
+		{"func \"a\\b\"(v0) {\n\t\r\b\f\x00\x1f\x7f\n}\n", "", 0},
+		{"func \xff\xfe@\xe2\x80 \xe2\x80\xa8\u2029 é世\xc3(\n", tierFast, 3},
 	} {
-		e := newEntry(tc.text, "d", stats, tc.tier, tc.cycles)
+		e := newEntry([]byte(tc.text), "d", stats, tc.tier, tc.cycles)
 		for _, cached := range []bool{true, false} {
 			var got strings.Builder
 			e.writeObject(&got, cached)
@@ -204,6 +210,19 @@ func TestEntryRepliesMatchEncoder(t *testing.T) {
 			if got.String() != string(want) {
 				t.Errorf("cached=%v:\n got %s\nwant %s", cached, got.String(), want)
 			}
+		}
+	}
+	// Random bytes, weighted toward the ones that need escaping.
+	rng := rand.New(rand.NewSource(1))
+	alphabet := []byte("a\n\"\\\x00\x1f\x7f\x80\xbf\xc3\xa9\xe2\x80\xa8\xf0\x9f\x98\x80\xff<&")
+	for i := 0; i < 2000; i++ {
+		text := make([]byte, rng.Intn(24))
+		for j := range text {
+			text[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		want := render(new(bytes.Buffer), allocateResponse{Function: string(text), Digest: "d", Stats: stats, Cached: true})
+		if got := newEntry(text, "d", stats, "", 0).Reply; !bytes.Equal(got, want) {
+			t.Fatalf("text %q:\n got %s\nwant %s", text, got, want)
 		}
 	}
 }

@@ -66,7 +66,7 @@ func TestUpgradePanicContained(t *testing.T) {
 				t.Fatal("prepare did not panic on the injected input")
 			}
 		}()
-		prepare(in, spec)
+		prepare(in, spec, new(ir.Func))
 	}()
 
 	key := Key{7}

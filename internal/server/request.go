@@ -189,6 +189,11 @@ type srcInput struct {
 	binary []byte   // binary IR encoding; nil for text requests
 	f      *ir.Func // decoded form, when already known
 
+	// enc, when set, is a binary encoding of the function: the
+	// canonical bytes resolve hashed, or what computeFast keeps for the
+	// tier upgrade.
+	enc []byte
+
 	// canonHash is sha256 over the function's canonical binary
 	// encoding, filled in by KeyResolver.resolve. canonKnown marks it
 	// set before doOne: resolved by the handler, or taken on trust
@@ -199,13 +204,20 @@ type srcInput struct {
 
 // decode produces the function from whichever wire form in carries.
 func (in *srcInput) decode() (*ir.Func, int, error) {
+	return in.decodeInto(new(ir.Func))
+}
+
+// decodeInto is decode with a binary body decoded into dst, whose
+// storage it reuses (ir.DecodeBinaryInto). An already decoded function
+// is returned as it is, and text is parsed afresh.
+func (in *srcInput) decodeInto(dst *ir.Func) (*ir.Func, int, error) {
 	if in.f != nil {
 		return in.f, 0, nil
 	}
-	var f *ir.Func
+	f := dst
 	var err error
 	if in.binary != nil {
-		f, err = ir.DecodeBinary(in.binary)
+		err = ir.DecodeBinaryInto(dst, in.binary)
 	} else {
 		f, err = ir.Parse(in.text)
 	}

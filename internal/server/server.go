@@ -134,26 +134,31 @@ type Server struct {
 	keys       *KeyResolver
 	flights    *flightGroup
 	metrics    *metrics
-	workspaces *freeList[*regalloc.Workspace]
-	fastWS     *freeList[*linearscan.Workspace] // for the fast tier
+	workspaces *freeList[*space[*regalloc.Workspace]]
+	fastWS     *freeList[*space[*linearscan.Workspace]] // for the fast tier
 	upgrades   *upgrader
 	mux        *http.ServeMux
 	draining   atomic.Bool
+
+	// missHook, when set, runs in fill after a caller's cache probe
+	// missed and before it joins the key's flight. It is a test seam
+	// for forcing interleavings between the two.
+	missHook func()
 }
 
 // New builds a server and starts its worker pool.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	// Every job, tier upgrades included, runs on a worker and holds at
-	// most one workspace of each kind, so Workers idle ones suffice.
+	// most one space of each kind, so Workers idle ones suffice.
 	s := &Server{
 		cfg:        cfg,
 		cache:      lru.New[Key, *entry](cfg.CacheEntries),
 		keys:       NewKeyResolver(4 * cfg.CacheEntries),
 		flights:    newFlightGroup(),
 		metrics:    newMetrics(),
-		workspaces: newFreeList(cfg.Workers, regalloc.NewWorkspace),
-		fastWS:     newFreeList(cfg.Workers, linearscan.NewFastWorkspace),
+		workspaces: newFreeList(cfg.Workers, spaceBuilder(regalloc.NewWorkspace)),
+		fastWS:     newFreeList(cfg.Workers, spaceBuilder(linearscan.NewFastWorkspace)),
 	}
 	if cfg.Tier {
 		s.upgrades = &upgrader{pending: make(map[Key]struct{})}
@@ -560,39 +565,59 @@ func (s *Server) countTier(e *entry) {
 
 // fill computes key's entry after a cache miss: it joins the key's
 // flight, or leads one through the work queue and caches the result.
+// A leader probes the cache once more before it computes: between the
+// caller's miss and its join another flight may have filled the key,
+// and a tier upgrade may even have raised that entry to the full tier,
+// which a fresh fast result must not replace.
 func (s *Server) fill(reqCtx context.Context, key Key, in srcInput, spec Spec,
 	machine *target.Machine, d time.Duration, block bool) (*entry, int, error) {
 
+	if s.missHook != nil {
+		s.missHook()
+	}
 	call, leader := s.flights.join(key)
 	if leader {
-		tier := s.tierApplies(spec)
-		finish := func(e *entry, code int, err error) { s.flights.complete(key, call, e, err, code) }
-		s.submitJob(reqCtx, d, block, finish, func(ctx context.Context) (e *entry, code int, err error) {
-			if tier {
-				// Fast tier first; any fast-path failure falls back to
-				// the full pipeline so tiering never loses a request.
-				if e, code, err = s.computeFast(ctx, in, spec, machine); err != nil && ctx.Err() == nil {
-					e, code, err = s.compute(ctx, in, spec, machine, true, false)
-				}
-			} else {
-				e, code, err = s.compute(ctx, in, spec, machine, false, false)
-			}
-			if err == nil {
-				s.cache.Add(key, e)
-				if tier && e.Tier == tierFast {
-					up := in
-					up.f = nil // the upgrade decodes afresh; see upgradeJob
-					s.enqueueUpgrade(key, up, spec, machine, e.Cycles)
-				}
-			}
-			return e, code, err
-		})
+		if e, ok := s.cache.Peek(key); ok {
+			s.flights.complete(key, call, e, nil, 0)
+		} else {
+			s.lead(reqCtx, key, call, in, spec, machine, d, block)
+		}
 	}
 	e, code, err := call.wait(reqCtx)
 	if err == nil {
 		s.countTier(e)
 	}
 	return e, code, err
+}
+
+// lead computes the entry of call, the flight fill leads for key, on a
+// worker, caches it and, for a fast-tier entry, queues its upgrade.
+func (s *Server) lead(reqCtx context.Context, key Key, call *flightCall, in srcInput,
+	spec Spec, machine *target.Machine, d time.Duration, block bool) {
+
+	tier := s.tierApplies(spec)
+	finish := func(e *entry, code int, err error) { s.flights.complete(key, call, e, err, code) }
+	s.submitJob(reqCtx, d, block, finish, func(ctx context.Context) (e *entry, code int, err error) {
+		if !tier {
+			e, code, err = s.compute(ctx, in, spec, machine, false, false)
+		} else if e, code, err = s.computeFast(ctx, &in, spec, machine); err != nil && ctx.Err() == nil {
+			// Any fast-path failure falls back to the full pipeline, so
+			// tiering never loses a request. It starts from the
+			// encoding computeFast kept, since the fast path may have
+			// rewritten a decoded function in place.
+			if in.enc != nil {
+				in = srcInput{binary: in.enc}
+			}
+			e, code, err = s.compute(ctx, in, spec, machine, true, false)
+		}
+		if err == nil {
+			s.cache.Add(key, e)
+			if e.Tier == tierFast {
+				s.enqueueUpgrade(key, srcInput{binary: in.enc}, spec, machine, e.Cycles)
+			}
+		}
+		return e, code, err
+	})
 }
 
 // submitJob admits work to the request lane as one job. The job's
@@ -657,20 +682,27 @@ func (s *Server) runJob(finish func(*entry, int, error), work func() (*entry, in
 // and by the router when its client goes away mid-forward.
 const StatusClientGone = 499
 
-// prepare decodes in and, when spec asks for it, runs the SSA scalar
-// optimizations on the function: the prologue of both tiers' compute.
-func prepare(in srcInput, spec Spec) (*ir.Func, int, error) {
-	f, code, err := in.decode()
+// prepare produces in's function, decoding a binary body into fn (the
+// job's reused storage), and optimizes it as spec asks: the prologue of
+// both tiers' compute.
+func prepare(in srcInput, spec Spec, fn *ir.Func) (*ir.Func, int, error) {
+	f, code, err := in.decodeInto(fn)
 	if err != nil {
 		return nil, code, err
 	}
+	optimize(f, spec)
+	return f, 0, nil
+}
+
+// optimize runs the SSA scalar optimizations on f in place when spec
+// asks for them.
+func optimize(f *ir.Func, spec Spec) {
 	if spec.Optimize {
 		ssa.Build(f)
 		opt.Optimize(f)
 		ssa.Destruct(f)
 		f.CompactNops()
 	}
-	return f, 0, nil
 }
 
 // compute parses or decodes, optionally optimizes, and allocates one
@@ -681,26 +713,27 @@ func prepare(in srcInput, spec Spec) (*ir.Func, int, error) {
 func (s *Server) compute(ctx context.Context, in srcInput, spec Spec,
 	machine *target.Machine, tier, transient bool) (*entry, int, error) {
 
-	f, code, err := prepare(in, spec)
-	if err != nil {
-		return nil, code, err
-	}
 	alloc, err := bench.NewAllocator(spec.Allocator)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	// Borrow a pooled workspace for the Run; it returns to the list
-	// dirty (the driver clears on borrow), so steady-state requests
-	// allocate almost nothing beyond what the function itself needs.
-	ws := s.workspaces.get()
-	defer s.workspaces.put(ws)
+	// Borrow a pooled space for the job. It returns to the list dirty
+	// (the driver clears the workspace on borrow, the decoder and the
+	// renderer overwrite the rest), so steady-state requests allocate
+	// almost nothing beyond what the function itself needs.
+	sp := s.workspaces.get()
+	defer s.workspaces.put(sp)
+	f, code, err := prepare(in, spec, &sp.fn)
+	if err != nil {
+		return nil, code, err
+	}
 	out, stats, err := regalloc.Run(f, machine, alloc, regalloc.Options{
 		Context:          ctx,
 		MaxRounds:        spec.MaxRounds,
 		Rematerialize:    spec.Rematerialize,
 		BlockLocalSpills: spec.BlockLocalSpills,
 		CollectTelemetry: true,
-		Workspace:        ws,
+		Workspace:        sp.ws,
 	})
 	if err != nil {
 		if ctx.Err() != nil {
@@ -709,7 +742,6 @@ func (s *Server) compute(ctx context.Context, in srcInput, spec Spec,
 		return nil, http.StatusUnprocessableEntity, err
 	}
 	s.metrics.CountExecuted(stats.Telemetry)
-	text := out.String()
 	var tierName string
 	var cycles float64
 	if tier {
@@ -719,5 +751,6 @@ func (s *Server) compute(ctx context.Context, in srcInput, spec Spec,
 	if transient {
 		mk = newTransientEntry
 	}
-	return mk(text, bench.TextDigest(f.Name, stats, text), statsFrom(stats), tierName, cycles), 0, nil
+	text, digest := sp.render(f.Name, out, stats)
+	return mk(text, digest, statsFrom(stats), tierName, cycles), 0, nil
 }

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"prefcolor/internal/bench"
+	"prefcolor/internal/ir"
 	"prefcolor/internal/linearscan"
 	"prefcolor/internal/perfmodel"
 	"prefcolor/internal/target"
@@ -54,35 +54,42 @@ func (s *Server) tierApplies(spec Spec) bool {
 }
 
 // computeFast is the fast-tier counterpart of compute: the same
-// prologue (prepare), but allocation through linearscan.Run on
-// the tier's own workspace pool (a pooled driver workspace has one
-// allocator slot, which the upgrades' pref-full runs would keep
-// evicting). Rematerialize and BlockLocalSpills are driver spill
-// refinements the fast path does not implement; they reach the
-// full-tier upgrade untouched, since the spec — options included —
-// keys the entry being upgraded.
-func (s *Server) computeFast(ctx context.Context, in srcInput, spec Spec,
+// prologue, but allocation through linearscan.Run on the tier's own
+// space pool (a pooled driver workspace has one allocator slot, which
+// the upgrades' pref-full runs would keep evicting). Rematerialize and
+// BlockLocalSpills are driver spill refinements the fast path does not
+// implement; they reach the full-tier upgrade untouched, since the
+// spec — options included — keys the entry being upgraded. Before any
+// SSA rewrite it makes sure in.enc holds a binary encoding of the
+// function, which the upgrade decodes.
+func (s *Server) computeFast(ctx context.Context, in *srcInput, spec Spec,
 	machine *target.Machine) (*entry, int, error) {
 
-	f, code, err := prepare(in, spec)
+	sp := s.fastWS.get()
+	defer s.fastWS.put(sp)
+	f, code, err := in.decodeInto(&sp.fn)
 	if err != nil {
 		return nil, code, err
 	}
+	if in.enc == nil {
+		in.enc = in.binary
+		if in.enc == nil {
+			in.enc = ir.EncodeBinary(f)
+		}
+	}
+	optimize(f, spec)
 	if ctx.Err() != nil {
 		return nil, http.StatusGatewayTimeout, ctx.Err()
 	}
-	ws := s.fastWS.get()
-	defer s.fastWS.put(ws)
 	out, stats, err := linearscan.Run(f, machine, linearscan.RunOptions{
 		MaxRounds: spec.MaxRounds,
-		Workspace: ws,
+		Workspace: sp.ws,
 	})
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, err
 	}
-	text := out.String()
-	return newEntry(text, bench.TextDigest(f.Name, stats, text), statsFrom(stats),
-		tierFast, perfmodel.Estimate(out, machine).Cycles), 0, nil
+	text, digest := sp.render(f.Name, out, stats)
+	return newEntry(text, digest, statsFrom(stats), tierFast, perfmodel.Estimate(out, machine).Cycles), 0, nil
 }
 
 // upgradeQueueCap bounds the waiting upgrades; a full queue sheds
@@ -146,10 +153,11 @@ func (u *upgrader) release(key Key) {
 	u.pmu.Unlock()
 }
 
-// upgradeJob re-derives one cache entry at full quality. It carries
-// the request's wire form, never the decoded function — the fast
-// compute may have rewritten the decoded form in place (SSA
-// optimization mutates), so the upgrade decodes fresh.
+// upgradeJob re-derives one cache entry at full quality. It carries a
+// binary encoding of the request's function, never the decoded
+// function — the fast compute may have rewritten the decoded form in
+// place (SSA optimization mutates) — so the upgrade decodes fresh, into
+// its worker's space.
 type upgradeJob struct {
 	key        Key
 	in         srcInput
@@ -172,7 +180,7 @@ func (s *Server) upgradeDepth() (int, int) {
 // enqueueUpgrade schedules the escalation of key's cache entry on the
 // workers' low lane. A key already pending is skipped (single flight);
 // a full queue sheds the job and counts the shed; a draining server
-// admits no new upgrades. in should carry the wire form only; see
+// admits no new upgrades. in should carry a binary encoding only; see
 // upgradeJob.
 func (s *Server) enqueueUpgrade(key Key, in srcInput, spec Spec,
 	machine *target.Machine, fastCycles float64) {

@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,6 +18,7 @@ import (
 	"prefcolor/internal/lru"
 	"prefcolor/internal/regalloc"
 	"prefcolor/internal/target"
+	"prefcolor/internal/workload"
 )
 
 // oracleDigest computes the digest a non-tiered daemon would serve for
@@ -367,6 +372,161 @@ func TestLinearScanRejectsSpillOptions(t *testing.T) {
 		resp, body := postJSON(t, ts.URL+"/v1/allocate", AllocateRequest{Spec: spec, Source: smallFunc})
 		if resp.StatusCode != http.StatusUnprocessableEntity {
 			t.Errorf("%+v: status %d, want 422: %s", spec, resp.StatusCode, body)
+		}
+	}
+}
+
+// tierKey is the cache key a default-spec pref-full request for src
+// resolves to.
+func tierKey(t *testing.T, src string) Key {
+	t.Helper()
+	canon, _, err := NewKeyResolver(0).ResolveText(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{}
+	if _, err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	return KeyFor(canon, spec)
+}
+
+// assertUpgradedOnce waits for the upgrade lane to drain, then checks
+// the tier invariants over the tiered requests for srcs: every key
+// holds a full-tier entry, so none went back from full to fast, and
+// the upgrades that ran, failed or were shed number exactly the keys,
+// so no fast fill queued a second upgrade for a key.
+func assertUpgradedOnce(t *testing.T, s *Server, srcs []string) {
+	t.Helper()
+	waitFor(t, "the upgrades to drain", func() bool {
+		d, _ := s.upgradeDepth()
+		s.upgrades.pmu.Lock()
+		defer s.upgrades.pmu.Unlock()
+		return d == 0 && len(s.upgrades.pending) == 0
+	})
+	keys := map[Key]bool{}
+	for _, src := range srcs {
+		key := tierKey(t, src)
+		keys[key] = true
+		if e, ok := s.cache.Peek(key); !ok || e.Tier != tierFull {
+			t.Errorf("key of %.24q: cached %v, want a full-tier entry", src, ok)
+		}
+	}
+	s.metrics.mu.Lock()
+	ran := s.metrics.tierUpgrades + s.metrics.tierUpgradeFail + s.metrics.tierSheds
+	s.metrics.mu.Unlock()
+	if ran != int64(len(keys)) {
+		t.Errorf("%d upgrades ran, failed or were shed for %d keys, want one each", ran, len(keys))
+	}
+}
+
+// TestTierFillKeepsUpgradedEntry forces the interleaving in which a
+// caller's cache probe misses, another caller's flight then fills the
+// key, the upgrade swaps the entry to the full tier, and only then
+// does the first caller join the key's flight. As that flight's
+// leader it must serve the full entry it finds, not compute a fast one
+// over it and queue a second upgrade.
+func TestTierFillKeepsUpgradedEntry(t *testing.T) {
+	s := New(Config{Tier: true, Workers: 1})
+	var misses atomic.Int32
+	held, release := make(chan struct{}), make(chan struct{})
+	s.missHook = func() {
+		if misses.Add(1) == 1 {
+			close(held)
+			<-release
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	body, err := json.Marshal(AllocateRequest{Source: smallFunc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type reply struct {
+		code       int
+		tier, body string
+	}
+	post := func() reply {
+		resp, err := http.Post(ts.URL+"/v1/allocate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return reply{body: err.Error()}
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return reply{resp.StatusCode, resp.Header.Get(TierHeader), string(b)}
+	}
+
+	first := make(chan reply, 1)
+	go func() { first <- post() }() // misses, then holds before joining
+	<-held
+	if r := post(); r.code != http.StatusOK || r.tier != tierFast {
+		t.Fatalf("second caller: status %d, tier %q, want 200 fast (%s)", r.code, r.tier, r.body)
+	}
+	key := tierKey(t, smallFunc)
+	var full *entry
+	waitFor(t, "the upgrade to swap the entry", func() bool {
+		e, ok := s.cache.Peek(key)
+		full = e
+		return ok && e.Tier == tierFull
+	})
+	close(release)
+	if r := <-first; r.code != http.StatusOK || r.tier != tierFull {
+		t.Fatalf("first caller: status %d, tier %q, want 200 full (%s)", r.code, r.tier, r.body)
+	}
+	assertUpgradedOnce(t, s, []string{smallFunc})
+	if e, _ := s.cache.Peek(key); e != full {
+		t.Error("the upgraded entry was replaced")
+	}
+}
+
+// An upgrade decodes the binary encoding its fast fill kept. That
+// encoding is the same whether resolve or computeFast made it, and the
+// full-tier reply computed from it is byte for byte the one computed
+// from the request's text, with and without SSA optimization.
+func TestUpgradeFromBinaryMatchesText(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ctx := context.Background()
+	var srcs []string
+	for _, p := range workload.Benchmarks()[:3] {
+		for _, f := range workload.Generate(p, target.UsageModel(16)) {
+			srcs = append(srcs, f.String())
+		}
+	}
+	srcs = append(srcs, smallFunc)
+	for _, optimize := range []bool{false, true} {
+		spec := Spec{Optimize: optimize}
+		machine, err := spec.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range srcs {
+			resolved := srcInput{text: src}
+			if _, err := NewKeyResolver(0).resolve(&resolved); err != nil {
+				t.Fatal(err)
+			}
+			fast := srcInput{text: src}
+			if _, _, err := s.computeFast(ctx, &fast, spec, machine); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(resolved.enc, fast.enc) {
+				t.Fatalf("resolve and computeFast keep different encodings of %.24q", src)
+			}
+			fromText, _, err := s.compute(ctx, srcInput{text: src}, spec, machine, true, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromBinary, _, err := s.compute(ctx, srcInput{binary: fast.enc}, spec, machine, true, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(fromText.Reply, fromBinary.Reply) {
+				t.Fatalf("optimize=%v: reply from the binary encoding differs:\n got %s\nwant %s",
+					optimize, fromBinary.Reply, fromText.Reply)
+			}
 		}
 	}
 }

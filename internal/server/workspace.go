@@ -1,9 +1,39 @@
 package server
 
-import "sync/atomic"
+import (
+	"sync/atomic"
 
-// freeList hands reusable scratch values (regalloc and linear-scan
-// workspaces) to the goroutines that compute jobs. It keeps at most as
+	"prefcolor/internal/bench"
+	"prefcolor/internal/ir"
+	"prefcolor/internal/regalloc"
+)
+
+// space is the storage one job borrows from a free list and hands
+// back when it ends: the allocator's workspace W, the function a
+// binary body decodes into, and the buffer the output text renders
+// into. Each is overwritten by its next user.
+type space[W any] struct {
+	ws   W
+	fn   ir.Func
+	text []byte
+}
+
+// render writes out's text into the space's buffer and returns those
+// bytes with the digest of the allocation, whose input function was
+// named name: the reply's function text and digest, built without a
+// string of the text. The bytes are valid until the space's next user.
+func (sp *space[W]) render(name string, out *ir.Func, stats *regalloc.Stats) ([]byte, string) {
+	sp.text = out.AppendText(sp.text[:0])
+	return sp.text, bench.TextDigest(name, stats, sp.text)
+}
+
+// spaceBuilder returns a free-list constructor for spaces around
+// workspaces built by mk.
+func spaceBuilder[W any](mk func() W) func() *space[W] {
+	return func() *space[W] { return &space[W]{ws: mk()} }
+}
+
+// freeList hands reusable scratch values (job spaces) to the goroutines that compute jobs. It keeps at most as
 // many idle values as goroutines can hold one at once, which bounds how
 // many live. Unlike a sync.Pool, a garbage collection never empties
 // it, so a value is built from nothing only while the list fills up.
